@@ -79,11 +79,10 @@ let cache_dir_arg =
     & opt string Zodiac_util.Cache.default_dir
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
-          "Warm-start cache directory. Cold runs write corpus, \
-           knowledge-base and mined-candidate artifacts there; warm runs \
-           with the same parameters load them (byte-identical results), \
-           and growing --projects extends the cached corpus \
-           incrementally.")
+          "Warm-start cache directory. Cold runs write knowledge-base and \
+           mined-candidate artifacts there (and, with --shard-size, one \
+           checkpoint per shard); warm runs with the same parameters load \
+           them (byte-identical results).")
 
 let no_cache_arg =
   Arg.(
@@ -181,8 +180,8 @@ let shard_size_arg =
            materializing it whole: bounded memory for very large \
            --projects counts, with each completed shard checkpointed \
            through the warm-start cache so a killed run resumes. 0 \
-           (default) runs the monolithic path. Results are \
-           byte-identical for every value.")
+           (default) mines the corpus in memory as a single shard. \
+           Results are byte-identical for every value.")
 
 let workers_arg =
   Arg.(
@@ -547,7 +546,7 @@ let deploy_cmd =
     | Some f ->
         Printf.printf "FAILED   %s [%s phase] %s\n"
           (Zodiac_iac.Resource.id_to_string f.Zodiac_cloud.Arm.resource)
-          (Zodiac_cloud.Rules.phase_to_string f.Zodiac_cloud.Arm.phase)
+          (Zodiac_provider.Provider.phase_to_string f.Zodiac_cloud.Arm.phase)
           f.Zodiac_cloud.Arm.message;
         List.iter
           (fun id ->
@@ -641,17 +640,15 @@ let export_cmd =
 (* ---- corpus --------------------------------------------------------- *)
 
 let corpus_cmd =
-  let run verbose provider seed size jobs cache trace =
+  let run verbose provider seed size jobs trace =
     setup_logs verbose;
-    let config = config_of ~jobs ?cache_dir:cache ~provider seed size in
     let telemetry = telemetry_of trace in
-    let cache_store =
-      Option.map
-        (fun dir -> Zodiac_util.Cache.create ~dir ())
-        config.Zodiac.Pipeline.cache_dir
-    in
     let projects =
-      Zodiac.Pipeline.cached_corpus ?cache:cache_store ~telemetry config
+      Zodiac_util.Telemetry.with_span telemetry "corpus" (fun () ->
+          Zodiac_corpus.Generator.generate ~provider
+            ~violation_rate:
+              Zodiac.Pipeline.default_config.Zodiac.Pipeline.violation_rate
+            ~jobs:(resolve_jobs jobs) ~seed ~count:size ())
     in
     write_trace trace telemetry;
     let by_scenario = Hashtbl.create 16 in
@@ -672,7 +669,7 @@ let corpus_cmd =
     (Cmd.info "corpus" ~doc:"Generate a synthetic corpus and print statistics")
     Term.(
       const run $ verbose_arg $ provider_arg $ seed_arg $ size_arg 1000
-      $ jobs_arg $ cache_term $ trace_arg)
+      $ jobs_arg $ trace_arg)
 
 (* ---- serve ---------------------------------------------------------- *)
 
@@ -795,12 +792,13 @@ let serve_cmd =
 let rules_cmd =
   let run verbose provider =
     setup_logs verbose;
+    let module Provider = Zodiac_provider.Provider in
     List.iter
-      (fun (rule : Zodiac_cloud.Rules.t) ->
-        Printf.printf "%-28s [%-9s] %s\n" rule.Zodiac_cloud.Rules.rule_id
-          (Zodiac_cloud.Rules.phase_to_string rule.Zodiac_cloud.Rules.phase)
-          (Zodiac_spec.Spec_printer.to_string rule.Zodiac_cloud.Rules.check))
-      (provider.Zodiac_provider.Provider.ground_truth ())
+      (fun (rule : Provider.rule) ->
+        Printf.printf "%-28s [%-9s] %s\n" rule.Provider.rule_id
+          (Provider.phase_to_string rule.Provider.phase)
+          (Zodiac_spec.Spec_printer.to_string rule.Provider.check))
+      (provider.Provider.ground_truth ())
   in
   Cmd.v
     (Cmd.info "rules" ~doc:"List the simulated cloud's ground-truth rules")

@@ -8,7 +8,7 @@
      dune exec examples/appgw_case_study.exe *)
 
 module Arm = Zodiac_cloud.Arm
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Program = Zodiac_iac.Program
 module Resource = Zodiac_iac.Resource
 module Value = Zodiac_iac.Value
@@ -28,7 +28,7 @@ let attempt label program =
       Printf.printf "deployment FAILS at %s\n  [%s, %s phase] %s\n"
         (Resource.id_to_string f.Arm.resource)
         f.Arm.rule_id
-        (Rules.phase_to_string f.Arm.phase)
+        (Provider.phase_to_string f.Arm.phase)
         f.Arm.message;
       Printf.printf "  resources created before the failure: %d; halted behind it: %d\n"
         (List.length outcome.Arm.deployed)

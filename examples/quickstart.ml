@@ -5,7 +5,7 @@
      dune exec examples/quickstart.exe *)
 
 module Arm = Zodiac_cloud.Arm
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Graph = Zodiac_iac.Graph
 module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
@@ -52,7 +52,7 @@ let () =
       Printf.printf
         "\nafter moving the NIC to japaneast:\n  deployment fails at %s (%s phase): %s\n"
         (Resource.id_to_string f.Arm.resource)
-        (Rules.phase_to_string f.Arm.phase)
+        (Provider.phase_to_string f.Arm.phase)
         f.Arm.message
   | None -> print_endline "unexpectedly deployed");
 

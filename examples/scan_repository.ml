@@ -9,7 +9,7 @@
 
 module Generator = Zodiac_corpus.Generator
 module Arm = Zodiac_cloud.Arm
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Graph = Zodiac_iac.Graph
 module Resource = Zodiac_iac.Resource
 module Eval = Zodiac_spec.Eval
@@ -24,19 +24,19 @@ let () =
       let graph = Graph.build p.Generator.program in
       let findings =
         List.concat_map
-          (fun (rule : Rules.t) ->
+          (fun (rule : Provider.rule) ->
             List.map
               (fun assignment -> (rule, assignment))
-              (Eval.violations ~defaults:(Arm.defaults provider) graph rule.Rules.check))
+              (Eval.violations ~defaults:(Arm.defaults provider) graph rule.Provider.check))
           (provider.Zodiac_provider.Provider.ground_truth ())
       in
       if findings <> [] then begin
         incr buggy;
         Printf.printf "%s (%s):\n" p.Generator.pname p.Generator.scenario;
         List.iter
-          (fun ((rule : Rules.t), assignment) ->
-            Printf.printf "  [%s] %s\n    involving %s\n" rule.Rules.rule_id
-              rule.Rules.message
+          (fun ((rule : Provider.rule), assignment) ->
+            Printf.printf "  [%s] %s\n    involving %s\n" rule.Provider.rule_id
+              rule.Provider.message
               (String.concat ", "
                  (List.map (fun (_, id) -> Resource.id_to_string id) assignment)))
           findings;
@@ -48,7 +48,7 @@ let () =
             Printf.printf
               "  deployment impact: fails at %s (%s phase); %d resource type(s) halted, %d need rollback\n"
               (Resource.id_to_string f.Arm.resource)
-              (Rules.phase_to_string f.Arm.phase)
+              (Provider.phase_to_string f.Arm.phase)
               (List.length radius.Arm.halted_types)
               (List.length radius.Arm.rollback_types)
         | None -> print_endline "  deployment impact: silent state inconsistency");

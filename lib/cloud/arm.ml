@@ -10,7 +10,7 @@ module Cidr = Zodiac_util.Cidr
 
 type failure = {
   resource : Resource.id;
-  phase : Rules.phase;
+  phase : Provider.phase;
   rule_id : string;
   message : string;
   culprits : Resource.id list;
@@ -142,7 +142,7 @@ let schema_errors provider r =
 
 (* ------- rule evaluation helpers ------------------------------------ *)
 
-let rules_by_phase rules phase = List.filter (fun r -> r.Rules.phase = phase) rules
+let rules_by_phase rules phase = List.filter (fun r -> r.Provider.phase = phase) rules
 
 (* Violations attributable to the resource just deployed: those whose
    assignment includes it, or that did not exist before it was added
@@ -150,12 +150,12 @@ let rules_by_phase rules phase = List.filter (fun r -> r.Rules.phase = phase) ru
    only the gateway and the subnet). *)
 let violations_involving ~defaults ~graph ~graph_before rule (id : Resource.id) =
   let types =
-    List.map (fun (b : Check.binding) -> b.Check.btype) rule.Rules.check.Check.bindings
+    List.map (fun (b : Check.binding) -> b.Check.btype) rule.Provider.check.Check.bindings
   in
   let prog_types = Program.types (Graph.program graph) in
   if not (List.for_all (fun ty -> List.mem ty prog_types) types) then []
   else
-    match Eval.violations ~defaults graph rule.Rules.check with
+    match Eval.violations ~defaults graph rule.Provider.check with
     | [] -> []
     | violations ->
         let direct =
@@ -166,7 +166,7 @@ let violations_involving ~defaults ~graph ~graph_before rule (id : Resource.id) 
         in
         if direct <> [] then direct
         else
-          let before = Eval.violations ~defaults graph_before rule.Rules.check in
+          let before = Eval.violations ~defaults graph_before rule.Provider.check in
           List.filter (fun a -> not (List.mem a before)) violations
 
 let first_violation ~defaults ~graph ~graph_before rules_in_phase (id : Resource.id) =
@@ -178,9 +178,9 @@ let first_violation ~defaults ~graph ~graph_before rules_in_phase (id : Resource
           Some
             {
               resource = id;
-              phase = rule.Rules.phase;
-              rule_id = rule.Rules.rule_id;
-              message = rule.Rules.message;
+              phase = rule.Provider.phase;
+              rule_id = rule.Provider.rule_id;
+              message = rule.Provider.message;
               culprits = List.map snd assignment;
             })
     rules_in_phase
@@ -201,11 +201,11 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
     match rules with Some r -> r | None -> provider.Provider.ground_truth ()
   in
   let defaults = defaults provider in
-  let plugin_rules = rules_by_phase rules Rules.Plugin in
-  let presync_rules = rules_by_phase rules Rules.Pre_sync in
-  let create_rules = rules_by_phase rules Rules.Create in
-  let polling_rules = rules_by_phase rules Rules.Polling in
-  let postsync_rules = rules_by_phase rules Rules.Post_sync in
+  let plugin_rules = rules_by_phase rules Provider.Plugin in
+  let presync_rules = rules_by_phase rules Provider.Pre_sync in
+  let create_rules = rules_by_phase rules Provider.Create in
+  let polling_rules = rules_by_phase rules Provider.Polling in
+  let postsync_rules = rules_by_phase rules Provider.Post_sync in
   let full_graph = Graph.build prog in
   let order = Graph.topological_order full_graph in
   let rec step deployed_ids pending =
@@ -221,12 +221,12 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                   {
                     resource =
                       (match culprits with c :: _ -> c | [] -> assert false);
-                    phase = Rules.Post_sync;
-                    rule_id = rule.Rules.rule_id;
-                    message = rule.Rules.message;
+                    phase = Provider.Post_sync;
+                    rule_id = rule.Provider.rule_id;
+                    message = rule.Provider.message;
                     culprits;
                   })
-                (Eval.violations ~defaults full_graph rule.Rules.check))
+                (Eval.violations ~defaults full_graph rule.Provider.check))
             postsync_rules
         in
         {
@@ -253,7 +253,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                 halt
                   {
                     resource = id;
-                    phase = Rules.Plugin;
+                    phase = Provider.Plugin;
                     rule_id = "ENGINE-SCHEMA";
                     message = msg;
                     culprits = [ id ];
@@ -281,7 +281,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                         halt
                           {
                             resource = id;
-                            phase = Rules.Pre_sync;
+                            phase = Provider.Pre_sync;
                             rule_id = "ENGINE-EXISTS";
                             message =
                               Printf.sprintf "%s already exists"
@@ -311,7 +311,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                                 halt
                                   {
                                     resource = id;
-                                    phase = Rules.Create;
+                                    phase = Provider.Create;
                                     rule_id = "ENGINE-NOTFOUND";
                                     message =
                                       Printf.sprintf
@@ -344,7 +344,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                                     halt
                                       {
                                         resource = id;
-                                        phase = Rules.Create;
+                                        phase = Provider.Create;
                                         rule_id = "ENGINE-QUOTA";
                                         message;
                                         culprits = [ id ];
@@ -355,7 +355,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                                     halt
                                       {
                                         resource = id;
-                                        phase = Rules.Create;
+                                        phase = Provider.Create;
                                         rule_id = "ENGINE-REGION-SKU";
                                         message;
                                         culprits = [ id ];

@@ -22,7 +22,7 @@
 
 type failure = {
   resource : Zodiac_iac.Resource.id;  (** resource whose creation failed *)
-  phase : Rules.phase;
+  phase : Zodiac_provider.Provider.phase;
   rule_id : string;  (** ground-truth rule id, or an engine code such as
                          ["ENGINE-REQUIRED"] *)
   message : string;
@@ -39,7 +39,7 @@ type outcome = {
 
 val deploy :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Rules.t list ->
+  ?rules:Zodiac_provider.Provider.rule list ->
   ?quota:Quota.t ->
   Zodiac_iac.Program.t ->
   outcome

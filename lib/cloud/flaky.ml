@@ -1,5 +1,6 @@
 module Prng = Zodiac_util.Prng
 module Program = Zodiac_iac.Program
+module Provider = Zodiac_provider.Provider
 
 type kind = Throttled | Timeout | Polling_flake | Quota_race
 
@@ -10,10 +11,10 @@ let kind_to_string = function
   | Quota_race -> "quota-race"
 
 let kind_phase = function
-  | Throttled -> Rules.Create
-  | Timeout -> Rules.Pre_sync
-  | Polling_flake -> Rules.Polling
-  | Quota_race -> Rules.Create
+  | Throttled -> Provider.Create
+  | Timeout -> Provider.Pre_sync
+  | Polling_flake -> Provider.Polling
+  | Quota_race -> Provider.Create
 
 (* Weighted mix loosely matching Azure war stories: throttling
    dominates, quota races are rare. *)
@@ -25,7 +26,7 @@ let retry_after = function
   | Polling_flake -> 2.0
   | Quota_race -> 8.0
 
-type fault = { kind : kind; phase : Rules.phase; retry_after : float }
+type fault = { kind : kind; phase : Provider.phase; retry_after : float }
 type response = Outcome of Arm.outcome | Fault of fault
 
 type config = { seed : int; fault_rate : float; max_consecutive : int }
@@ -35,7 +36,7 @@ let default_config = { seed = 7; fault_rate = 0.15; max_consecutive = 3 }
 type t = {
   provider : Zodiac_provider.Provider.t;
   config : config;
-  rules : Rules.t list;
+  rules : Provider.rule list;
   quota : Quota.t;
   prng : Prng.t;
   mutable last : Program.t option;  (** program of the latest faulted call *)

@@ -32,12 +32,12 @@ type kind =
 
 val kind_to_string : kind -> string
 
-val kind_phase : kind -> Rules.phase
+val kind_phase : kind -> Zodiac_provider.Provider.phase
 (** Deployment phase in which each fault kind surfaces. *)
 
 type fault = {
   kind : kind;
-  phase : Rules.phase;
+  phase : Zodiac_provider.Provider.phase;
   retry_after : float;  (** server-suggested delay, simulated seconds *)
 }
 
@@ -60,7 +60,7 @@ type t
 
 val create :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Rules.t list ->
+  ?rules:Zodiac_provider.Provider.rule list ->
   ?quota:Quota.t ->
   config ->
   t

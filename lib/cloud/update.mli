@@ -40,7 +40,7 @@ type result = {
 
 val apply :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Rules.t list ->
+  ?rules:Zodiac_provider.Provider.rule list ->
   current:Zodiac_iac.Program.t ->
   desired:Zodiac_iac.Program.t ->
   unit ->

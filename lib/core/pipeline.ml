@@ -85,14 +85,12 @@ let dedup_checks checks =
     checks
 
 (* ---- staged execution ----------------------------------------------
-   Every Figure-2 phase is either a [Stage.t] run through [Stage.run]
-   (corpus, KB stats, mined candidates — the cacheable artifacts, keyed
-   by a fingerprint of everything they depend on, with the incremental
-   shrink/extend hooks from the warm-start design) or a plain telemetry
-   span (materialize, filter, oracle, validate, counterexample — pure
-   compute). The runner applies warm-cache lookup/write, job plumbing
-   and per-stage counters uniformly; artifacts stay byte-identical to
-   the hand-wired paths for every [jobs] value and cold ≡ warm. *)
+   The two cacheable artifacts, the KB statistics and the mined
+   candidate set, are [Stage.t]s run through [Stage.run], keyed by a
+   fingerprint of everything they depend on. Every other phase (corpus,
+   materialize, filter, oracle, validate, counterexample) is a plain
+   telemetry span over pure compute. Artifacts are byte-identical for
+   every [jobs] value and cold ≡ warm. *)
 
 let cache_of config = Option.map (fun dir -> Cache.create ~dir ()) config.cache_dir
 
@@ -116,9 +114,6 @@ let corpus_key config =
       float_bits config.violation_rate;
     ]
 
-let take n xs = List.filteri (fun i _ -> i < n) xs
-let drop n xs = List.filteri (fun i _ -> i >= n) xs
-
 (* A span that also accounts the Parallel chunks scheduled inside it,
    mirroring what [Stage.run] records for cached stages. *)
 let spanned telemetry name f =
@@ -129,66 +124,12 @@ let spanned telemetry name f =
         (Parallel.chunks_scheduled () - c0);
       v)
 
-(* Corpus generation: per-index PRNG streams make [generate ~count:n] a
-   strict prefix of [generate ~count:m] for n < m, so a cached corpus
-   shrinks from a larger entry or extends incrementally. *)
-let corpus_stage config =
-  let n = config.corpus_size in
-  let generate ~lo ~hi =
-    Generator.generate_range ~provider:config.provider
-      ~violation_rate:config.violation_rate ~jobs:config.jobs
-      ~seed:config.corpus_seed ~lo ~hi ()
-  in
-  Stage.sized ~name:"corpus" ~key:(corpus_key config) ~size:n
-    ~artifact:Generator.projects_artifact
-    ~shrink:(fun ~larger:_ ps -> take n ps)
-    ~extend:(fun ~cached prefix -> prefix @ generate ~lo:cached ~hi:n)
-    (fun ~jobs:_ -> generate ~lo:0 ~hi:n)
-
-let cached_corpus ?cache ?telemetry config =
-  Stage.run ?cache ?telemetry ~jobs:config.jobs (corpus_stage config)
-
-(* KB statistics over the materialized corpus: the raw monoid counts
-   are the cached artifact (load exact size, or merge a count delta
-   over the tail programs into the largest cached prefix); [finalize]
-   derives the canonical KB from whatever the runner returns. *)
-let kb_stage config programs =
-  let jobs = config.jobs in
-  let n = List.length programs in
-  Stage.sized ~name:"kb" ~key:(corpus_key config) ~size:n
-    ~artifact:Kb.stats_artifact
-    ~extend:(fun ~cached stats ->
-      Kb.merge_stats stats (Kb.stats_of_projects ~jobs (drop cached programs)))
-    (fun ~jobs:_ -> Kb.stats_of_projects ~jobs programs)
-
-let cached_kb ?cache ?telemetry config programs =
-  Kb.finalize ~provider:config.provider
-    (Stage.run ?cache ?telemetry ~jobs:config.jobs (kb_stage config programs))
-
-let prepare ?cache ?(telemetry = Telemetry.null) config =
-  let jobs = config.jobs in
-  let projects = cached_corpus ?cache ~telemetry config in
-  let programs =
-    spanned telemetry "materialize" (fun () ->
-        let programs =
-          Miner.materialize ~provider:config.provider ~jobs
-            (List.map (fun p -> p.Generator.program) projects)
-        in
-        Telemetry.count telemetry "materialize.programs" (List.length programs);
-        programs)
-  in
-  let corpus =
-    List.map2 (fun p prog -> (p.Generator.pname, prog)) projects programs
-  in
-  let kb = cached_kb ?cache ~telemetry config programs in
-  (projects, corpus, kb, programs)
-
 (* The materialized-corpus identity: corpus content key plus size. *)
 let tables_key config =
   Codec.fingerprint [ corpus_key config; string_of_int config.corpus_size ]
 
-(* The mined-candidate-set address — shared verbatim by the monolithic
-   and streamed paths so their final artifacts interoperate. *)
+(* The mined-candidate-set address. Keep it stable: existing cache
+   directories address their mined sets by it. *)
 let mine_key config =
   Codec.fingerprint
     [
@@ -197,8 +138,7 @@ let mine_key config =
       string_of_int config.mining.Miner.min_support;
     ]
 
-(* Filter + oracle over mined candidates — pure compute shared by the
-   monolithic and streamed paths. *)
+(* Filter + oracle over mined candidates. *)
 let refine ?(telemetry = Telemetry.null) config mined =
   let filtered =
     spanned telemetry "filter" (fun () ->
@@ -239,20 +179,6 @@ let refine ?(telemetry = Telemetry.null) config mined =
   in
   (filtered, refined, rejected, candidates)
 
-let mine_phase ?cache ?(telemetry = Telemetry.null) config kb programs =
-  let mined_stage =
-    Stage.keyed ~name:"mine" ~key:(mine_key config)
-      ~artifact:Candidate.list_artifact
-      (fun ~jobs:_ ->
-        Miner.mine ~provider:config.provider ~config:config.mining ~telemetry
-          ~jobs:config.jobs
-          ?tables:(Option.map (fun c -> (c, tables_key config)) cache)
-          kb programs)
-  in
-  let mined = Stage.run ?cache ~telemetry ~jobs:config.jobs mined_stage in
-  let filtered, refined, rejected, candidates = refine ~telemetry config mined in
-  (mined, filtered, refined, rejected, candidates)
-
 (* Engine accounting attributed to the enclosing span as counter
    deltas, so validate and counterexample each report their own
    deployments/retries/faults in the trace. *)
@@ -275,33 +201,8 @@ let empty_validation =
     deployments = 0;
   }
 
-let mine_only ?(config = default_config) ?telemetry () =
-  let cache = cache_of config in
-  let projects, corpus, kb, programs = prepare ?cache ?telemetry config in
-  let mined, filtered, llm_refined, llm_rejected, candidates =
-    mine_phase ?cache ?telemetry config kb programs
-  in
-  {
-    config;
-    projects;
-    corpus;
-    kb;
-    mined;
-    filtered;
-    llm_refined;
-    llm_rejected;
-    candidates;
-    validation = empty_validation;
-    final_checks = [];
-    counterexample_fps = [];
-    engine_stats = Engine_stats.empty;
-    cache_stats = cache_stats_of cache;
-  }
-
-(* ---- streaming shard pipeline --------------------------------------
-   The bounded-memory counterpart of [mine_only]: projects are
-   generated, materialized and counted shard by shard, never held whole
-   in memory. Two passes over the same shard stream:
+(* ---- the mining path -----------------------------------------------
+   Every run mines through the same two passes over a shard plan:
 
      pass 1 ("kb")    fold per-shard KB stats; finalize once at the end.
      pass 2 ("mine")  fold per-shard miner tables (intra + indexed +
@@ -309,14 +210,16 @@ let mine_only ?(config = default_config) ?telemetry () =
                       family's reserved names are a pure function of
                       that KB, so they cannot be derived mid-stream.
 
-   Both passes run as [Stage.streamed] at the SAME cache addresses as
-   the monolithic "kb" and "mine" stages (the artifacts are
-   byte-identical by the monoid contract), so a monolithic cache warms
-   a streamed run and vice versa. Per-shard checkpoints live under
-   their own stage namespaces ("shard-kb"/"shard-mine"): a killed run
-   resumes by re-counting only unfinished shards. Peak memory is one
-   shard of materialized programs plus the accumulated tables,
-   independent of [corpus_size]. *)
+   [mine --shard-size N] generates, materializes and counts the corpus
+   shard by shard, never holding it whole; [mine_only] and [run] fold
+   their in-memory corpus as one shard. Both passes are
+   [Stage.streamed] stages whose final artifacts are byte-identical for
+   every plan by the monoid contract. A multi-shard plan checkpoints
+   every shard under its own stage namespace ("shard-kb"/"shard-mine"),
+   so a killed run resumes by re-counting only unfinished shards, and
+   peak memory is one shard of materialized programs plus the
+   accumulated tables. A one-shard plan checkpoints nothing: its only
+   shard's value is the final artifact. *)
 
 type mproc = {
   m_workers : int;
@@ -353,18 +256,20 @@ type streamed = {
   s_cache_stats : Cache.stats;
 }
 
+let generate config ~lo ~hi =
+  Generator.generate_range ~provider:config.provider
+    ~violation_rate:config.violation_rate ~jobs:config.jobs
+    ~seed:config.corpus_seed ~lo ~hi ()
+
+let materialize config projects =
+  Miner.materialize ~provider:config.provider ~jobs:config.jobs
+    (List.map (fun p -> p.Generator.program) projects)
+
 (* One shard of projects, generated and materialized on demand. The
    per-index PRNG streams make a shard's content independent of every
    other shard, so a checkpointed shard stays valid as the corpus
-   grows. [Defaults.effective] is idempotent, so this single
-   materialization equals the monolithic path's. *)
-let shard_load config ~lo ~hi =
-  Miner.materialize ~provider:config.provider ~jobs:config.jobs
-    (List.map
-       (fun p -> p.Generator.program)
-       (Generator.generate_range ~provider:config.provider
-          ~violation_rate:config.violation_rate ~jobs:config.jobs
-          ~seed:config.corpus_seed ~lo ~hi ()))
+   grows. *)
+let shard_load config ~lo ~hi = materialize config (generate config ~lo ~hi)
 
 (* Miner-table checkpoints additionally key on the whole-corpus
    identity (the KB the counts consult) and [use_kb] — but not
@@ -376,13 +281,13 @@ let shard_mine_key config =
 (* ---- multi-process worker fleet ------------------------------------
    [mine --workers N] forks N children (a re-exec of the current
    binary in the hidden worker mode, argv supplied by the caller) per
-   streamed pass. Children never merge and never talk to each other:
-   they race to claim and checkpoint shards into the shared cache dir
-   ({!Shard_stream.fold_worker}), print one summary line on stdout and
-   exit. The parent then runs the ordinary resumed fold — the merge
-   pass — which also rebuilds inline any shard a crashed worker left
-   unfinished, so artifacts are byte-identical to [--workers 1]
-   regardless of worker fates. *)
+   pass of a multi-shard plan. Children never merge and never talk to
+   each other: they race to claim and checkpoint shards into the shared
+   cache dir ({!Shard_stream.fold_worker}), print one summary line on
+   stdout and exit. The parent then runs the ordinary resumed fold —
+   the merge pass — which also rebuilds inline any shard a crashed
+   worker left unfinished, so artifacts are byte-identical to
+   [--workers 1] regardless of worker fates. *)
 
 let worker_summary (o : Shard_stream.worker_outcome) =
   Printf.sprintf "mproc-worker claimed=%d built=%d stolen=%d waits=%d"
@@ -471,6 +376,24 @@ let run_fleet ~telemetry ~pass ~workers ~worker_command =
           fleet)
   | _ -> no_fleet
 
+(* Bounded-memory mode trades a little GC CPU for a flat footprint:
+   shard churn under the default pacing (space_overhead 120) lets the
+   heap balloon to several times the live set, which is exactly the
+   slack streaming exists to avoid. Pacing never affects results, only
+   when collections happen. Restored on exit. *)
+let with_shard_gc f =
+  let gc_before = Gc.get () in
+  Gc.set { gc_before with Gc.space_overhead = 40 };
+  Fun.protect ~finally:(fun () -> Gc.set gc_before) f
+
+let kb_fold ?cache ?telemetry ?on_shard config ~load ~shard_size =
+  let jobs = config.jobs in
+  Shard_stream.fold ?cache ?telemetry ?on_shard ~stage:"shard-kb"
+    ~key:(corpus_key config) ~write:Kb.write_stats ~read:Kb.read_stats ~load
+    ~count:(Kb.stats_of_projects ~jobs) ~merge:Kb.merge_stats
+    ~init:(Kb.stats_of_projects ~jobs [])
+    ~total:config.corpus_size ~shard_size ()
+
 let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
     ~pass () =
   let telemetry = Option.value telemetry ~default:Telemetry.null in
@@ -481,9 +404,7 @@ let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
   in
   let jobs = config.jobs in
   let n = config.corpus_size in
-  let gc_before = Gc.get () in
-  Gc.set { gc_before with Gc.space_overhead = 40 };
-  Fun.protect ~finally:(fun () -> Gc.set gc_before) @@ fun () ->
+  with_shard_gc @@ fun () ->
   let load = shard_load config in
   match pass with
   | `Kb ->
@@ -495,51 +416,44 @@ let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
          the parent spawns mine workers the KB pass is complete, so
          either the final sized artifact or the full checkpoint set is
          in the shared cache — folding the latter re-counts nothing. *)
-      let kb =
+      let stats =
         match
           Cache.find ~size:n cache ~stage:"kb" ~key:(corpus_key config)
             Kb.read_stats
         with
-        | Some stats -> Kb.finalize ~provider:config.provider stats
-        | None ->
-            let stats, _ =
-              Shard_stream.fold ~cache ~telemetry ~stage:"shard-kb"
-                ~key:(corpus_key config) ~write:Kb.write_stats
-                ~read:Kb.read_stats ~load
-                ~count:(Kb.stats_of_projects ~jobs)
-                ~merge:Kb.merge_stats
-                ~init:(Kb.stats_of_projects ~jobs [])
-                ~total:n ~shard_size ()
-            in
-            Kb.finalize ~provider:config.provider stats
+        | Some stats -> stats
+        | None -> fst (kb_fold ~cache ~telemetry config ~load ~shard_size)
       in
+      let kb = Kb.finalize ~provider:config.provider stats in
       Shard_stream.fold_worker ~cache ~telemetry ?stale_after
         ~stage:"shard-mine" ~key:(shard_mine_key config)
         ~write:Miner.write_tables ~load
         ~count:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb)
         ~total:n ~shard_size ()
 
-let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
-    ?worker_command ?progress ~shard_size () =
-  let telemetry = Option.value telemetry ~default:Telemetry.null in
+(* The one mining function: both passes over [load]'s shards, then
+   filter + oracle. *)
+let mine_folds ~config ~telemetry ~workers ~worker_command ~progress ~load
+    ~shard_size =
   let cache = cache_of config in
   let jobs = config.jobs in
   let n = config.corpus_size in
-  (* Bounded-memory mode trades a little GC CPU for a flat footprint:
-     shard churn under the default pacing (space_overhead 120) lets the
-     heap balloon to several times the live set, which is exactly the
-     slack streaming exists to avoid. Pacing never affects results,
-     only when collections happen. Restored on exit. *)
-  let gc_before = Gc.get () in
-  Gc.set { gc_before with Gc.space_overhead = 40 };
-  Fun.protect ~finally:(fun () -> Gc.set gc_before) @@ fun () ->
-  let load = shard_load config in
+  let multi = List.length (Shard_stream.plan ~total:n ~shard_size) > 1 in
+  (if multi then with_shard_gc else fun f -> f ()) @@ fun () ->
   let on_shard pass =
     Option.map
       (fun f ~index ~shards ~built -> f ~pass ~index ~shards ~built)
       progress
   in
-  let kb_fold = ref Shard_stream.no_shards in
+  (* Shard checkpoints and worker fleets only for a multi-shard plan. A
+     warm final-artifact hit never reaches the fold, so no workers spawn
+     on warm runs. *)
+  let checkpoints cache = if multi then cache else None in
+  let fleet ~telemetry pass =
+    if multi then run_fleet ~telemetry ~pass ~workers ~worker_command
+    else no_fleet
+  in
+  let kb_fold_outcome = ref Shard_stream.no_shards in
   let kb_mproc = ref no_fleet in
   let kb_stats_stage =
     (* Shard checkpoints key on corpus identity + range only (no total
@@ -547,48 +461,40 @@ let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
        100k-project run unchanged. *)
     Stage.streamed ~name:"kb" ~key:(corpus_key config) ~size:n
       ~artifact:Kb.stats_artifact
-      (fun ~cache ~telemetry ~jobs ->
+      (fun ~cache ~telemetry ~jobs:_ ->
         (* Fleet first (workers checkpoint every shard into the shared
-           cache), then the resumed fold below merges them in shard
-           order — and rebuilds any shard the fleet left behind. A warm
-           final-artifact hit never reaches this point, so no workers
-           spawn on warm runs. *)
-        kb_mproc :=
-          run_fleet ~telemetry ~pass:"kb" ~workers ~worker_command;
+           cache), then the resumed fold merges them in shard order —
+           and rebuilds any shard the fleet left behind. *)
+        kb_mproc := fleet ~telemetry "kb";
         let stats, outcome =
-          Shard_stream.fold ?cache ~telemetry ?on_shard:(on_shard "kb")
-            ~stage:"shard-kb" ~key:(corpus_key config) ~write:Kb.write_stats
-            ~read:Kb.read_stats ~load
-            ~count:(Kb.stats_of_projects ~jobs)
-            ~merge:Kb.merge_stats
-            ~init:(Kb.stats_of_projects ~jobs [])
-            ~total:n ~shard_size ()
+          kb_fold ?cache:(checkpoints cache) ~telemetry
+            ?on_shard:(on_shard "kb") config ~load ~shard_size
         in
-        kb_fold := outcome;
+        kb_fold_outcome := outcome;
         stats)
   in
   let kb =
     Kb.finalize ~provider:config.provider
       (Stage.run ?cache ~telemetry ~jobs kb_stats_stage)
   in
-  let mine_fold = ref Shard_stream.no_shards in
+  let mine_fold_outcome = ref Shard_stream.no_shards in
   let mine_mproc = ref no_fleet in
   let mined_stage =
     Stage.streamed ~name:"mine" ~key:(mine_key config)
       ~artifact:Candidate.list_artifact
-      (fun ~cache ~telemetry ~jobs ->
-        mine_mproc :=
-          run_fleet ~telemetry ~pass:"mine" ~workers ~worker_command;
-        let tables, outcome =
-          Shard_stream.fold ?cache ~telemetry ?on_shard:(on_shard "mine")
-            ~stage:"shard-mine" ~key:(shard_mine_key config)
-            ~write:Miner.write_tables ~read:Miner.read_tables ~load
-            ~count:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb)
-            ~merge:Miner.merge_tables
-            ~init:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb [])
-            ~total:n ~shard_size ()
+      (fun ~cache ~telemetry ~jobs:_ ->
+        mine_mproc := fleet ~telemetry "mine";
+        let count =
+          Miner.count_tables ~provider:config.provider ~jobs config.mining kb
         in
-        mine_fold := outcome;
+        let tables, outcome =
+          Shard_stream.fold ?cache:(checkpoints cache) ~telemetry
+            ?on_shard:(on_shard "mine") ~stage:"shard-mine"
+            ~key:(shard_mine_key config) ~write:Miner.write_tables
+            ~read:Miner.read_tables ~load ~count ~merge:Miner.merge_tables
+            ~init:(count []) ~total:n ~shard_size ()
+        in
+        mine_fold_outcome := outcome;
         Miner.emit_tables config.mining kb tables)
   in
   let mined = Stage.run ?cache ~telemetry ~jobs mined_stage in
@@ -604,20 +510,59 @@ let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
     s_llm_refined = llm_refined;
     s_llm_rejected = llm_rejected;
     s_candidates = candidates;
-    s_kb_fold = !kb_fold;
-    s_mine_fold = !mine_fold;
+    s_kb_fold = !kb_fold_outcome;
+    s_mine_fold = !mine_fold_outcome;
     s_kb_mproc = !kb_mproc;
     s_mine_mproc = !mine_mproc;
     s_cache_stats = cache_stats_of cache;
   }
 
-let run ?(config = default_config) ?telemetry () =
-  let cache = cache_of config in
+let mine_streamed ?(config = default_config) ?telemetry ?(workers = 1)
+    ?worker_command ?progress ~shard_size () =
   let telemetry = Option.value telemetry ~default:Telemetry.null in
-  let projects, corpus, kb, programs = prepare ?cache ~telemetry config in
-  let mined, filtered, llm_refined, llm_rejected, candidates =
-    mine_phase ?cache ~telemetry config kb programs
+  mine_folds ~config ~telemetry ~workers ~worker_command ~progress
+    ~load:(shard_load config) ~shard_size
+
+let mine_only ?(config = default_config) ?telemetry () =
+  let telemetry = Option.value telemetry ~default:Telemetry.null in
+  (* The corpus is generated and materialized whole: validation needs
+     it as its donor pool, and the folds count it as a single shard. *)
+  let projects =
+    spanned telemetry "corpus" (fun () ->
+        generate config ~lo:0 ~hi:config.corpus_size)
   in
+  let programs =
+    spanned telemetry "materialize" (fun () ->
+        let programs = materialize config projects in
+        Telemetry.count telemetry "materialize.programs" (List.length programs);
+        programs)
+  in
+  let s =
+    mine_folds ~config ~telemetry ~workers:1 ~worker_command:None
+      ~progress:None
+      ~load:(fun ~lo:_ ~hi:_ -> programs) (* the plan's one range: [0, n) *)
+      ~shard_size:0
+  in
+  {
+    config;
+    projects;
+    corpus = List.map2 (fun p prog -> (p.Generator.pname, prog)) projects programs;
+    kb = s.s_kb;
+    mined = s.s_mined;
+    filtered = s.s_filtered;
+    llm_refined = s.s_llm_refined;
+    llm_rejected = s.s_llm_rejected;
+    candidates = s.s_candidates;
+    validation = empty_validation;
+    final_checks = [];
+    counterexample_fps = [];
+    engine_stats = Engine_stats.empty;
+    cache_stats = s.s_cache_stats;
+  }
+
+let run ?(config = default_config) ?telemetry () =
+  let telemetry = Option.value telemetry ~default:Telemetry.null in
+  let a = mine_only ~config ~telemetry () in
   let engine =
     Engine.create ~provider:config.provider ~config:config.engine ()
   in
@@ -627,15 +572,15 @@ let run ?(config = default_config) ?telemetry () =
     spanned telemetry "validate" (fun () ->
         engine_delta telemetry engine (fun () ->
             Scheduler.run ~config:config.scheduler ~telemetry ~jobs:config.jobs
-              ~deploy_batch ~provider:config.provider ~kb ~corpus ~deploy
-              candidates))
+              ~deploy_batch ~provider:config.provider ~kb:a.kb ~corpus:a.corpus
+              ~deploy a.candidates))
   in
   let final_checks, counterexample_fps =
     spanned telemetry "counterexample" (fun () ->
         engine_delta telemetry engine (fun () ->
             let kept, exposed =
               Scheduler.counterexample_pass ~jobs:config.jobs
-                ~provider:config.provider ~corpus ~deploy
+                ~provider:config.provider ~corpus:a.corpus ~deploy
                 validation.Scheduler.validated
             in
             Telemetry.count telemetry "counterexample.kept" (List.length kept);
@@ -644,20 +589,11 @@ let run ?(config = default_config) ?telemetry () =
             (kept, exposed)))
   in
   {
-    config;
-    projects;
-    corpus;
-    kb;
-    mined;
-    filtered;
-    llm_refined;
-    llm_rejected;
-    candidates;
+    a with
     validation;
     final_checks;
     counterexample_fps;
     engine_stats = Engine.stats engine;
-    cache_stats = cache_stats_of cache;
   }
 
 type violation_report = {

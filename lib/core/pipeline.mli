@@ -22,13 +22,15 @@ type config = {
           {!Zodiac_util.Parallel.recommended_jobs}. *)
   cache_dir : string option;
       (** warm-start cache directory ([None] = caching off, the
-          default). Cold runs write corpus, KB-statistics and
-          mined-candidate entries there; warm runs load them — or, when
-          only [corpus_size] grew, extend the largest cached prefix
-          incrementally — with byte-identical artifacts. Keys cover the
-          stage inputs (provider fingerprint, seed, violation-rate bits,
-          corpus size, mining config) and the {!Zodiac_util.Codec.version}; anything stale
-          or corrupt decodes as a miss and the stage rebuilds cold. *)
+          default). Cold runs write the KB-statistics and
+          mined-candidate entries there, plus one checkpoint per shard
+          when {!mine_streamed} folds more than one shard; warm runs
+          load them with byte-identical artifacts, and a grown corpus
+          re-counts only the shards it has not checkpointed. Keys cover
+          the stage inputs (provider fingerprint, seed, violation-rate
+          bits, corpus size, mining config) and the
+          {!Zodiac_util.Codec.version}; anything stale or corrupt
+          decodes as a miss and the stage rebuilds cold. *)
   mining : Zodiac_mining.Miner.config;
   thresholds : Zodiac_mining.Filter.thresholds;
   scheduler : Zodiac_validation.Scheduler.config;
@@ -73,20 +75,24 @@ val deploy : provider:Zodiac_provider.Provider.t -> Zodiac_iac.Program.t -> bool
 val run :
   ?config:config -> ?telemetry:Zodiac_util.Telemetry.t -> unit -> artifacts
 (** Execute the whole pipeline. Deterministic for a given config.
+    Mines exactly as {!mine_only} does, then validates against the
+    materialized corpus.
 
     [telemetry] (default {!Zodiac_util.Telemetry.null}) records one
     span per Figure-2 stage — [corpus], [materialize], [kb], [mine],
     [filter], [oracle], [validate], [counterexample] — each carrying
-    its cache hit/miss/write deltas, parallel chunk counts and, for
-    the deployment passes, the engine's request/retry/fault/memo
-    counters. Telemetry observes only: artifacts are byte-identical
+    its parallel chunk counts; [kb] and [mine] add their cache
+    hit/miss/write deltas and [shard.*] fold counts, and the
+    deployment passes the engine's request/retry/fault/memo counters. Telemetry observes only: artifacts are byte-identical
     with or without it, and no wall-clock value can enter them (a
     clockless recorder never reads a clock at all). *)
 
 val mine_only :
   ?config:config -> ?telemetry:Zodiac_util.Telemetry.t -> unit -> artifacts
 (** Stop after filtering and interpolation (validation left empty);
-    much faster, used by mining-phase experiments. *)
+    much faster, used by mining-phase experiments. Generates and
+    materializes the corpus whole, then mines it through the same
+    folds as {!mine_streamed} with a one-shard plan. *)
 
 val corpus_key : config -> string
 (** Content address of the generated corpus (seed and violation rate;
@@ -96,19 +102,20 @@ val corpus_key : config -> string
 
 (** {2 Streaming shard pipeline}
 
-    The bounded-memory counterpart of {!mine_only} for corpora too
-    large to materialize: projects are generated, default-materialized
-    and counted shard by shard ({!Zodiac_util.Shard_stream}), and only
-    the mergeable count tables accumulate — peak memory is one shard of
-    programs plus the tables, independent of [corpus_size]. Two passes
-    over the same shard stream: first the KB-statistics fold (finalized
-    once complete), then the miner-table fold with the finalized KB
-    fixed. Each completed shard checkpoints through the warm-start
+    The bounded-memory way to mine corpora too large to materialize:
+    projects are generated, default-materialized and counted shard by
+    shard ({!Zodiac_util.Shard_stream}), and only the mergeable count
+    tables accumulate — peak memory is one shard of programs plus the
+    tables, independent of [corpus_size]. Two passes over the same
+    shard stream: first the KB-statistics fold (finalized once
+    complete), then the miner-table fold with the finalized KB fixed.
+    {!mine_only} and {!run} run the same two passes over their
+    in-memory corpus as one shard. When the plan has more than one
+    shard, each completed shard checkpoints through the warm-start
     cache (stages ["shard-kb"]/["shard-mine"]), so a killed run resumes
-    by re-counting only unfinished shards; the final artifacts land at
-    the {e same} cache addresses as the monolithic ["kb"]/["mine"]
-    stages and are byte-identical to them for every shard size and
-    [jobs] value. *)
+    by re-counting only unfinished shards. The final ["kb"]/["mine"]
+    artifacts are byte-identical for every shard size and [jobs]
+    value, and share their cache addresses with {!mine_only}. *)
 
 type mproc = {
   m_workers : int;  (** worker processes spawned for the pass *)
@@ -156,10 +163,12 @@ val mine_streamed :
     counts everything as one shard). Telemetry records the same
     [kb]/[mine]/[filter]/[oracle] spans, with [shard.*] counters inside
     the streamed stages. Without [config.cache_dir] the run still
-    streams, but nothing checkpoints.
+    streams, but nothing checkpoints; a one-shard plan never
+    checkpoints, and runs without the bounded-memory GC pacing.
 
-    With [workers > 1] and a [worker_command] (both required — alone,
-    either is inert), each streamed pass first spawns that many child
+    With [workers > 1], a [worker_command] and a plan of more than one
+    shard (all required — otherwise the fleet is inert), each streamed
+    pass first spawns that many child
     processes running [worker_command pass] (the argv of a re-exec of
     the current binary in worker mode, [pass] being ["kb"] or
     ["mine"]), which race to claim and checkpoint shards into the
@@ -168,7 +177,7 @@ val mine_streamed :
     the merge pass — combining the per-shard monoid checkpoints in
     shard order and rebuilding inline anything a killed worker left
     unfinished. Artifacts are byte-identical to [workers = 1] and to
-    the monolithic path for every [(workers, jobs, shard_size)]
+    the one-shard plan for every [(workers, jobs, shard_size)]
     combination; fleets never spawn when the pass's final artifact is
     already cached. Fleet accounting lands in [s_kb_mproc]/
     [s_mine_mproc] and in [mproc.*] telemetry counters under the
@@ -206,17 +215,6 @@ val parse_worker_summary :
   string -> Zodiac_util.Shard_stream.worker_outcome option
 (** Inverse of {!worker_summary} — exposed for benches that inspect a
     worker's own accounting. *)
-
-val cached_corpus :
-  ?cache:Zodiac_util.Cache.t ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
-  config ->
-  Zodiac_corpus.Generator.project list
-(** The corpus-generation stage on its own: load the exact cached
-    corpus, take a prefix of a larger one, or extend the largest cached
-    prefix with freshly generated tail projects (per-index PRNG streams
-    make the result identical to a cold generation either way). Used by
-    the CLI [corpus] command; [cache = None] just generates. *)
 
 type violation_report = {
   project : string;

@@ -8,30 +8,37 @@ module Cache = Zodiac_util.Cache
 module Rss = Zodiac_util.Rss
 module Shard_stream = Zodiac_util.Shard_stream
 
+(* The mining funnel, from the KB to the candidates entering
+   validation — shared by the in-memory and the streamed report. *)
+let funnel_lines ~kb ~mined ~(filtered : Filter.outcome) ~llm_refined
+    ~llm_rejected ~candidates =
+  [
+    Printf.sprintf "knowledge base: %d attribute entries, %d connection kinds"
+      (Zodiac_kb.Kb.size kb)
+      (List.length (Zodiac_kb.Kb.conn_kinds kb));
+    Printf.sprintf "hypothesized checks: %d" (List.length mined);
+    Printf.sprintf "  removed by confidence: %d"
+      (List.length filtered.Filter.removed_confidence);
+    Printf.sprintf "  removed by lift:       %d"
+      (List.length filtered.Filter.removed_lift);
+    Printf.sprintf "  kept after filtering:  %d" (List.length filtered.Filter.kept);
+    Printf.sprintf "  interpolation queue:   %d (LLM refined %d, rejected %d)"
+      (List.length filtered.Filter.interpolation_queue)
+      (List.length llm_refined) llm_rejected;
+    Printf.sprintf "candidates entering validation: %d" (List.length candidates);
+  ]
+
 let mining_summary (a : Pipeline.artifacts) =
-  let f = a.Pipeline.filtered in
   String.concat "\n"
-    [
-      Printf.sprintf "corpus: %d projects, %d resources"
-        (List.length a.Pipeline.projects)
-        (List.fold_left
-           (fun acc (_, p) -> acc + Zodiac_iac.Program.size p)
-           0 a.Pipeline.corpus);
-      Printf.sprintf "knowledge base: %d attribute entries, %d connection kinds"
-        (Zodiac_kb.Kb.size a.Pipeline.kb)
-        (List.length (Zodiac_kb.Kb.conn_kinds a.Pipeline.kb));
-      Printf.sprintf "hypothesized checks: %d" (List.length a.Pipeline.mined);
-      Printf.sprintf "  removed by confidence: %d"
-        (List.length f.Filter.removed_confidence);
-      Printf.sprintf "  removed by lift:       %d" (List.length f.Filter.removed_lift);
-      Printf.sprintf "  kept after filtering:  %d" (List.length f.Filter.kept);
-      Printf.sprintf "  interpolation queue:   %d (LLM refined %d, rejected %d)"
-        (List.length f.Filter.interpolation_queue)
-        (List.length a.Pipeline.llm_refined)
-        a.Pipeline.llm_rejected;
-      Printf.sprintf "candidates entering validation: %d"
-        (List.length a.Pipeline.candidates);
-    ]
+    (Printf.sprintf "corpus: %d projects, %d resources"
+       (List.length a.Pipeline.projects)
+       (List.fold_left
+          (fun acc (_, p) -> acc + Zodiac_iac.Program.size p)
+          0 a.Pipeline.corpus)
+    :: funnel_lines ~kb:a.Pipeline.kb ~mined:a.Pipeline.mined
+         ~filtered:a.Pipeline.filtered ~llm_refined:a.Pipeline.llm_refined
+         ~llm_rejected:a.Pipeline.llm_rejected ~candidates:a.Pipeline.candidates
+    )
 
 let validation_summary (a : Pipeline.artifacts) =
   let v = a.Pipeline.validation in
@@ -86,14 +93,17 @@ let write_failure_suffix (s : Cache.stats) =
   if s.Cache.write_failures = 0 then ""
   else Printf.sprintf " / %d write failures" s.Cache.write_failures
 
-let cache_summary (a : Pipeline.artifacts) =
-  let s = a.Pipeline.cache_stats in
-  match a.Pipeline.config.Pipeline.cache_dir with
-  | None -> "warm-start cache: off (--cache-dir to enable)"
+let cache_line ~off (config : Pipeline.config) (s : Cache.stats) =
+  match config.Pipeline.cache_dir with
+  | None -> off
   | Some dir ->
       Printf.sprintf "warm-start cache (%s): %d hits / %d misses / %d writes%s"
         dir s.Cache.hits s.Cache.misses s.Cache.writes
         (write_failure_suffix s)
+
+let cache_summary (a : Pipeline.artifacts) =
+  cache_line ~off:"warm-start cache: off (--cache-dir to enable)"
+    a.Pipeline.config a.Pipeline.cache_stats
 
 let stage_summary telemetry =
   if Telemetry.spans telemetry = [] then None
@@ -116,7 +126,6 @@ let stats_section ?telemetry (a : Pipeline.artifacts) =
     @ rss_summary ())
 
 let streamed_summary (s : Pipeline.streamed) =
-  let f = s.Pipeline.s_filtered in
   let fold_line name (o : Shard_stream.outcome) =
     if o.Shard_stream.shards = 0 then
       Printf.sprintf "  %s pass: final artifact cached (no shards folded)" name
@@ -152,30 +161,17 @@ let streamed_summary (s : Pipeline.streamed) =
        fold_line "mine" s.Pipeline.s_mine_fold;
      ]
     @ mproc_lines
+    @ funnel_lines ~kb:s.Pipeline.s_kb ~mined:s.Pipeline.s_mined
+        ~filtered:s.Pipeline.s_filtered ~llm_refined:s.Pipeline.s_llm_refined
+        ~llm_rejected:s.Pipeline.s_llm_rejected
+        ~candidates:s.Pipeline.s_candidates
     @ [
-       Printf.sprintf "knowledge base: %d attribute entries, %d connection kinds"
-         (Zodiac_kb.Kb.size s.Pipeline.s_kb)
-         (List.length (Zodiac_kb.Kb.conn_kinds s.Pipeline.s_kb));
-       Printf.sprintf "hypothesized checks: %d" (List.length s.Pipeline.s_mined);
-       Printf.sprintf "  removed by confidence: %d"
-         (List.length f.Filter.removed_confidence);
-       Printf.sprintf "  removed by lift:       %d" (List.length f.Filter.removed_lift);
-       Printf.sprintf "  kept after filtering:  %d" (List.length f.Filter.kept);
-       Printf.sprintf "  interpolation queue:   %d (LLM refined %d, rejected %d)"
-         (List.length f.Filter.interpolation_queue)
-         (List.length s.Pipeline.s_llm_refined)
-         s.Pipeline.s_llm_rejected;
-       Printf.sprintf "candidates entering validation: %d"
-         (List.length s.Pipeline.s_candidates);
-       (match s.Pipeline.s_config.Pipeline.cache_dir with
-       | None -> "warm-start cache: off (--cache-dir to enable checkpointed resume)"
-       | Some dir ->
-           Printf.sprintf "warm-start cache (%s): %d hits / %d misses / %d writes%s"
-             dir s.Pipeline.s_cache_stats.Cache.hits
-             s.Pipeline.s_cache_stats.Cache.misses
-             s.Pipeline.s_cache_stats.Cache.writes
-             (write_failure_suffix s.Pipeline.s_cache_stats));
-     ]
+        cache_line
+          ~off:
+            "warm-start cache: off (--cache-dir to enable checkpointed resume)"
+          s.Pipeline.s_config
+          s.Pipeline.s_cache_stats;
+      ]
     @ rss_summary ())
 
 let full ?telemetry a =

@@ -57,8 +57,8 @@ let generate_range ~provider ?(violation_rate = 0.04) ?jobs ~seed ~lo ~hi () =
      they are built sequentially, across domains, or — because indices
      below [lo] are never touched — as an extension of a shorter corpus
      under the same seed. corpus(seed, n) is a strict prefix of
-     corpus(seed, m) for n < m, which is what the warm-start cache's
-     incremental path relies on. *)
+     corpus(seed, m) for n < m, which is what lets a shard checkpoint
+     outlive the corpus size it was counted for. *)
   Zodiac_util.Parallel.map ?jobs
     (fun i -> generate_one ~provider ~violation_rate (Prng.derive seed i) i)
     (List.init (max 0 (hi - lo)) (fun k -> lo + k))
@@ -83,9 +83,3 @@ let read_project s =
   let program = Program.read s in
   let injected = Codec.read_list Codec.read_string s in
   { pname; scenario; program; injected }
-
-let projects_artifact =
-  {
-    Zodiac_util.Stage.write = (fun b ps -> Codec.write_list write_project b ps);
-    read = Codec.read_list read_project;
-  }

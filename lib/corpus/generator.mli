@@ -61,19 +61,14 @@ val generate_range :
   project list
 (** Projects [lo, hi) of the corpus [generate ~seed ~count:hi ()] — per-
     index PRNG streams make [generate ~count:n] a strict prefix of
-    [generate ~count:m] for [n < m], so a cached corpus extends
-    incrementally: [cached_prefix @ generate_range ~lo:n ~hi:m ()]. *)
+    [generate ~count:m] for [n < m], so a shard [\[lo, hi)] is the same
+    projects whatever the corpus size it is generated for. *)
 
 val write_project : Zodiac_util.Codec.sink -> project -> unit
-(** Binary codec for the warm-start cache; exact inverse of
-    {!read_project}. *)
+(** Binary codec for projects; exact inverse of {!read_project}. *)
 
 val read_project : Zodiac_util.Codec.src -> project
 (** @raise Zodiac_util.Codec.Corrupt on malformed input. *)
-
-val projects_artifact : project list Zodiac_util.Stage.artifact
-(** The corpus stage's cache binding: a length-prefixed project list
-    ({!write_project}/{!read_project}) for {!Zodiac_util.Stage.run}. *)
 
 val conforming :
   provider:Zodiac_provider.Provider.t ->

@@ -1,7 +1,7 @@
 module Prng = Zodiac_util.Prng
 module Flaky = Zodiac_cloud.Flaky
 module Arm = Zodiac_cloud.Arm
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 
 type error = Budget_exhausted of Flaky.fault | Deadline_exceeded of float
 
@@ -9,7 +9,7 @@ let error_to_string = function
   | Budget_exhausted f ->
       Printf.sprintf "retry budget exhausted (last fault: %s in %s phase)"
         (Flaky.kind_to_string f.Flaky.kind)
-        (Rules.phase_to_string f.Flaky.phase)
+        (Provider.phase_to_string f.Flaky.phase)
   | Deadline_exceeded t -> Printf.sprintf "deadline exceeded after %.1fs" t
 
 type config = {
@@ -88,7 +88,7 @@ let run_request t backend =
     | Flaky.Fault fault ->
         Stats.record_fault t.stats
           ~kind:(Flaky.kind_to_string fault.Flaky.kind)
-          ~phase:(Rules.phase_to_string fault.Flaky.phase);
+          ~phase:(Provider.phase_to_string fault.Flaky.phase);
         let opens_before = Breaker.opens t.breaker in
         Breaker.record_failure t.breaker ~now:t.clock;
         if Breaker.opens t.breaker > opens_before then

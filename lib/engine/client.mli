@@ -49,7 +49,7 @@ val create :
 
 val of_arm :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Zodiac_cloud.Rules.t list ->
+  ?rules:Zodiac_provider.Provider.rule list ->
   ?quota:Zodiac_cloud.Quota.t ->
   ?config:config ->
   stats:Stats.t ->

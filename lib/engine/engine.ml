@@ -1,6 +1,6 @@
 module Arm = Zodiac_cloud.Arm
 module Flaky = Zodiac_cloud.Flaky
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Quota = Zodiac_cloud.Quota
 module Program = Zodiac_iac.Program
 module Parallel = Zodiac_util.Parallel

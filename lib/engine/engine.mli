@@ -40,7 +40,7 @@ type t
 
 val create :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Zodiac_cloud.Rules.t list ->
+  ?rules:Zodiac_provider.Provider.rule list ->
   ?quota:Zodiac_cloud.Quota.t ->
   ?config:config ->
   unit ->

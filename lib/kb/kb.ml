@@ -186,8 +186,8 @@ let merge_shard dst src =
    [merge_stats] adds them (exact integer addition, associative over any
    contiguous grouping of the corpus), [finalize] derives the canonical
    KB — so stats(prefix) + stats(delta) finalizes identically to
-   stats(prefix @ delta), which is what lets a warm run extend a cached
-   prefix instead of rebuilding. *)
+   stats(prefix @ delta), which is what lets the pipeline count the
+   corpus shard by shard. *)
 type stats = shard
 
 let stats_of_projects ?jobs projects =

@@ -84,8 +84,8 @@ type stats
     associative over any contiguous grouping, so
     [finalize (merge_stats (stats_of_projects prefix) (stats_of_projects delta))]
     is identical to [finalize (stats_of_projects (prefix @ delta))] —
-    the property the warm-start cache relies on to extend a cached
-    corpus prefix instead of rebuilding. *)
+    the property the shard fold relies on to count a corpus shard by
+    shard. *)
 
 val stats_of_projects : ?jobs:int -> Zodiac_iac.Program.t list -> stats
 

@@ -10,8 +10,6 @@ module Provider = Zodiac_provider.Provider
 module Cidr = Zodiac_util.Cidr
 module Parallel = Zodiac_util.Parallel
 module Codec = Zodiac_util.Codec
-module Cache = Zodiac_util.Cache
-module Telemetry = Zodiac_util.Telemetry
 
 type config = { use_kb : bool; min_support : int }
 
@@ -233,10 +231,8 @@ let count_intra provider cfg kb programs =
   List.iter (fun p -> List.iter observe (Program.resources p)) programs;
   { n_by_type; single; pair; num_range }
 
-(* Codec for the intra counting tables. [min_support] only gates
-   emission, never counting, so a cached table serves every support
-   threshold; the key must cover corpus identity and [use_kb] (which
-   changes which facts are counted). *)
+(* Codec for the intra counting tables, the intra part of a shard
+   checkpoint. [min_support] only gates emission, never counting. *)
 let write_fact b = function
   | F_val (attr, v) ->
       Codec.write_byte b 0;
@@ -312,25 +308,6 @@ let read_intra s =
       s
   in
   { n_by_type; single; pair; num_range }
-
-(* Run [compute] through the per-shard table cache when one is wired
-   in. [tables] is (store, key of the materialized corpus); [extra]
-   distinguishes table families sharing that corpus. *)
-let cached_tables ?(telemetry = Telemetry.null) tables ~stage ~extra ~write
-    ~read compute =
-  match tables with
-  | None -> compute ()
-  | Some (store, corpus_key) -> (
-      let key = Codec.fingerprint (corpus_key :: extra) in
-      match Cache.find store ~stage ~key read with
-      | Some t ->
-          Telemetry.count telemetry "miner.table_hits" 1;
-          t
-      | None ->
-          Telemetry.count telemetry "miner.table_misses" 1;
-          let t = compute () in
-          Cache.store store ~stage ~key (fun b -> write b t);
-          t)
 
 let merge_intra dst src =
   merge_counts dst.n_by_type src.n_by_type;
@@ -443,12 +420,9 @@ let emit_intra cfg kb { n_by_type; single; pair; num_range } =
     num_range;
   !out
 
-let mine_intra_families ~provider ?telemetry ?jobs ?tables cfg kb programs =
+let mine_intra_families ~provider ?jobs cfg kb programs =
   emit_intra cfg kb
-    (cached_tables ?telemetry tables ~stage:"miner-intra"
-       ~extra:[ "intra"; string_of_bool cfg.use_kb ]
-       ~write:write_intra ~read:read_intra (fun () ->
-         count_sharded ?jobs (count_intra provider cfg kb) merge_intra programs))
+    (count_sharded ?jobs (count_intra provider cfg kb) merge_intra programs)
 
 (* ------------------------------------------------------------------ *)
 (* Indexed (repeated-block) mining                                     *)
@@ -687,11 +661,8 @@ let emit_indexed cfg { eqne; ne; elem_values } =
     ne;
   !out
 
-let mine_indexed ?telemetry ?jobs ?tables cfg _kb programs =
-  emit_indexed cfg
-    (cached_tables ?telemetry tables ~stage:"miner-idx" ~extra:[ "indexed" ]
-       ~write:write_indexed ~read:read_indexed (fun () ->
-         count_sharded ?jobs count_indexed merge_indexed programs))
+let mine_indexed ?jobs cfg programs =
+  emit_indexed cfg (count_sharded ?jobs count_indexed merge_indexed programs)
 
 (* ------------------------------------------------------------------ *)
 (* Inter-resource mining                                               *)
@@ -1765,21 +1736,17 @@ let materialize ~provider ?jobs programs =
         (List.map (Defaults.effective provider) (Program.resources p)))
     programs
 
-let mine_intra ~provider ?(config = default_config) ?telemetry ?jobs ?tables kb
-    programs =
+let mine_intra ~provider ?(config = default_config) ?jobs kb programs =
   let programs = materialize ~provider ?jobs programs in
   Candidate.dedup
-    (mine_intra_families ~provider ?telemetry ?jobs ?tables config kb programs
-    @ mine_indexed ?telemetry ?jobs ?tables config kb programs)
+    (mine_intra_families ~provider ?jobs config kb programs
+    @ mine_indexed ?jobs config programs)
 
-let mine ~provider ?(config = default_config) ?telemetry ?jobs ?tables kb
-    programs =
+let mine ~provider ?(config = default_config) ?jobs kb programs =
   let programs = materialize ~provider ?jobs programs in
   Candidate.dedup
-    (mine_intra_families ~provider ?telemetry ?jobs ?tables config kb programs
-    @ mine_indexed ?telemetry ?jobs ?tables config kb programs
-    (* the inter tables depend on KB-derived reserved names, so they are
-       cached one level up, at the mined-candidate-set granularity *)
+    (mine_intra_families ~provider ?jobs config kb programs
+    @ mine_indexed ?jobs config programs
     @ mine_inter ~provider ?jobs config kb programs)
 
 let intra_counts_by_type ~provider ?jobs ~use_kb kb programs =

@@ -9,6 +9,13 @@
     - {e lift}: confidence / P(statement), where the statement's prior
       is estimated from the KB's global value distributions.
 
+    The counts of every family form one mergeable {!tables} value, so
+    the pipeline counts the corpus shard by shard, folds the shards'
+    tables and emits candidates once from the merged result; the same
+    fold serves a one-shard corpus held in memory and a streamed,
+    checkpointed one. Nothing here caches: the pipeline caches the
+    shard tables and the emitted candidate set.
+
     With [use_kb = false] the intra-resource families run without the
     KB's slot restrictions (any scalar value may appear on the right
     of an [==], any attribute in a presence test) — the ablation of
@@ -35,9 +42,7 @@ val materialize :
 val mine :
   provider:Zodiac_provider.Provider.t ->
   ?config:config ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
   ?jobs:int ->
-  ?tables:Zodiac_util.Cache.t * string ->
   Zodiac_kb.Kb.t ->
   Zodiac_iac.Program.t list ->
   Candidate.t list
@@ -47,22 +52,13 @@ val mine :
     to [jobs] domains (default: recommended domain count); the result
     is identical for every [jobs] value.
 
-    [tables] is [(cache, corpus_key)]: when given, the intra and
-    indexed counting tables are loaded from / stored into the cache
-    under a key derived from [corpus_key] (which must identify the
-    materialized corpus, including its size) — re-mining the same
-    corpus under a different [min_support] then skips the counting
-    passes entirely. The inter-family tables depend on KB-derived
-    reserved names and are only cached one level up, as part of the
-    mined candidate set.
-
-    [telemetry] (default {!Zodiac_util.Telemetry.null}) receives
-    [miner.table_hits]/[miner.table_misses] counters, one per counting
-    table family probed through [tables]. *)
+    The pipeline mines through the tables monoid below, shard by shard;
+    [mine] counts every family directly and is the independent
+    reference the fold is tested against. *)
 
 (** {2 The tables monoid}
 
-    The streamed counterpart of {!mine}: a {!tables} value bundles
+    The pipeline's mining path: a {!tables} value bundles
     every counting family's tables as one mergeable unit, so a shard
     stream can count each shard independently ({!count_tables}), fold
     the per-shard values in shard order ({!merge_tables}), checkpoint
@@ -111,9 +107,7 @@ val emit_tables : config -> Zodiac_kb.Kb.t -> tables -> Candidate.t list
 val mine_intra :
   provider:Zodiac_provider.Provider.t ->
   ?config:config ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
   ?jobs:int ->
-  ?tables:Zodiac_util.Cache.t * string ->
   Zodiac_kb.Kb.t ->
   Zodiac_iac.Program.t list ->
   Candidate.t list

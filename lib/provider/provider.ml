@@ -20,16 +20,23 @@ module Prng = Zodiac_util.Prng
 
    The five-phase deployment model (plugin validation, pre-deployment
    state sync, creation, async polling, post-deployment sync) is shared
-   by every provider; only the rule content differs. These types are
-   re-exported by [Zodiac_cloud.Rules] for compatibility. *)
+   by every provider; only the rule content differs. A rule set plays
+   the role of a cloud's opaque backend requirements: the mining and
+   validation engines never read it — they only observe deployment
+   outcomes, preserving the paper's blackbox setting. *)
 
-type phase = Plugin | Pre_sync | Create | Polling | Post_sync
+type phase =
+  | Plugin  (** rejected by provider plugin before any API call *)
+  | Pre_sync  (** state synchronization conflict ("already exists") *)
+  | Create  (** creation request rejected by the cloud *)
+  | Polling  (** asynchronous provisioning failure on slow resources *)
+  | Post_sync  (** deployed, but cloud/IaC states are inconsistent *)
 
 type rule = {
   rule_id : string;
   check : Check.t;
   phase : phase;
-  message : string;
+  message : string;  (** cloud error message shown on violation *)
 }
 
 let phase_to_string = function
@@ -39,10 +46,16 @@ let phase_to_string = function
   | Polling -> "polling"
   | Post_sync -> "post-sync"
 
+(* [rule id phase message spec] parses [spec]; raises [Invalid_argument]
+   on a malformed spec. *)
 let rule rule_id phase message src =
   match Spec_parser.parse src with
   | Ok check -> { rule_id; check; phase; message }
   | Error e -> invalid_arg (Printf.sprintf "Rules: bad rule %s: %s" rule_id e)
+
+(* Lookup by [rule_id]. *)
+let find rules rule_id =
+  List.find_opt (fun r -> String.equal r.rule_id rule_id) rules
 
 (* ---- oracle knowledge ---------------------------------------------
 

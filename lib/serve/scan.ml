@@ -8,11 +8,11 @@ type check_entry = { id : string; message : string; check : Check.t }
 
 let ground_truth_entries provider =
   List.map
-    (fun (rule : Zodiac_cloud.Rules.t) ->
+    (fun (rule : Provider.rule) ->
       {
-        id = rule.Zodiac_cloud.Rules.rule_id;
-        message = rule.Zodiac_cloud.Rules.message;
-        check = rule.Zodiac_cloud.Rules.check;
+        id = rule.Provider.rule_id;
+        message = rule.Provider.message;
+        check = rule.Provider.check;
       })
     (provider.Provider.ground_truth ())
 

@@ -311,7 +311,7 @@ let failure_json (f : Zodiac_cloud.Arm.failure) =
     [
       ("resource", id_json f.Zodiac_cloud.Arm.resource);
       ( "phase",
-        Json.String (Zodiac_cloud.Rules.phase_to_string f.Zodiac_cloud.Arm.phase)
+        Json.String (Provider.phase_to_string f.Zodiac_cloud.Arm.phase)
       );
       ("rule_id", Json.String f.Zodiac_cloud.Arm.rule_id);
       ("message", Json.String f.Zodiac_cloud.Arm.message);

@@ -25,49 +25,54 @@ let claim_name ~stage ~key ~lo ~hi =
 let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ~stage ~key ~write
     ~read ~load ~count ~merge ~init ~total ~shard_size () =
   let shards = plan ~total ~shard_size in
-  Telemetry.with_span telemetry "shard.fold" (fun () ->
-      let nshards = List.length shards in
-      let resumed = ref 0 and built = ref 0 in
-      let acc =
-        List.fold_left
-          (fun acc (i, lo, hi) ->
-            let ckey = shard_key ~key ~lo ~hi in
-            let checkpointed =
-              Option.bind cache (fun c -> Cache.find c ~stage ~key:ckey read)
-            in
-            let value =
-              match checkpointed with
-              | Some v ->
-                  incr resumed;
-                  v
-              | None ->
-                  let v = count (load ~lo ~hi) in
-                  Option.iter
-                    (fun c ->
-                      Cache.store c ~stage ~key:ckey (fun b -> write b v))
-                    cache;
-                  incr built;
-                  Telemetry.count telemetry "shard.items" (hi - lo);
-                  v
-            in
-            let acc = merge acc value in
-            (* The shard's projects and private tables are garbage now;
-               compacting keeps the heap at the live set so peak RSS
-               tracks one shard plus the accumulator, not fifty shards
-               of churn. Results are unaffected. *)
-            Gc.compact ();
-            (match on_shard with
-            | Some f ->
-                f ~index:i ~shards:nshards ~built:(Option.is_none checkpointed)
-            | None -> ());
-            acc)
-          init shards
-      in
-      let outcome = { shards = nshards; resumed = !resumed; built = !built } in
-      Telemetry.count telemetry "shard.total" outcome.shards;
-      Telemetry.count telemetry "shard.resumed" outcome.resumed;
-      Telemetry.count telemetry "shard.built" outcome.built;
-      (acc, outcome))
+  let nshards = List.length shards in
+  let resumed = ref 0 and built = ref 0 in
+  let acc =
+    List.fold_left
+      (fun acc (i, lo, hi) ->
+        let ckey = shard_key ~key ~lo ~hi in
+        let checkpointed =
+          Option.bind cache (fun c -> Cache.find c ~stage ~key:ckey read)
+        in
+        let value =
+          match checkpointed with
+          | Some v ->
+              incr resumed;
+              v
+          | None ->
+              let v = count (load ~lo ~hi) in
+              Option.iter
+                (fun c ->
+                  Cache.store c ~stage ~key:ckey (fun b -> write b v))
+                cache;
+              incr built;
+              Telemetry.count telemetry "shard.items" (hi - lo);
+              v
+        in
+        (* The first shard's value seeds the accumulator: merging it
+           into [init] would only copy it. *)
+        let acc =
+          match acc with None -> Some value | Some acc -> Some (merge acc value)
+        in
+        (* The shard's projects and private tables are garbage now;
+           compacting keeps the heap at the live set so peak RSS
+           tracks one shard plus the accumulator, not fifty shards
+           of churn. A one-shard plan has no next shard to make room
+           for. Results are unaffected. *)
+        if nshards > 1 then Gc.compact ();
+        (match on_shard with
+        | Some f ->
+            f ~index:i ~shards:nshards ~built:(Option.is_none checkpointed)
+        | None -> ());
+        acc)
+      None shards
+    |> Option.value ~default:init
+  in
+  let outcome = { shards = nshards; resumed = !resumed; built = !built } in
+  Telemetry.count telemetry "shard.total" outcome.shards;
+  Telemetry.count telemetry "shard.resumed" outcome.resumed;
+  Telemetry.count telemetry "shard.built" outcome.built;
+  (acc, outcome)
 
 (* ---- claim-driven worker sweep -------------------------------------
    The multi-process half of the stream: a worker never merges — it

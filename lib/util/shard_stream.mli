@@ -58,23 +58,28 @@ val fold :
   read:(Codec.src -> 'b) ->
   load:(lo:int -> hi:int -> 'a) ->
   count:('a -> 'b) ->
-  merge:('acc -> 'b -> 'acc) ->
-  init:'acc ->
+  merge:('b -> 'b -> 'b) ->
+  init:'b ->
   total:int ->
   shard_size:int ->
   unit ->
-  'acc * outcome
+  'b * outcome
 (** Fold the shard plan. Per shard: probe the checkpoint
     [(stage, shard_key ~key ~lo ~hi)] — on a hit merge the stored
-    value, otherwise [load], [count], checkpoint and merge. [key] must
+    value, otherwise [load], [count], checkpoint and merge. The first
+    shard's value seeds the accumulator ([merge] may mutate it); [init]
+    is the result of an empty plan. [key] must
     fingerprint everything a shard's counted value depends on besides
     its own [\[lo, hi)] range (corpus identity, counting configuration,
     any whole-corpus context such as a finalized KB).
 
     [telemetry] receives the [shard.*] counters ([shard.total],
     [shard.resumed], [shard.built], [shard.items] — items loaded for
-    rebuilt shards) inside a [shard.fold] span. Without a [cache] the
-    fold still streams (bounded memory) but nothing checkpoints.
+    rebuilt shards) in the caller's current span, so a stage's span
+    times its own counting. Without a [cache] the fold still streams
+    (bounded memory) but nothing checkpoints. The heap is compacted
+    after each shard of a multi-shard plan, keeping peak memory at one
+    shard plus the accumulator.
     [on_shard] fires after each shard merges (with [built = false] for
     a checkpoint resume) — a progress hook, never part of results. *)
 

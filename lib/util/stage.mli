@@ -1,22 +1,17 @@
 (** First-class pipeline stages.
 
-    The Figure-2 pipeline (corpus → KB → mine → filter → oracle →
-    validate → counterexample) used to hand-wire each cross-cutting
-    concern stage by stage: [--jobs] parallelism in one pass, cache
-    keys/codecs/incremental deltas in another. A {!t} bundles what a
-    stage {e is} — a name, a cache binding for its artifact and a build
-    function — and {!run} applies every concern uniformly: warm-cache
-    lookup/write, job-count plumbing and a {!Telemetry} span with
-    cache/parallel counters. Adding the next concern (sharding, remote
-    cache backends, streaming) means editing this runner once, not the
-    pipeline N times.
+    The cacheable Figure-2 artifacts (the KB statistics and the mined
+    candidate set) are outputs folded shard by shard over the corpus
+    (typically a {!Shard_stream.fold}). A {!t} bundles what such a
+    stage {e is} — a name, a cache address and codec for its artifact,
+    and the fold that builds it — and {!run} applies every
+    cross-cutting concern uniformly: warm-cache lookup/write, job-count
+    plumbing and a {!Telemetry} span with cache/parallel counters.
 
-    {b Determinism.} [run] returns exactly what the hand-wired paths
-    returned: the cold build, a cached artifact decoded from a sealed
-    {!Codec} envelope, or a cached prefix shrunk/extended to the
-    requested size — byte-identical in all cases by the same arguments
-    as before (per-index PRNG streams, monoid count merges). Telemetry
-    observes; it never alters the artifact. *)
+    {b Determinism.} [run] returns either the fold's result or a cached
+    artifact decoded from a sealed {!Codec} envelope, byte-identical by
+    the monoid contract of the fold (per-index PRNG streams, exact count
+    merges). Telemetry observes; it never alters the artifact. *)
 
 type 'a artifact = {
   write : Codec.sink -> 'a -> unit;
@@ -25,65 +20,22 @@ type 'a artifact = {
 (** A codec pair for the stage's output. The [read]er may raise
     {!Codec.Corrupt}; {!Cache.find} turns that into a miss. *)
 
-(** How the stage's output is bound to the {!Cache}. *)
-type 'a store =
-  | Uncached  (** Pure compute (filter, oracle, validation). *)
-  | Keyed of { key : string; artifact : 'a artifact }
-      (** One entry addressed by [key] — a {!Codec.fingerprint} of
-          every input the artifact depends on. *)
-  | Sized of {
-      key : string;
-      size : int;
-      artifact : 'a artifact;
-      shrink : (larger:int -> 'a -> 'a) option;
-      extend : (cached:int -> 'a -> 'a) option;
-    }
-      (** An output that grows monotonically with corpus size. [size]
-          joins the address; a warm run may also derive the artifact
-          from an entry of another size: [shrink ~larger v] cuts a
-          size-[larger] artifact down to [size] (derivable, so not
-          re-stored), and [extend ~cached prefix] grows a size-[cached]
-          prefix up to [size] (stored at [size]). Either hook may be
-          [None] to disable that path — the KB stats stage extends but
-          never shrinks, matching its hand-wired predecessor. *)
-  | Streamed of {
-      key : string;
-      size : int option;
-      artifact : 'a artifact;
-      stream : cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a;
-    }
-      (** The streaming arm of the ladder: an output folded shard by
-          shard (typically a {!Shard_stream.fold}) rather than built
-          from a materialized whole. The lookup order is exact-hit →
-          resume-from-shard-checkpoints → cold: an exact entry at
-          [(key, size?)] loads directly; otherwise [stream] runs with
-          the cache and telemetry threaded through so its per-shard
-          checkpoints (stored under their own stage namespace) let it
-          re-count only unfinished shards, and the merged result is
-          stored at [(key, size?)]. [stream] receives [cache = None]
-          when the runner has no cache — it must still stream, just
-          without checkpoints. *)
-
 type 'a t = {
   name : string;
       (** Cache stage namespace and telemetry span name; one of the
           Figure-2 stage names in the pipeline. *)
-  store : 'a store;
-  build : jobs:int -> 'a;  (** The cold path. *)
+  key : string;
+      (** A {!Codec.fingerprint} of every input the artifact depends
+          on; with [size] it forms the artifact's cache address. *)
+  size : int option;
+  artifact : 'a artifact;
+  stream : cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a;
+      (** The fold. It receives the cache and telemetry so that its
+          per-shard checkpoints (stored under their own stage namespace)
+          let it re-count only unfinished shards; [cache = None] when
+          the runner has no cache — it must still fold, just without
+          checkpoints. *)
 }
-
-val uncached : name:string -> (jobs:int -> 'a) -> 'a t
-val keyed : name:string -> key:string -> artifact:'a artifact -> (jobs:int -> 'a) -> 'a t
-
-val sized :
-  name:string ->
-  key:string ->
-  size:int ->
-  artifact:'a artifact ->
-  ?shrink:(larger:int -> 'a -> 'a) ->
-  ?extend:(cached:int -> 'a -> 'a) ->
-  (jobs:int -> 'a) ->
-  'a t
 
 val streamed :
   name:string ->
@@ -92,27 +44,19 @@ val streamed :
   artifact:'a artifact ->
   (cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a) ->
   'a t
-(** A {!Streamed} stage. When [name], [key], [size] and [artifact]
-    match an existing {!Keyed}/{!Sized} stage's address, the exact-hit
-    paths interoperate: a monolithic run warms the streamed one and
-    vice versa (their artifacts are byte-identical by the monoid
-    contract). *)
 
 val run : ?cache:Cache.t -> ?telemetry:Telemetry.t -> ?jobs:int -> 'a t -> 'a
-(** Execute the stage. Inside a telemetry span named [t.name] the
-    runner records:
-    - note ["jobs"]: the resolved job count handed to [build];
-    - note ["source"]: where the artifact came from — ["uncached"]
-      (no cache or [Uncached] store), ["warm"] (exact cache hit),
-      ["prefix"] (shrunk from a larger entry), ["extended"]
-      (incremental growth of a smaller entry), ["streamed"] (folded
-      over shards, resuming from whatever checkpoints existed),
-      ["cold"] (fresh build);
+(** Execute the stage: an exact entry at [(key, size?)] loads directly;
+    otherwise [stream] runs and its result is stored at [(key, size?)].
+    Inside a telemetry span named [t.name] the runner records:
+    - note ["jobs"]: the resolved job count handed to [stream];
+    - note ["source"]: where the artifact came from — ["uncached"] (no
+      cache), ["warm"] (exact cache hit) or ["streamed"] (folded over
+      shards, resuming from whatever checkpoints existed);
     - counters [cache.hits]/[cache.misses]/[cache.writes]: this
       stage's {!Cache.stats} delta;
     - counter [parallel.chunks]: the {!Parallel.chunks_scheduled}
       delta — scheduling metadata that varies with hardware, excluded
       from determinism comparisons.
 
-    Without [?jobs] the build runs with {!Parallel.recommended_jobs}.
-    Without [?cache] every store behaves like [Uncached]. *)
+    Without [?jobs] the fold runs with {!Parallel.recommended_jobs}. *)

@@ -1,7 +1,7 @@
 (* Tests for the simulated Azure cloud: ground-truth rules, the
    deployment engine and its five phases, blast radius accounting. *)
 
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Arm = Zodiac_cloud.Arm
 module Defaults = Zodiac_cloud.Defaults
 module Value = Zodiac_iac.Value
@@ -18,23 +18,22 @@ let test_rules_count () =
   Alcotest.(check bool) "200+ ground truth rules" true (List.length (provider.Zodiac_provider.Provider.ground_truth ()) >= 200)
 
 let test_rules_unique_ids () =
-  let ids = List.map (fun r -> r.Rules.rule_id) (provider.Zodiac_provider.Provider.ground_truth ()) in
+  let ids = List.map (fun r -> r.Provider.rule_id) (provider.Zodiac_provider.Provider.ground_truth ()) in
   Alcotest.(check int) "unique" (List.length ids) (List.length (List.sort_uniq compare ids))
 
 let test_rules_phases_all_present () =
-  let phases = List.map (fun r -> r.Rules.phase) (provider.Zodiac_provider.Provider.ground_truth ()) in
+  let phases = List.map (fun r -> r.Provider.phase) (provider.Zodiac_provider.Provider.ground_truth ()) in
   List.iter
     (fun phase ->
       Alcotest.(check bool)
-        (Rules.phase_to_string phase ^ " present")
+        (Provider.phase_to_string phase ^ " present")
         true (List.mem phase phases))
-    [ Rules.Plugin; Rules.Pre_sync; Rules.Create; Rules.Polling; Rules.Post_sync ]
+    [ Provider.Plugin; Provider.Pre_sync; Provider.Create; Provider.Polling; Provider.Post_sync ]
 
 let test_rules_find () =
   let gt = provider.Zodiac_provider.Provider.ground_truth () in
-  Alcotest.(check bool) "by id" true (Rules.find gt "VM-SPOT-EVICT" <> None);
-  Alcotest.(check bool) "missing" true (Rules.find gt "NOPE" = None);
-  Alcotest.(check bool) "per type" true (List.length (Rules.rules_for_type gt "VM") >= 30)
+  Alcotest.(check bool) "by id" true (Provider.find gt "VM-SPOT-EVICT" <> None);
+  Alcotest.(check bool) "missing" true (Provider.find gt "NOPE" = None)
 
 (* ---------------- building blocks ------------------------------------ *)
 
@@ -81,8 +80,8 @@ let check_fails ?phase ?rule resources =
   | Some f ->
       Option.iter
         (fun expected ->
-          Alcotest.(check string) "phase" (Rules.phase_to_string expected)
-            (Rules.phase_to_string f.Arm.phase))
+          Alcotest.(check string) "phase" (Provider.phase_to_string expected)
+            (Provider.phase_to_string f.Arm.phase))
         phase;
       Option.iter (fun expected -> Alcotest.(check string) "rule" expected f.Arm.rule_id) rule;
       f
@@ -116,21 +115,21 @@ let test_deploy_order () =
 
 let test_missing_required_fails_plugin () =
   let bad_nic = Resource.remove_attr (nic "n") "location" in
-  ignore (check_fails ~phase:Rules.Plugin ~rule:"ENGINE-SCHEMA" [ vpc; subnet "s"; bad_nic ])
+  ignore (check_fails ~phase:Provider.Plugin ~rule:"ENGINE-SCHEMA" [ vpc; subnet "s"; bad_nic ])
 
 let test_invalid_enum_fails () =
   let bad = Resource.set (vm "m" [ "n" ]) "sku" (v_str "Standard_Z9") in
-  ignore (check_fails ~phase:Rules.Plugin [ vpc; subnet "s"; nic "n"; bad ])
+  ignore (check_fails ~phase:Provider.Plugin [ vpc; subnet "s"; nic "n"; bad ])
 
 let test_invalid_region_fails () =
   let bad = Resource.set (nic "n") "location" (v_str "atlantis") in
-  ignore (check_fails ~phase:Rules.Plugin [ vpc; subnet "s"; bad ])
+  ignore (check_fails ~phase:Provider.Plugin [ vpc; subnet "s"; bad ])
 
 let test_name_conflict_pre_sync () =
   (* two subnets with the same name in the same VPC *)
   let s1 = subnet ~name:"dup" ~cidr:"10.0.1.0/24" "s" in
   let s2 = subnet ~name:"dup" ~cidr:"10.0.2.0/24" "s2" in
-  ignore (check_fails ~phase:Rules.Pre_sync ~rule:"ENGINE-EXISTS" [ vpc; s1; s2 ])
+  ignore (check_fails ~phase:Provider.Pre_sync ~rule:"ENGINE-EXISTS" [ vpc; s1; s2 ])
 
 let test_name_scope_allows_cross_vpc () =
   (* same subnet name in different VPCs is fine *)
@@ -154,11 +153,11 @@ let test_dangling_ref_fails_create () =
            ("name", v_str "c"); ("subnet_id", Value.reference "SUBNET" "ghost" "id");
            ("private_ip_allocation", v_str "Dynamic") ]) ]
   in
-  ignore (check_fails ~phase:Rules.Create ~rule:"ENGINE-NOTFOUND" [ vpc; orphan_nic ])
+  ignore (check_fails ~phase:Provider.Create ~rule:"ENGINE-NOTFOUND" [ vpc; orphan_nic ])
 
 let test_semantic_rule_create_phase () =
   let wrong_region = [ vpc; subnet "s"; nic ~loc:"westus" "n"; vm "m" [ "n" ] ] in
-  ignore (check_fails ~phase:Rules.Create ~rule:"LOC-NIC-VPC" wrong_region)
+  ignore (check_fails ~phase:Provider.Create ~rule:"LOC-NIC-VPC" wrong_region)
 
 let test_polling_phase_rule () =
   (* firewall subnet with delegation -> polling failure *)
@@ -183,7 +182,7 @@ let test_polling_phase_rule () =
            ("subnet_id", Value.reference "SUBNET" "s" "id");
            ("public_ip_id", Value.reference "IP" "ip" "id") ]) ]
   in
-  ignore (check_fails ~phase:Rules.Polling ~rule:"FW-SUBNET-DELEG" [ vpc; fw_subnet; ip; fw ])
+  ignore (check_fails ~phase:Provider.Polling ~rule:"FW-SUBNET-DELEG" [ vpc; fw_subnet; ip; fw ])
 
 let test_post_sync_phase_rule () =
   (* subnet attached to two route tables: deploys but is inconsistent *)

@@ -12,7 +12,7 @@ module Client = Zodiac_engine.Client
 module Engine = Zodiac_engine.Engine
 module Flaky = Zodiac_cloud.Flaky
 module Arm = Zodiac_cloud.Arm
-module Rules = Zodiac_cloud.Rules
+module Provider = Zodiac_provider.Provider
 module Scheduler = Zodiac_validation.Scheduler
 module Generator = Zodiac_corpus.Generator
 module Kb = Zodiac_kb.Kb
@@ -144,7 +144,7 @@ let test_memo_lru () =
 let always_fault : Zodiac_iac.Program.t -> Flaky.response =
  fun _ ->
   Flaky.Fault
-    { Flaky.kind = Flaky.Throttled; phase = Rules.Create; retry_after = 1.0 }
+    { Flaky.kind = Flaky.Throttled; phase = Provider.Create; retry_after = 1.0 }
 
 let test_client_recovers_within_burst_cap () =
   let stats = Stats.create () in

@@ -1,5 +1,5 @@
-(* Stage-runner and telemetry tests: cold ≡ warm ≡ prefix ≡ extended ≡
-   uncached byte-equality through [Stage.run], the sinks-never-alter-
+(* Stage-runner and telemetry tests: cold ≡ warm ≡ uncached
+   byte-equality through [Stage.run], the sinks-never-alter-
    artifacts qcheck property, counter-total determinism across jobs,
    corruption fallback, and the result-returning error paths added for
    malformed user input. *)
@@ -32,9 +32,8 @@ let with_cache_dir name f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A toy sized stage over int lists: element [i] is [i * i], so any
-   prefix relation is easy to check and extension is exact. [builds]
-   counts cold builds so tests can tell which path ran. *)
+(* A toy streamed stage over int lists: element [i] is [i * i].
+   [builds] counts folds so tests can tell which path ran. *)
 let int_list_artifact =
   {
     Stage.write = (fun b xs -> Codec.write_list Codec.write_int b xs);
@@ -44,11 +43,9 @@ let int_list_artifact =
 let squares ~lo ~hi = List.init (hi - lo) (fun i -> (lo + i) * (lo + i))
 
 let toy_stage ?(builds = ref 0) n =
-  Stage.sized ~name:"toy" ~key:(Codec.fingerprint [ "toy"; "v1" ]) ~size:n
+  Stage.streamed ~name:"toy" ~key:(Codec.fingerprint [ "toy"; "v1" ]) ~size:n
     ~artifact:int_list_artifact
-    ~shrink:(fun ~larger:_ xs -> List.filteri (fun i _ -> i < n) xs)
-    ~extend:(fun ~cached prefix -> prefix @ squares ~lo:cached ~hi:n)
-    (fun ~jobs:_ ->
+    (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
       incr builds;
       squares ~lo:0 ~hi:n)
 
@@ -166,22 +163,10 @@ let test_runner_paths_byte_equal () =
       Alcotest.(check int) "cold built" 1 !builds;
       let warm = Stage.run ~cache (toy_stage ~builds 50) in
       Alcotest.(check int) "warm did not build" 1 !builds;
-      let extended = Stage.run ~cache (toy_stage ~builds 80) in
-      Alcotest.(check int) "extension did not build" 1 !builds;
-      let prefix = Stage.run ~cache (toy_stage ~builds 30) in
-      Alcotest.(check int) "prefix did not build" 1 !builds;
       Alcotest.(check bool)
         "cold ≡ warm ≡ uncached" true
         (String.equal (bytes_of_ints cold) (bytes_of_ints warm)
-        && String.equal (bytes_of_ints cold) (bytes_of_ints uncached));
-      Alcotest.(check bool)
-        "extended ≡ cold at the larger size" true
-        (String.equal (bytes_of_ints extended)
-           (bytes_of_ints (squares ~lo:0 ~hi:80)));
-      Alcotest.(check bool)
-        "prefix ≡ cold at the smaller size" true
-        (String.equal (bytes_of_ints prefix)
-           (bytes_of_ints (squares ~lo:0 ~hi:30))))
+        && String.equal (bytes_of_ints cold) (bytes_of_ints uncached)))
 
 let test_runner_source_notes () =
   with_cache_dir "zodiac-test-stage-notes" (fun dir ->
@@ -197,17 +182,11 @@ let test_runner_source_notes () =
         "no cache -> uncached" (Some "uncached")
         (source_of (fun telemetry -> Stage.run ~telemetry (toy_stage 20)));
       Alcotest.(check (option string))
-        "first run -> cold" (Some "cold")
+        "first run -> streamed" (Some "streamed")
         (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20)));
       Alcotest.(check (option string))
         "second run -> warm" (Some "warm")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20)));
-      Alcotest.(check (option string))
-        "grown -> extended" (Some "extended")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 33)));
-      Alcotest.(check (option string))
-        "shrunk -> prefix" (Some "prefix")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 10))))
+        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20))))
 
 let test_runner_cache_counters () =
   with_cache_dir "zodiac-test-stage-counters" (fun dir ->
@@ -251,7 +230,7 @@ let test_runner_corruption_fallback () =
         (Sys.readdir dir);
       let builds = ref 0 in
       let rebuilt = Stage.run ~cache (toy_stage ~builds 24) in
-      Alcotest.(check int) "corruption forces a cold rebuild" 1 !builds;
+      Alcotest.(check int) "corruption forces a fresh fold" 1 !builds;
       Alcotest.(check bool)
         "rebuilt artifact identical" true
         (String.equal (bytes_of_ints cold) (bytes_of_ints rebuilt)))
