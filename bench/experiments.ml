@@ -2234,12 +2234,12 @@ let e19 () =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* E20 — multi-process sharded mining: worker fleet, claim stealing    *)
+(* E20 — multi-process sharded mining: fixed-slice worker fleet        *)
 (* ------------------------------------------------------------------ *)
 
 (* The final kb-/mine- cache artifacts of a run, name → bytes. Shard
-   checkpoints and corpus entries are excluded: the merge-pass finals
-   are the byte-equality contract. *)
+   checkpoints are excluded: the merge-pass finals are the
+   byte-equality contract. *)
 let e20_finals dir =
   List.filter_map
     (fun f ->
@@ -2250,11 +2250,6 @@ let e20_finals dir =
       then Some (f, read_all (Filename.concat dir f))
       else None)
     (List.sort String.compare (Array.to_list (Sys.readdir dir)))
-
-let e20_claims dir =
-  List.filter
-    (fun f -> Filename.check_suffix f ".claim")
-    (Array.to_list (Sys.readdir dir))
 
 let e20_fresh_dir tag =
   let dir =
@@ -2279,54 +2274,42 @@ let e20_cli bin args =
   let status = Unix.close_process_in ic in
   (Unix.gettimeofday () -. t0, status = Unix.WEXITED 0, List.rev !lines)
 
-let e20_mine_args ~n ~jobs ~shard ~workers ~stale ~dir =
+let e20_mine_args ~n ~jobs ~shard ~workers ~dir =
   [
     "mine"; "--projects"; string_of_int n; "--jobs"; string_of_int jobs;
     "--cache-dir"; dir; "--limit"; "0"; "--shard-size"; string_of_int shard;
   ]
-  @
-  if workers > 1 then
-    [
-      "--workers"; string_of_int workers;
-      "--stale-after"; Printf.sprintf "%g" stale;
-    ]
-  else []
+  @ if workers > 1 then [ "--workers"; string_of_int workers ] else []
 
-(* Parse the report's "mproc kb: workers=… claimed=… built=… stolen=…"
-   accounting line (the optional " failed=…" suffix is ignored). *)
-let e20_mproc lines pass =
-  let prefix = Printf.sprintf "mproc %s:" pass in
+(* The hidden worker verb for one slice of the kb pass (default seed). *)
+let e20_worker_args ~n ~shard ~slice:(k, w) ~dir =
+  [
+    "mine-worker"; "--pass"; "kb"; "--projects"; string_of_int n; "--jobs";
+    "1"; "--shard-size"; string_of_int shard; "--cache-dir"; dir; "--slice";
+    Printf.sprintf "%d/%d" k w;
+  ]
+
+(* The report's "<pass> pass: N shards (R resumed from checkpoints, B
+   built)" line, as (N, R, B). *)
+let e20_pass lines pass =
   List.find_map
     (fun l ->
-      let l = String.trim l in
-      if String.starts_with ~prefix l then
-        try
-          Scanf.sscanf
-            (String.sub l (String.length prefix)
-               (String.length l - String.length prefix))
-            " workers=%d claimed=%d built=%d stolen=%d" (fun w c b s ->
-              Some (w, c, b, s))
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-      else None)
+      Scanf.sscanf_opt (String.trim l)
+        "%s pass: %d shards (%d resumed from checkpoints, %d built)"
+        (fun p n r b -> if String.equal p pass then Some (n, r, b) else None)
+      |> Option.join)
     lines
 
-(* Plant a claim file for the [lo, hi) KB shard as a long-dead owner
-   (mtime backdated to the epoch), so any positive --stale-after makes
-   the next claimant steal it. *)
-let e20_plant_stale_claim ~dir ~lo ~hi =
-  let key =
-    Pipeline.corpus_key
-      { Pipeline.default_config with Pipeline.corpus_seed = 20240704 }
-  in
-  let cache = Cache.create ~dir () in
-  let name = Shard_stream.claim_name ~stage:"shard-kb" ~key ~lo ~hi in
-  match Cache.try_claim cache ~name ~owner:"corpse" with
-  | Cache.Claimed _ ->
-      Unix.utimes (Cache.claim_path cache ~name) 1. 1.;
-      true
-  | Cache.Busy -> false
+(* The report's "<pass> fleet: W workers, F failed" line, as (W, F). *)
+let e20_fleet lines pass =
+  List.find_map
+    (fun l ->
+      Scanf.sscanf_opt (String.trim l) "%s fleet: %d workers, %d failed"
+        (fun p w f -> if String.equal p pass then Some (w, f) else None)
+      |> Option.join)
+    lines
 
-(* KB shard checkpoints present for the default-seed corpus. *)
+(* KB shard checkpoints present in a cache dir. *)
 let e20_kb_checkpoints dir =
   List.filter
     (fun f ->
@@ -2335,8 +2318,7 @@ let e20_kb_checkpoints dir =
 
 let e20 () =
   print_endline
-    (section
-       "E20  Multi-process sharded mining: worker fleet, claim stealing, merge");
+    (section "E20  Multi-process sharded mining: fixed-slice fleet, merge, crash");
   match zodiac_bin () with
   | None ->
       (* Workers re-exec the real binary; without one on disk there is
@@ -2347,7 +2329,8 @@ let e20 () =
   | Some bin ->
       (* (a) byte-equality grid: every (workers, jobs, shard) combination
          must leave the same final kb-/mine- artifacts as the monolithic
-         run, with no claim files left behind. *)
+         run. With a fleet, the workers build every shard: the parent's
+         merge fold only resumes. *)
       let n_small = 400 in
       let mono_dir = e20_fresh_dir "mono" in
       let _, mono_ok, _ =
@@ -2372,23 +2355,18 @@ let e20 () =
               e20_fresh_dir (Printf.sprintf "w%d-j%d-s%d" workers jobs shard)
             in
             let wall, ok_run, lines =
-              e20_cli bin
-                (e20_mine_args ~n:n_small ~jobs ~shard ~workers ~stale:300.
-                   ~dir)
+              e20_cli bin (e20_mine_args ~n:n_small ~jobs ~shard ~workers ~dir)
             in
+            let shards = (n_small + shard - 1) / shard in
             let fleet_ok =
               workers = 1
-              ||
-              match e20_mproc lines "kb" with
-              | Some (w, claimed, built, _stolen) ->
-                  w = workers && claimed >= built && built > 0
-              | None -> false
+              || List.for_all
+                   (fun pass ->
+                     e20_fleet lines pass = Some (workers, 0)
+                     && e20_pass lines pass = Some (shards, shards, 0))
+                   [ "kb"; "mine" ]
             in
-            let ok =
-              ok_run && fleet_ok
-              && e20_finals dir = mono
-              && e20_claims dir = []
-            in
+            let ok = ok_run && fleet_ok && e20_finals dir = mono in
             rm_rf dir;
             (workers, jobs, shard, wall, ok))
           grid
@@ -2404,12 +2382,15 @@ let e20 () =
              ])
            grid_results);
       rm_rf mono_dir;
-      (* (b) scale: wall clock and parent peak RSS at workers = 1/2/4 on
-         a 100k-project corpus, a fresh process and cache per level
-         (VmHWM is process-lifetime, and warm hits would void the
-         comparison). Speedup is recorded, not asserted — it depends on
-         the host's core count, which is recorded alongside. *)
+      (* (b) scale: wall clock and parent peak RSS at workers = 1/2/4
+         (one domain each) and at workers = 1 with the default job count
+         (the domain pool alone), on a 100k-project corpus, a fresh
+         process and cache per level (VmHWM is process-lifetime, and
+         warm hits would void the comparison). Speedup is recorded, not
+         asserted — it depends on the host's core count, which is
+         recorded alongside. *)
       let n_large = 100_000 in
+      let nproc = Zodiac_util.Parallel.recommended_jobs () in
       let first_token s =
         match String.index_opt s ' ' with
         | Some i -> String.sub s 0 i
@@ -2427,85 +2408,95 @@ let e20 () =
             else None)
           lines
       in
-      let scale_levels = [ 1; 2; 4 ] in
+      let scale_levels = [ (1, 1); (2, 1); (4, 1); (1, nproc) ] in
       let scale_results =
         List.map
-          (fun workers ->
-            let dir = e20_fresh_dir (Printf.sprintf "scale-w%d" workers) in
+          (fun (workers, jobs) ->
+            let dir =
+              e20_fresh_dir (Printf.sprintf "scale-w%d-j%d" workers jobs)
+            in
             let wall, ok_run, lines =
               e20_cli bin
-                (e20_mine_args ~n:n_large ~jobs:1 ~shard:1000 ~workers
-                   ~stale:300. ~dir)
+                (e20_mine_args ~n:n_large ~jobs ~shard:1000 ~workers ~dir)
             in
             if not ok_run then begin
-              Printf.printf "E20: FAIL — 100k run with --workers %d failed\n"
-                workers;
+              Printf.printf
+                "E20: FAIL — 100k run with --workers %d --jobs %d failed\n"
+                workers jobs;
               exit 1
             end;
             let finals = e20_finals dir in
             rm_rf dir;
-            (workers, wall, rss_of lines, finals))
+            (workers, jobs, wall, rss_of lines, finals))
           scale_levels
       in
       let scale_reference =
-        match scale_results with (_, _, _, f) :: _ -> f | [] -> []
+        match scale_results with (_, _, _, _, f) :: _ -> f | [] -> []
       in
       let ok_scale =
         scale_reference <> []
-        && List.for_all (fun (_, _, _, f) -> f = scale_reference) scale_results
+        && List.for_all
+             (fun (_, _, _, _, f) -> f = scale_reference)
+             scale_results
       in
-      let nproc = Zodiac_util.Parallel.recommended_jobs () in
+      let base_wall =
+        match scale_results with (_, _, w, _, _) :: _ -> w | [] -> nan
+      in
       let mb = function Some v -> Printf.sprintf "%.1f MB" v | None -> "n/a" in
       print_table
-        ~header:[ "workers"; "wall (s)"; "parent peak RSS"; "vs workers=1" ]
+        ~header:
+          [ "workers"; "jobs"; "wall (s)"; "speedup"; "parent peak RSS";
+            "vs workers=1" ]
         (List.map
-           (fun (w, wall, rss, f) ->
+           (fun (w, j, wall, rss, f) ->
              [
-               string_of_int w; f2 wall; mb rss;
+               string_of_int w; string_of_int j; f2 wall;
+               Printf.sprintf "%.2fx" (base_wall /. wall); mb rss;
                (if f = scale_reference then "identical" else "DIVERGED");
              ])
            scale_results);
       Printf.printf "host: %d recommended domains (nproc)\n" nproc;
-      (* (c) kill -9 / resume: a lone worker is killed mid-corpus; its
-         checkpoints survive, its claim (planted stale if it died
-         between shards) is stolen, and a two-worker resume mines
+      (* (c) kill -9 / resume: a two-worker kb fleet is killed mid-corpus;
+         its checkpoints survive, and a single-process resume mines
          exactly the unfinished shards to byte-identical finals. *)
       let n_kill = 3000 and shard_kill = 250 in
       let shards_kill = (n_kill + shard_kill - 1) / shard_kill in
       let dir = e20_fresh_dir "kill" in
       ignore (Cache.create ~dir ());
       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process bin
-          [|
-            bin; "mine-worker"; "--pass"; "kb"; "--projects";
-            string_of_int n_kill; "--jobs"; "1"; "--shard-size";
-            string_of_int shard_kill; "--cache-dir"; dir; "--stale-after";
-            "300";
-          |]
-          Unix.stdin devnull Unix.stderr
+      let pids =
+        List.map
+          (fun k ->
+            let argv =
+              bin :: e20_worker_args ~n:n_kill ~shard:shard_kill ~slice:(k, 2)
+                       ~dir
+            in
+            Unix.create_process bin (Array.of_list argv) Unix.stdin devnull
+              Unix.stderr)
+          [ 0; 1 ]
       in
       Unix.close devnull;
-      (* Wait for at least two checkpoints, then kill -9. *)
+      (* Wait for at least two checkpoints, then kill -9 both. *)
       let deadline = Unix.gettimeofday () +. 60. in
       let rec wait_for_progress () =
         if List.length (e20_kb_checkpoints dir) >= 2 then true
         else if Unix.gettimeofday () > deadline then false
         else begin
           Unix.sleepf 0.005;
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> wait_for_progress ()
-          | _ -> true (* finished before we could kill it *)
+          wait_for_progress ()
         end
       in
       let made_progress = wait_for_progress () in
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        pids;
       if not made_progress then begin
-        print_endline "E20: FAIL — killed worker checkpointed nothing in 60s";
+        print_endline "E20: FAIL — killed workers checkpointed nothing in 60s";
         exit 1
       end;
-      (* If the worker raced to completion, re-open some work so the
+      (* If the workers raced to completion, re-open some work so the
          resume still has shards to mine. *)
       let reopened =
         let done_now = e20_kb_checkpoints dir in
@@ -2519,66 +2510,28 @@ let e20 () =
         else false
       in
       let survivors = List.length (e20_kb_checkpoints dir) in
-      (* Guarantee a stale claim on some unfinished shard: the kill may
-         have landed between shards, leaving none behind. *)
-      let planted =
-        e20_claims dir = []
-        && (let rec first_open lo =
-              if lo >= n_kill then false
-              else
-                let hi = min n_kill (lo + shard_kill) in
-                let key =
-                  Pipeline.corpus_key
-                    {
-                      Pipeline.default_config with
-                      Pipeline.corpus_seed = 20240704;
-                    }
-                in
-                let ckey = Shard_stream.shard_key ~key ~lo ~hi in
-                let cache = Cache.create ~dir () in
-                if not (Cache.mem cache ~stage:"shard-kb" ~key:ckey) then
-                  e20_plant_stale_claim ~dir ~lo ~hi
-                else first_open hi
-            in
-            first_open 0)
-      in
-      let leftover_claims = List.length (e20_claims dir) in
       let _, resume_ok, resume_lines =
         e20_cli bin
-          (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:2
-             ~stale:0.05 ~dir)
+          (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:1 ~dir)
       in
-      let kb_fleet = e20_mproc resume_lines "kb" in
-      let ok_resume_counts =
-        match kb_fleet with
-        | Some (_, _, built, stolen) ->
-            built = shards_kill - survivors
-            && stolen >= min 1 leftover_claims
-        | None -> false
-      in
+      let resume_kb = e20_pass resume_lines "kb" in
       let ref_dir = e20_fresh_dir "kill-ref" in
       let _, ref_ok, _ =
         e20_cli bin
           (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:1
-             ~stale:300. ~dir:ref_dir)
+             ~dir:ref_dir)
       in
       let ok_kill =
-        resume_ok && ref_ok && ok_resume_counts
+        resume_ok && ref_ok
+        && resume_kb = Some (shards_kill, survivors, shards_kill - survivors)
         && e20_finals dir = e20_finals ref_dir
-        && e20_claims dir = []
       in
       Printf.printf
-        "kill -9 mid-mine: %d/%d shards survived (%d stale claims%s, work \
-         reopened: %b); 2-worker resume built %s, stole %s, finals identical: \
-         %b\n"
-        survivors shards_kill leftover_claims
-        (if planted then ", one planted" else "")
-        reopened
-        (match kb_fleet with
-        | Some (_, _, b, _) -> string_of_int b
-        | None -> "?")
-        (match kb_fleet with
-        | Some (_, _, _, s) -> string_of_int s
+        "kill -9 mid-mine: %d/%d shards survived (work reopened: %b); resume \
+         built %s, finals identical: %b\n"
+        survivors shards_kill reopened
+        (match resume_kb with
+        | Some (_, _, b) -> string_of_int b
         | None -> "?")
         ok_kill;
       rm_rf dir;
@@ -2616,10 +2569,11 @@ let e20 () =
                   ( "runs",
                     Json.List
                       (List.map
-                         (fun (w, wall, rss, f) ->
+                         (fun (w, j, wall, rss, f) ->
                            Json.Obj
                              [
                                ("workers", Json.Int w);
+                               ("jobs", Json.Int j);
                                ("wall_seconds", Json.Float wall);
                                ( "parent_peak_rss_mb",
                                  match rss with
@@ -2636,15 +2590,10 @@ let e20 () =
                   ("corpus_size", Json.Int n_kill);
                   ("shards", Json.Int shards_kill);
                   ("checkpoints_survived", Json.Int survivors);
-                  ("stale_claims", Json.Int leftover_claims);
-                  ("claim_planted", Json.Bool planted);
+                  ("work_reopened", Json.Bool reopened);
                   ( "resume_built",
-                    match kb_fleet with
-                    | Some (_, _, b, _) -> Json.Int b
-                    | None -> Json.Null );
-                  ( "resume_stolen",
-                    match kb_fleet with
-                    | Some (_, _, _, s) -> Json.Int s
+                    match resume_kb with
+                    | Some (_, _, b) -> Json.Int b
                     | None -> Json.Null );
                   ("finals_identical", Json.Bool ok_kill);
                 ] );
@@ -2766,12 +2715,15 @@ let e21 () =
   end
 
 (* The fast multi-process gate behind `smoke --mproc-only` (and part of
-   the full smoke): workers=2 ≡ workers=1 byte-identical finals, a
-   planted stale claim is stolen, and no claim files outlive a run.
+   the full smoke): workers=2 ≡ workers=1 byte-identical finals, a run
+   resumed over a partial checkpoint set (only slice 0/2 of the kb pass
+   ran) builds only the missing shards, and no run leaves a claim file.
    Falls back to the in-process worker entry point when the CLI binary
-   isn't on disk — same claim machinery, no fork. *)
+   isn't on disk — same slices, no fork. *)
 let smoke_mproc () =
   let n = 120 and shard = 40 in
+  (* 3 shards: slice 0/2 owns shards 0 and 2, slice 1/2 owns shard 1 *)
+  let shards = 3 in
   let fresh tag =
     let dir =
       Filename.concat (Filename.get_temp_dir_name ())
@@ -2780,28 +2732,34 @@ let smoke_mproc () =
     rm_rf dir;
     dir
   in
-  let d1 = fresh "w1" and d2 = fresh "w2" in
+  let no_claims dir =
+    not (Array.exists (fun f -> Filename.check_suffix f ".claim") (Sys.readdir dir))
+  in
+  let d1 = fresh "w1" and d2 = fresh "w2" and d3 = fresh "partial" in
   let ok =
     match zodiac_bin () with
     | Some bin ->
-        let _, ok1, _ =
-          e20_cli bin
-            (e20_mine_args ~n ~jobs:1 ~shard ~workers:1 ~stale:300. ~dir:d1)
+        let mine ~workers dir =
+          e20_cli bin (e20_mine_args ~n ~jobs:1 ~shard ~workers ~dir)
         in
-        ignore (Cache.create ~dir:d2 ());
-        let planted = e20_plant_stale_claim ~dir:d2 ~lo:0 ~hi:shard in
-        let _, ok2, lines =
-          e20_cli bin
-            (e20_mine_args ~n ~jobs:1 ~shard ~workers:2 ~stale:300. ~dir:d2)
+        let _, ok1, _ = mine ~workers:1 d1 in
+        let _, ok2, lines2 = mine ~workers:2 d2 in
+        let fleet_ok =
+          List.for_all
+            (fun pass ->
+              e20_fleet lines2 pass = Some (2, 0)
+              && e20_pass lines2 pass = Some (shards, shards, 0))
+            [ "kb"; "mine" ]
         in
-        let stolen =
-          match e20_mproc lines "kb" with
-          | Some (_, _, _, s) -> s
-          | None -> -1
+        let _, ok_worker, _ =
+          e20_cli bin (e20_worker_args ~n ~shard ~slice:(0, 2) ~dir:d3)
         in
-        ok1 && ok2 && planted && stolen >= 1
+        let _, ok3, lines3 = mine ~workers:1 d3 in
+        ok1 && ok2 && fleet_ok && ok_worker && ok3
+        && e20_pass lines3 "kb" = Some (shards, 2, 1)
         && e20_finals d2 = e20_finals d1
-        && e20_claims d1 = [] && e20_claims d2 = []
+        && e20_finals d3 = e20_finals d1
+        && no_claims d2 && no_claims d3
     | None ->
         let config ~dir =
           {
@@ -2812,34 +2770,42 @@ let smoke_mproc () =
             cache_dir = Some dir;
           }
         in
-        let w1 =
-          Pipeline.mine_streamed ~config:(config ~dir:d1) ~shard_size:shard ()
+        let worker ~dir pass k =
+          Pipeline.mine_worker ~config:(config ~dir) ~slice:(k, 2)
+            ~shard_size:shard ~pass ()
         in
-        ignore (Cache.create ~dir:d2 ());
-        let planted = e20_plant_stale_claim ~dir:d2 ~lo:0 ~hi:shard in
-        let kb_outcome =
-          Pipeline.mine_worker ~config:(config ~dir:d2) ~stale_after:300.
-            ~shard_size:shard ~pass:`Kb ()
+        let mine dir =
+          Pipeline.mine_streamed ~config:(config ~dir) ~shard_size:shard ()
         in
-        let mine_outcome =
-          Pipeline.mine_worker ~config:(config ~dir:d2) ~stale_after:300.
-            ~shard_size:shard ~pass:`Mine ()
+        let w1 = mine d1 in
+        let fleet_built =
+          List.concat_map (fun pass -> [ worker ~dir:d2 pass 0; worker ~dir:d2 pass 1 ])
+            [ `Kb; `Mine ]
         in
-        let w2 =
-          Pipeline.mine_streamed ~config:(config ~dir:d2) ~shard_size:shard ()
+        let w2 = mine d2 in
+        let partial_built = worker ~dir:d3 `Kb 0 in
+        let w3 = mine d3 in
+        let all_resumed =
+          { Shard_stream.shards; resumed = shards; built = 0 }
         in
-        planted
-        && kb_outcome.Shard_stream.w_stolen >= 1
-        && kb_outcome.Shard_stream.w_built + mine_outcome.Shard_stream.w_built
-           > 0
+        fleet_built = [ 2; 1; 2; 1 ]
+        && w2.Pipeline.s_kb_fold = all_resumed
+        && w2.Pipeline.s_mine_fold = all_resumed
+        && partial_built = 2
+        && w3.Pipeline.s_kb_fold
+           = { Shard_stream.shards; resumed = 2; built = 1 }
         && String.equal (streamed_funnel_bytes w1) (streamed_funnel_bytes w2)
+        && String.equal (streamed_funnel_bytes w1) (streamed_funnel_bytes w3)
         && e20_finals d2 = e20_finals d1
-        && e20_claims d1 = [] && e20_claims d2 = []
+        && e20_finals d3 = e20_finals d1
+        && no_claims d2 && no_claims d3
   in
   rm_rf d1;
   rm_rf d2;
+  rm_rf d3;
   Printf.printf
-    "mproc gate (%s): workers=2 ≡ workers=1 with a stolen stale claim: %b\n"
+    "mproc gate (%s): workers=2 ≡ workers=1, partial resume builds only the \
+     missing shards, no claim files: %b\n"
     (match zodiac_bin () with Some _ -> "forked CLI" | None -> "in-process")
     ok;
   ok
@@ -3113,7 +3079,7 @@ let smoke () =
     ok_trace ok_stream_corrupt;
   (* daemon round-trip: resident SARIF ≡ one-shot CLI, byte for byte *)
   let ok_serve = smoke_serve () in
-  (* multi-process mining: worker fleet ≡ single worker, stale steal *)
+  (* multi-process mining: worker fleet ≡ single worker, partial resume *)
   let ok_mproc = smoke_mproc () in
   (* provider seam: AWS session scans as AWS; bad --provider is a CLI error *)
   let ok_prov_stats, ok_prov_scan, ok_prov_cli = smoke_provider () in

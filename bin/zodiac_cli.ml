@@ -189,25 +189,13 @@ let workers_arg =
     & opt int 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Fork $(docv) worker processes that mine disjoint shards of the \
-           corpus in parallel into the shared --cache-dir, claiming shards \
-           dynamically through atomic claim files (work stealing, crash \
-           tolerance: a killed worker's claims expire and survivors re-mine \
-           only its unfinished shards). Requires --shard-size and the \
-           cache. The parent merges the per-shard checkpoints; artifacts \
-           are byte-identical to --workers 1 for every (workers, jobs, \
+          "Spawn $(docv) worker processes per pass that mine the corpus's \
+           shards in parallel into the shared --cache-dir: worker K takes \
+           every shard whose index is K mod $(docv). Requires --shard-size \
+           and the cache. The parent then merges the per-shard checkpoints \
+           and rebuilds inline any shard a dead worker left; artifacts are \
+           byte-identical to --workers 1 for every (workers, jobs, \
            shard-size) combination.")
-
-let stale_after_arg =
-  Arg.(
-    value
-    & opt float 300.0
-    & info [ "stale-after" ] ~docv:"SECONDS"
-        ~doc:
-          "Treat another worker's shard claim as abandoned once it is older \
-           than $(docv) seconds and take it over. Must exceed the worst \
-           single-shard mining time, or live workers steal each other's \
-           shards (harmless — work is duplicated, results unchanged).")
 
 (* Per-shard progress for long multi-worker runs: tty-only (stderr), so
    redirected/test runs keep byte-stable output. Elapsed and peak RSS
@@ -231,23 +219,21 @@ let progress_of () =
           rss)
 
 let mine_cmd =
-  let run verbose provider seed size jobs cache trace limit shard_size workers
-      stale_after =
+  let run verbose provider seed size jobs cache trace limit shard_size workers =
     setup_logs verbose;
     let telemetry = telemetry_of trace in
     let config = config_of ~jobs ?cache_dir:cache ~provider seed size in
     if workers > 1 && (shard_size <= 0 || Option.is_none cache) then begin
       prerr_endline
         "zodiac: --workers N requires --shard-size and an enabled cache \
-         (shard claims and checkpoints live in --cache-dir)";
+         (shard checkpoints live in --cache-dir)";
       exit 2
     end;
     if shard_size > 0 then begin
       (* Workers re-exec this binary in the hidden worker mode with the
-         exact mining parameters; only coordination knobs (stale-after)
-         travel separately, so a worker's shard bytes are the parent's
-         by construction. *)
-      let worker_command pass =
+         exact mining parameters plus their slice of the shard plan, so
+         a worker's shard bytes are the parent's by construction. *)
+      let worker_command ~pass ~slice:(k, n) =
         [|
           Sys.executable_name;
           "mine-worker";
@@ -265,8 +251,8 @@ let mine_cmd =
           string_of_int shard_size;
           "--cache-dir";
           Option.get cache;
-          "--stale-after";
-          Printf.sprintf "%.6f" stale_after;
+          "--slice";
+          Printf.sprintf "%d/%d" k n;
         |]
       in
       let streamed =
@@ -300,15 +286,15 @@ let mine_cmd =
     Term.(
       const run $ verbose_arg $ provider_arg $ seed_arg $ size_arg 800
       $ jobs_arg $ cache_term $ trace_arg $ limit $ shard_size_arg
-      $ workers_arg $ stale_after_arg)
+      $ workers_arg)
 
 (* ---- mine-worker (hidden) ------------------------------------------- *)
 
-(* The re-exec target behind [mine --workers N]: claim and checkpoint
-   shards of one pass into the shared cache dir, print one summary
-   line, exit. Never invoked by hand — the parent constructs the argv. *)
+(* The re-exec target behind [mine --workers N]: checkpoint one slice
+   of one pass's shards into the shared cache dir, exit. Never invoked
+   by hand — the parent constructs the argv. *)
 let mine_worker_cmd =
-  let run verbose provider seed size jobs cache shard_size pass stale_after =
+  let run verbose provider seed size jobs cache shard_size pass slice =
     setup_logs verbose;
     match cache with
     | None ->
@@ -318,9 +304,9 @@ let mine_worker_cmd =
         let config = config_of ~jobs ?cache_dir:cache ~provider seed size in
         let pass = if String.equal pass "kb" then `Kb else `Mine in
         match
-          Zodiac.Pipeline.mine_worker ~config ~stale_after ~shard_size ~pass ()
+          Zodiac.Pipeline.mine_worker ~config ~slice ~shard_size ~pass ()
         with
-        | outcome -> print_endline (Zodiac.Pipeline.worker_summary outcome)
+        | _built -> ()
         | exception Invalid_argument msg ->
             prerr_endline ("zodiac: " ^ msg);
             exit 2)
@@ -332,15 +318,24 @@ let mine_worker_cmd =
       & info [ "pass" ] ~docv:"PASS"
           ~doc:"Which streamed pass to checkpoint shards for (kb or mine).")
   in
+  let slice_arg =
+    Arg.(
+      value
+      & opt (pair ~sep:'/' int int) (0, 1)
+      & info [ "slice" ] ~docv:"K/N"
+          ~doc:
+            "Checkpoint only the shards whose index is K mod N (the \
+             default 0/1 takes every shard).")
+  in
   Cmd.v
     (Cmd.info "mine-worker"
        ~doc:
-         "(internal) Shard worker for $(b,mine --workers): claims and \
-          checkpoints shards into the shared cache, then exits. Spawned by \
+         "(internal) Shard worker for $(b,mine --workers): checkpoints its \
+          slice of the shards into the shared cache, then exits. Spawned by \
           the parent mine process; not intended for direct use.")
     Term.(
       const run $ verbose_arg $ provider_arg $ seed_arg $ size_arg 800
-      $ jobs_arg $ cache_term $ shard_size_arg $ pass_arg $ stale_after_arg)
+      $ jobs_arg $ cache_term $ shard_size_arg $ pass_arg $ slice_arg)
 
 (* ---- validate ------------------------------------------------------- *)
 

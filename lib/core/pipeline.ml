@@ -86,7 +86,7 @@ let dedup_checks checks =
 
 (* ---- staged execution ----------------------------------------------
    The two cacheable artifacts, the KB statistics and the mined
-   candidate set, are [Stage.t]s run through [Stage.run], keyed by a
+   candidate set, are folds run through [Stage.run], keyed by a
    fingerprint of everything they depend on. Every other phase (corpus,
    materialize, filter, oracle, validate, counterexample) is a plain
    telemetry span over pure compute. Artifacts are byte-identical for
@@ -212,8 +212,8 @@ let empty_validation =
 
    [mine --shard-size N] generates, materializes and counts the corpus
    shard by shard, never holding it whole; [mine_only] and [run] fold
-   their in-memory corpus as one shard. Both passes are
-   [Stage.streamed] stages whose final artifacts are byte-identical for
+   their in-memory corpus as one shard. Both passes run through
+   [Stage.run], and their final artifacts are byte-identical for
    every plan by the monoid contract. A multi-shard plan checkpoints
    every shard under its own stage namespace ("shard-kb"/"shard-mine"),
    so a killed run resumes by re-counting only unfinished shards, and
@@ -221,24 +221,9 @@ let empty_validation =
    accumulated tables. A one-shard plan checkpoints nothing: its only
    shard's value is the final artifact. *)
 
-type mproc = {
-  m_workers : int;
-  m_claimed : int;
-  m_built : int;
-  m_stolen : int;
-  m_waits : int;
-  m_failed : int;
-}
+type fleet = { spawned : int; failed : int }
 
-let no_fleet =
-  {
-    m_workers = 0;
-    m_claimed = 0;
-    m_built = 0;
-    m_stolen = 0;
-    m_waits = 0;
-    m_failed = 0;
-  }
+let no_fleet = { spawned = 0; failed = 0 }
 
 type streamed = {
   s_config : config;
@@ -251,8 +236,8 @@ type streamed = {
   s_candidates : Check.t list;
   s_kb_fold : Shard_stream.outcome;
   s_mine_fold : Shard_stream.outcome;
-  s_kb_mproc : mproc;
-  s_mine_mproc : mproc;
+  s_kb_fleet : fleet;
+  s_mine_fleet : fleet;
   s_cache_stats : Cache.stats;
 }
 
@@ -279,101 +264,40 @@ let shard_mine_key config =
     [ tables_key config; string_of_bool config.mining.Miner.use_kb ]
 
 (* ---- multi-process worker fleet ------------------------------------
-   [mine --workers N] forks N children (a re-exec of the current
-   binary in the hidden worker mode, argv supplied by the caller) per
-   pass of a multi-shard plan. Children never merge and never talk to
-   each other: they race to claim and checkpoint shards into the shared
-   cache dir ({!Shard_stream.fold_worker}), print one summary line on
-   stdout and exit. The parent then runs the ordinary resumed fold —
-   the merge pass — which also rebuilds inline any shard a crashed
-   worker left unfinished, so artifacts are byte-identical to
-   [--workers 1] regardless of worker fates. *)
-
-let worker_summary (o : Shard_stream.worker_outcome) =
-  Printf.sprintf "mproc-worker claimed=%d built=%d stolen=%d waits=%d"
-    o.Shard_stream.w_claimed o.Shard_stream.w_built o.Shard_stream.w_stolen
-    o.Shard_stream.w_waits
-
-let parse_worker_summary line =
-  match
-    Scanf.sscanf line "mproc-worker claimed=%d built=%d stolen=%d waits=%d"
-      (fun c b s w ->
-        {
-          Shard_stream.w_claimed = c;
-          w_built = b;
-          w_stolen = s;
-          w_waits = w;
-        })
-  with
-  | outcome -> Some outcome
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+   [mine --workers N] spawns N children per pass of a multi-shard plan
+   (a re-exec of the current binary in the hidden worker mode, argv
+   supplied by the caller; [Unix.fork] is off-limits once a domain has
+   existed). Child K checkpoints the shards whose index is K mod N into
+   the shared cache dir ({!Shard_stream.fold_worker}) and exits; the
+   children never talk to each other or to the parent. The parent waits
+   for their exit statuses, then runs the ordinary resumed fold, the
+   merge pass, which also rebuilds inline any shard a crashed worker
+   left, so artifacts are byte-identical to [--workers 1] regardless
+   of worker fates. *)
 
 let run_fleet ~telemetry ~pass ~workers ~worker_command =
   match worker_command with
   | Some cmd when workers > 1 ->
-      let argv = cmd pass in
-      Telemetry.with_span telemetry ("mproc." ^ pass) (fun () ->
-          let clock =
-            if Telemetry.deterministic telemetry then None
-            else Some Unix.gettimeofday
+      Telemetry.with_span telemetry ("fleet." ^ pass) (fun () ->
+          (* A worker's stdout goes to stderr: the parent's stdout is
+             its report. *)
+          let pids =
+            List.init workers (fun k ->
+                let argv = cmd ~pass ~slice:(k, workers) in
+                Unix.create_process argv.(0) argv Unix.stdin Unix.stderr
+                  Unix.stderr)
           in
-          let t0 = Option.map (fun c -> c ()) clock in
-          let children =
-            List.init workers (fun _ ->
-                let r, w = Unix.pipe () in
-                let pid =
-                  Unix.create_process argv.(0) argv Unix.stdin w Unix.stderr
-                in
-                Unix.close w;
-                (pid, r))
-          in
-          let fleet =
+          let failed =
             List.fold_left
-              (fun (i, acc) (pid, r) ->
-                let ic = Unix.in_channel_of_descr r in
-                let rec lines acc =
-                  match input_line ic with
-                  | line -> lines (line :: acc)
-                  | exception End_of_file -> acc
-                in
-                let summary = List.find_map parse_worker_summary (lines []) in
-                close_in_noerr ic;
-                let status = snd (Unix.waitpid [] pid) in
-                (match (clock, t0) with
-                | Some c, Some t0 ->
-                    Telemetry.note telemetry
-                      (Printf.sprintf "worker%d.wall_seconds" i)
-                      (Printf.sprintf "%.3f" (c () -. t0))
-                | _ -> ());
-                let acc =
-                  match (status, summary) with
-                  | Unix.WEXITED 0, Some o ->
-                      {
-                        acc with
-                        m_claimed = acc.m_claimed + o.Shard_stream.w_claimed;
-                        m_built = acc.m_built + o.Shard_stream.w_built;
-                        m_stolen = acc.m_stolen + o.Shard_stream.w_stolen;
-                        m_waits = acc.m_waits + o.Shard_stream.w_waits;
-                      }
-                  | _ ->
-                      (* A dead or mute worker costs nothing but its
-                         unfinished shards, which the merge fold
-                         re-mines. *)
-                      { acc with m_failed = acc.m_failed + 1 }
-                in
-                (i + 1, acc))
-              (0, { no_fleet with m_workers = workers })
-              children
-            |> snd
+              (fun failed pid ->
+                match snd (Unix.waitpid [] pid) with
+                | Unix.WEXITED 0 -> failed
+                | _ -> failed + 1)
+              0 pids
           in
-          Telemetry.count telemetry "mproc.workers" fleet.m_workers;
-          Telemetry.count telemetry "mproc.claimed" fleet.m_claimed;
-          Telemetry.count telemetry "mproc.built" fleet.m_built;
-          Telemetry.count telemetry "mproc.stolen" fleet.m_stolen;
-          Telemetry.count telemetry "mproc.waits" fleet.m_waits;
-          if fleet.m_failed > 0 then
-            Telemetry.count telemetry "mproc.failed" fleet.m_failed;
-          fleet)
+          Telemetry.count telemetry "fleet.workers" workers;
+          if failed > 0 then Telemetry.count telemetry "fleet.failed" failed;
+          { spawned = workers; failed })
   | _ -> no_fleet
 
 (* Bounded-memory mode trades a little GC CPU for a flat footprint:
@@ -394,9 +318,7 @@ let kb_fold ?cache ?telemetry ?on_shard config ~load ~shard_size =
     ~init:(Kb.stats_of_projects ~jobs [])
     ~total:config.corpus_size ~shard_size ()
 
-let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
-    ~pass () =
-  let telemetry = Option.value telemetry ~default:Telemetry.null in
+let mine_worker ?(config = default_config) ~slice ~shard_size ~pass () =
   let cache =
     match cache_of config with
     | Some c -> c
@@ -408,7 +330,7 @@ let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
   let load = shard_load config in
   match pass with
   | `Kb ->
-      Shard_stream.fold_worker ~cache ~telemetry ?stale_after ~stage:"shard-kb"
+      Shard_stream.fold_worker ~cache ~slice ~stage:"shard-kb"
         ~key:(corpus_key config) ~write:Kb.write_stats ~load
         ~count:(Kb.stats_of_projects ~jobs) ~total:n ~shard_size ()
   | `Mine ->
@@ -422,12 +344,11 @@ let mine_worker ?(config = default_config) ?telemetry ?stale_after ~shard_size
             Kb.read_stats
         with
         | Some stats -> stats
-        | None -> fst (kb_fold ~cache ~telemetry config ~load ~shard_size)
+        | None -> fst (kb_fold ~cache config ~load ~shard_size)
       in
       let kb = Kb.finalize ~provider:config.provider stats in
-      Shard_stream.fold_worker ~cache ~telemetry ?stale_after
-        ~stage:"shard-mine" ~key:(shard_mine_key config)
-        ~write:Miner.write_tables ~load
+      Shard_stream.fold_worker ~cache ~slice ~stage:"shard-mine"
+        ~key:(shard_mine_key config) ~write:Miner.write_tables ~load
         ~count:(Miner.count_tables ~provider:config.provider ~jobs config.mining kb)
         ~total:n ~shard_size ()
 
@@ -448,47 +369,42 @@ let mine_folds ~config ~telemetry ~workers ~worker_command ~progress ~load
   (* Shard checkpoints and worker fleets only for a multi-shard plan. A
      warm final-artifact hit never reaches the fold, so no workers spawn
      on warm runs. *)
-  let checkpoints cache = if multi then cache else None in
-  let fleet ~telemetry pass =
+  let checkpoints = if multi then cache else None in
+  let fleet pass =
     if multi then run_fleet ~telemetry ~pass ~workers ~worker_command
     else no_fleet
   in
   let kb_fold_outcome = ref Shard_stream.no_shards in
-  let kb_mproc = ref no_fleet in
-  let kb_stats_stage =
-    (* Shard checkpoints key on corpus identity + range only (no total
-       size): a shard counted during a 10k-project run resumes a later
-       100k-project run unchanged. *)
-    Stage.streamed ~name:"kb" ~key:(corpus_key config) ~size:n
-      ~artifact:Kb.stats_artifact
-      (fun ~cache ~telemetry ~jobs:_ ->
+  let kb_fleet = ref no_fleet in
+  (* Shard checkpoints key on corpus identity + range only (no total
+     size): a shard counted during a 10k-project run resumes a later
+     100k-project run unchanged. *)
+  let stats =
+    Stage.run ?cache ~telemetry ~jobs ~name:"kb" ~key:(corpus_key config)
+      ~size:n ~artifact:Kb.stats_artifact (fun () ->
         (* Fleet first (workers checkpoint every shard into the shared
            cache), then the resumed fold merges them in shard order —
            and rebuilds any shard the fleet left behind. *)
-        kb_mproc := fleet ~telemetry "kb";
+        kb_fleet := fleet "kb";
         let stats, outcome =
-          kb_fold ?cache:(checkpoints cache) ~telemetry
+          kb_fold ?cache:checkpoints ~telemetry
             ?on_shard:(on_shard "kb") config ~load ~shard_size
         in
         kb_fold_outcome := outcome;
         stats)
   in
-  let kb =
-    Kb.finalize ~provider:config.provider
-      (Stage.run ?cache ~telemetry ~jobs kb_stats_stage)
-  in
+  let kb = Kb.finalize ~provider:config.provider stats in
   let mine_fold_outcome = ref Shard_stream.no_shards in
-  let mine_mproc = ref no_fleet in
-  let mined_stage =
-    Stage.streamed ~name:"mine" ~key:(mine_key config)
-      ~artifact:Candidate.list_artifact
-      (fun ~cache ~telemetry ~jobs:_ ->
-        mine_mproc := fleet ~telemetry "mine";
+  let mine_fleet = ref no_fleet in
+  let mined =
+    Stage.run ?cache ~telemetry ~jobs ~name:"mine" ~key:(mine_key config)
+      ~artifact:Candidate.list_artifact (fun () ->
+        mine_fleet := fleet "mine";
         let count =
           Miner.count_tables ~provider:config.provider ~jobs config.mining kb
         in
         let tables, outcome =
-          Shard_stream.fold ?cache:(checkpoints cache) ~telemetry
+          Shard_stream.fold ?cache:checkpoints ~telemetry
             ?on_shard:(on_shard "mine") ~stage:"shard-mine"
             ~key:(shard_mine_key config) ~write:Miner.write_tables
             ~read:Miner.read_tables ~load ~count ~merge:Miner.merge_tables
@@ -497,7 +413,6 @@ let mine_folds ~config ~telemetry ~workers ~worker_command ~progress ~load
         mine_fold_outcome := outcome;
         Miner.emit_tables config.mining kb tables)
   in
-  let mined = Stage.run ?cache ~telemetry ~jobs mined_stage in
   let filtered, llm_refined, llm_rejected, candidates =
     refine ~telemetry config mined
   in
@@ -512,8 +427,8 @@ let mine_folds ~config ~telemetry ~workers ~worker_command ~progress ~load
     s_candidates = candidates;
     s_kb_fold = !kb_fold_outcome;
     s_mine_fold = !mine_fold_outcome;
-    s_kb_mproc = !kb_mproc;
-    s_mine_mproc = !mine_mproc;
+    s_kb_fleet = !kb_fleet;
+    s_mine_fleet = !mine_fleet;
     s_cache_stats = cache_stats_of cache;
   }
 

@@ -94,12 +94,6 @@ val mine_only :
     materializes the corpus whole, then mines it through the same
     folds as {!mine_streamed} with a one-shard plan. *)
 
-val corpus_key : config -> string
-(** Content address of the generated corpus (seed and violation rate;
-    size-independent) — also the [key] under which the streamed KB pass
-    shards, checkpoints and claims (stage ["shard-kb"]). Exposed so
-    benches can plant or inspect claim files for specific shards. *)
-
 (** {2 Streaming shard pipeline}
 
     The bounded-memory way to mine corpora too large to materialize:
@@ -117,18 +111,13 @@ val corpus_key : config -> string
     artifacts are byte-identical for every shard size and [jobs]
     value, and share their cache addresses with {!mine_only}. *)
 
-type mproc = {
-  m_workers : int;  (** worker processes spawned for the pass *)
-  m_claimed : int;  (** shard claims won across the fleet *)
-  m_built : int;  (** shards counted and checkpointed by workers *)
-  m_stolen : int;  (** claims taken over from stale holders *)
-  m_waits : int;  (** poll sleeps spent waiting on siblings *)
-  m_failed : int;  (** workers that died or reported no summary *)
+type fleet = {
+  spawned : int;  (** worker processes spawned for the pass *)
+  failed : int;  (** workers that exited nonzero or were killed *)
 }
-(** Aggregated worker-fleet accounting for one streamed pass
-    ({!no_fleet} when the pass ran single-process or was warm). *)
-
-val no_fleet : mproc
+(** Worker-fleet accounting for one streamed pass (all zero when the
+    pass ran single-process or was warm). Per-shard accounting is the
+    merge fold's [resumed]/[built] counts. *)
 
 type streamed = {
   s_config : config;
@@ -144,8 +133,8 @@ type streamed = {
           when the final KB artifact was already cached) *)
   s_mine_fold : Zodiac_util.Shard_stream.outcome;
       (** miner-table pass accounting, same convention *)
-  s_kb_mproc : mproc;  (** KB-pass worker fleet ({!no_fleet} when none) *)
-  s_mine_mproc : mproc;  (** mine-pass worker fleet, same convention *)
+  s_kb_fleet : fleet;  (** KB-pass worker fleet (all zero when none) *)
+  s_mine_fleet : fleet;  (** mine-pass worker fleet, same convention *)
   s_cache_stats : Zodiac_util.Cache.stats;
 }
 
@@ -153,7 +142,7 @@ val mine_streamed :
   ?config:config ->
   ?telemetry:Zodiac_util.Telemetry.t ->
   ?workers:int ->
-  ?worker_command:(string -> string array) ->
+  ?worker_command:(pass:string -> slice:int * int -> string array) ->
   ?progress:(pass:string -> index:int -> shards:int -> built:bool -> unit) ->
   shard_size:int ->
   unit ->
@@ -168,20 +157,21 @@ val mine_streamed :
 
     With [workers > 1], a [worker_command] and a plan of more than one
     shard (all required — otherwise the fleet is inert), each streamed
-    pass first spawns that many child
-    processes running [worker_command pass] (the argv of a re-exec of
-    the current binary in worker mode, [pass] being ["kb"] or
-    ["mine"]), which race to claim and checkpoint shards into the
-    shared [config.cache_dir] (see {!Zodiac_util.Shard_stream.fold_worker});
-    the parent waits for the fleet, then its own resumed fold becomes
-    the merge pass — combining the per-shard monoid checkpoints in
-    shard order and rebuilding inline anything a killed worker left
-    unfinished. Artifacts are byte-identical to [workers = 1] and to
-    the one-shard plan for every [(workers, jobs, shard_size)]
-    combination; fleets never spawn when the pass's final artifact is
-    already cached. Fleet accounting lands in [s_kb_mproc]/
-    [s_mine_mproc] and in [mproc.*] telemetry counters under the
-    [mproc.kb]/[mproc.mine] spans.
+    pass first spawns [workers] child processes, child [k] running
+    [worker_command ~pass ~slice:(k, workers)] (the argv of a re-exec
+    of the current binary in worker mode, [pass] being ["kb"] or
+    ["mine"]). Child [k] checkpoints the shards whose index is [k] mod
+    [workers] into the shared [config.cache_dir] (see
+    {!Zodiac_util.Shard_stream.fold_worker}) and exits. The parent
+    waits for every exit status, then its own resumed fold becomes the
+    merge pass: it combines the per-shard monoid checkpoints in shard
+    order and rebuilds inline any shard a dead worker left. Artifacts
+    are byte-identical to [workers = 1] and to the one-shard plan for
+    every [(workers, jobs, shard_size)] combination; fleets never spawn
+    when the pass's final artifact is already cached. Fleet accounting
+    lands in [s_kb_fleet]/[s_mine_fleet] and in the [fleet.workers]
+    (and, when nonzero, [fleet.failed]) telemetry counters under the
+    [fleet.kb]/[fleet.mine] spans.
 
     [progress] fires after each shard the parent merges — an
     observability hook (the CLI's tty progress lines), never part of
@@ -189,32 +179,20 @@ val mine_streamed :
 
 val mine_worker :
   ?config:config ->
-  ?telemetry:Zodiac_util.Telemetry.t ->
-  ?stale_after:float ->
+  slice:int * int ->
   shard_size:int ->
   pass:[ `Kb | `Mine ] ->
   unit ->
-  Zodiac_util.Shard_stream.worker_outcome
+  int
 (** The child-process entry point behind the hidden CLI worker verb:
-    checkpoint shards of [pass] into [config.cache_dir] (required —
-    raises [Invalid_argument] without one) until every shard of the
-    plan is checkpointed, claiming each through the cache's claim
-    files; [stale_after] bounds how long a dead sibling's claim can
-    block a shard. The [`Mine] pass loads the finalized KB from the
-    shared cache (final artifact or checkpoint fold — complete by the
-    time the parent spawns mine workers). Returns this worker's
-    claim/build accounting; it never merges and never writes final
-    artifacts. *)
-
-val worker_summary : Zodiac_util.Shard_stream.worker_outcome -> string
-(** The one-line summary a worker process prints on stdout
-    ([mproc-worker claimed=… built=… stolen=… waits=…]) for the parent
-    to aggregate. *)
-
-val parse_worker_summary :
-  string -> Zodiac_util.Shard_stream.worker_outcome option
-(** Inverse of {!worker_summary} — exposed for benches that inspect a
-    worker's own accounting. *)
+    with [slice = (k, n)], checkpoint into [config.cache_dir] every
+    shard of [pass] whose index is [k] mod [n] and that has no
+    checkpoint yet, then return how many shards it built. A cache
+    directory is required ([Invalid_argument] without one, or for a
+    slice outside [0 <= k < n]). The [`Mine] pass loads the finalized
+    KB from the shared cache (final artifact or checkpoint fold —
+    complete by the time the parent spawns mine workers). It never
+    merges and never writes final artifacts. *)
 
 type violation_report = {
   project : string;

@@ -133,23 +133,18 @@ let streamed_summary (s : Pipeline.streamed) =
       Printf.sprintf "  %s pass: %d shards (%d resumed from checkpoints, %d built)"
         name o.Shard_stream.shards o.Shard_stream.resumed o.Shard_stream.built
   in
-  (* Worker-fleet accounting: a distinct prefix ("mproc kb:", never
-     "kb pass:") so line-oriented report parsers keep matching the fold
-     lines they matched before multi-process mining existed. *)
-  let mproc_lines =
+  (* A distinct prefix ("kb fleet:", never "kb pass:") so line-oriented
+     report parsers keep matching the fold lines. *)
+  let fleet_lines =
     List.concat_map
-      (fun (name, (m : Pipeline.mproc)) ->
-        if m.Pipeline.m_workers = 0 then []
+      (fun (name, (f : Pipeline.fleet)) ->
+        if f.Pipeline.spawned = 0 then []
         else
           [
-            Printf.sprintf
-              "  mproc %s: workers=%d claimed=%d built=%d stolen=%d%s" name
-              m.Pipeline.m_workers m.Pipeline.m_claimed m.Pipeline.m_built
-              m.Pipeline.m_stolen
-              (if m.Pipeline.m_failed = 0 then ""
-               else Printf.sprintf " failed=%d" m.Pipeline.m_failed);
+            Printf.sprintf "  %s fleet: %d workers, %d failed" name
+              f.Pipeline.spawned f.Pipeline.failed;
           ])
-      [ ("kb", s.Pipeline.s_kb_mproc); ("mine", s.Pipeline.s_mine_mproc) ]
+      [ ("kb", s.Pipeline.s_kb_fleet); ("mine", s.Pipeline.s_mine_fleet) ]
   in
   String.concat "\n"
     ([
@@ -160,7 +155,7 @@ let streamed_summary (s : Pipeline.streamed) =
        fold_line "kb" s.Pipeline.s_kb_fold;
        fold_line "mine" s.Pipeline.s_mine_fold;
      ]
-    @ mproc_lines
+    @ fleet_lines
     @ funnel_lines ~kb:s.Pipeline.s_kb ~mined:s.Pipeline.s_mined
         ~filtered:s.Pipeline.s_filtered ~llm_refined:s.Pipeline.s_llm_refined
         ~llm_rejected:s.Pipeline.s_llm_rejected

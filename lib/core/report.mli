@@ -29,7 +29,8 @@ val stats_section : ?telemetry:Zodiac_util.Telemetry.t -> Pipeline.artifacts -> 
     counters or artifacts. *)
 
 val streamed_summary : Pipeline.streamed -> string
-(** The streamed-mining funnel: shard/resume accounting per pass, the
-    mining funnel counts, cache accounting and peak RSS. *)
+(** The streamed-mining funnel: shard/resume accounting per pass (plus
+    the worker fleet's size and failures, when one ran), the mining
+    funnel counts, cache accounting and peak RSS. *)
 
 val full : ?telemetry:Zodiac_util.Telemetry.t -> Pipeline.artifacts -> string

@@ -83,63 +83,3 @@ let stats t =
     writes = t.c_writes;
     write_failures = t.c_write_failures;
   }
-
-(* ---- claim files ---------------------------------------------------
-   Multi-process coordination: a claim is an [O_CREAT|O_EXCL]-created
-   marker file in the cache directory — exactly one creator wins, with
-   no locks and no server. A claim that outlives [stale_after] seconds
-   (its holder was killed) can be taken over: the contender atomically
-   renames the stale file aside (exactly one renamer succeeds; the
-   losers see ENOENT and fall back to the normal create race) and then
-   re-enters the create race for the now-vacant name. A takeover racing
-   a live-but-slow holder at worst duplicates work; it can never
-   corrupt results, because artifact stores are tmp+rename atomic and
-   deterministic — the race only decides WHO builds, never WHAT. *)
-
-type claim = Claimed of { stolen : bool } | Busy
-
-let claim_path t ~name = Filename.concat t.c_dir (name ^ ".claim")
-
-let try_create path owner =
-  match
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-  with
-  | exception Unix.Unix_error _ -> false
-  | fd ->
-      (try
-         ignore (Unix.write_substring fd owner 0 (String.length owner))
-       with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      true
-
-let claim_age path =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> None
-  | st -> Some (Unix.gettimeofday () -. st.Unix.st_mtime)
-
-let try_claim ?stale_after t ~name ~owner =
-  let path = claim_path t ~name in
-  if try_create path owner then Claimed { stolen = false }
-  else
-    let stale =
-      match (stale_after, claim_age path) with
-      | Some limit, Some age -> age > limit
-      | _ -> false
-    in
-    if not stale then Busy
-    else
-      (* Rename-aside: atomic, single-winner. The unique destination
-         (owner names embed the pid) means contenders never clobber
-         each other's aside files. *)
-      let aside = Printf.sprintf "%s.%s.stale" path owner in
-      match Unix.rename path aside with
-      | exception Unix.Unix_error _ ->
-          (* Someone else took it over (or the holder released between
-             our two looks): one more shot at the vacant name. *)
-          if try_create path owner then Claimed { stolen = false } else Busy
-      | () ->
-          (try Unix.unlink aside with Unix.Unix_error _ -> ());
-          if try_create path owner then Claimed { stolen = true } else Busy
-
-let release t ~name =
-  try Unix.unlink (claim_path t ~name) with Unix.Unix_error _ -> ()

@@ -10,9 +10,12 @@
     codec version or a stage mismatch simply reads back as [None]
     (counted as a miss), so the caller always falls back to a cold
     rebuild. Writes go through a temp file and [Sys.rename], so a
-    crashed run never leaves a half-written entry behind. All failures
-    to write (read-only dir, disk full) are swallowed: the cache is an
-    accelerator, never a correctness dependency. *)
+    crashed run never leaves a half-written entry behind. That also
+    lets several processes share one directory: the [mine --workers]
+    fleet writes disjoint shard checkpoints into it, and each entry
+    appears whole or not at all. All failures to write (read-only dir,
+    disk full) are swallowed: the cache is an accelerator, never a
+    correctness dependency. *)
 
 type t
 
@@ -48,36 +51,3 @@ val mem : ?size:int -> t -> stage:string -> key:string -> bool
 
 val stats : t -> stats
 (** Hit/miss/write counters accumulated on this handle. *)
-
-(** {2 Claim files}
-
-    Advisory shard claims for multi-process mining: cooperating
-    processes folding into the same cache directory use claim files to
-    decide who builds which shard. A claim is created atomically
-    ([O_CREAT|O_EXCL] — exactly one winner), released by unlink, and —
-    when its holder was [kill -9]'d — taken over once it is older than
-    a caller-chosen deadline, via an atomic rename-aside that admits
-    exactly one contender to the re-create race.
-
-    Claims are {e advisory}: they only arbitrate who does the work.
-    Correctness never depends on them — artifact stores are atomic and
-    deterministic, so a takeover racing a live holder at worst builds
-    the same bytes twice. *)
-
-type claim =
-  | Claimed of { stolen : bool }
-      (** the claim is ours; [stolen] when taken over from a stale
-          holder rather than freshly created *)
-  | Busy  (** another live process holds it *)
-
-val try_claim : ?stale_after:float -> t -> name:string -> owner:string -> claim
-(** Try to claim [name] for [owner] (an identifying string — embed the
-    pid so owners are unique per process). With [stale_after], an
-    existing claim older than that many seconds is taken over. *)
-
-val release : t -> name:string -> unit
-(** Drop the claim on [name] (idempotent, never fails). *)
-
-val claim_path : t -> name:string -> string
-(** On-disk path of [name]'s claim file — exposed for tests and for
-    benches that inspect lingering claims after a kill. *)

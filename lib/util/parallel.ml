@@ -126,6 +126,3 @@ let mapi ?jobs f xs =
       end
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs
-
-let map_reduce ?jobs ~map:f ~merge ~init xs =
-  List.fold_left merge init (map ?jobs f xs)

@@ -51,14 +51,6 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
     {!map}. The index passed to [f] is the element's position in [xs],
     independent of chunking. *)
 
-val map_reduce :
-  ?jobs:int -> map:('a -> 'b) -> merge:('c -> 'b -> 'c) -> init:'c -> 'a list -> 'c
-(** [map_reduce ~jobs ~map ~merge ~init xs] maps every element and folds the
-    results {e in input order}: the result equals
-    [List.fold_left merge init (List.map map xs)]. Only the [map] phase runs
-    in parallel; [merge] runs sequentially in the calling domain, so it may
-    freely mutate an accumulator. *)
-
 val chunks : ?jobs:int -> 'a list -> 'a list list
 (** [chunks ~jobs xs] is the deterministic chunking {!map} uses internally:
     contiguous slices, in order, concatenating back to [xs], with boundaries

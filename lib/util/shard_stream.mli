@@ -14,7 +14,9 @@
     are loaded (never re-generated, never re-counted) and only the
     unfinished ones are rebuilt. A corrupted or stale checkpoint reads
     back as a miss and that shard is rebuilt — the PR-3 corruption
-    guarantee, per shard.
+    guarantee, per shard. {!fold_worker} is the multi-process side: a
+    worker process checkpoints one fixed slice of the plan and never
+    merges; the parent's {!fold} then merges every checkpoint.
 
     Correctness contract: [merge] must be an exact monoid over
     contiguous groupings — [fold] with any [shard_size] (and any mix of
@@ -42,11 +44,6 @@ val shard_key : key:string -> lo:int -> hi:int -> string
 (** The checkpoint cache key of the shard [\[lo, hi)] under the
     stream-wide [key] — exposed so tests and benches can address
     individual checkpoint entries. *)
-
-val claim_name : stage:string -> key:string -> lo:int -> hi:int -> string
-(** The {!Cache.try_claim} name a worker uses for the shard
-    [\[lo, hi)] of [(stage, key)] — exposed so tests and benches can
-    plant or inspect claims. *)
 
 val fold :
   ?cache:Cache.t ->
@@ -83,18 +80,9 @@ val fold :
     [on_shard] fires after each shard merges (with [built = false] for
     a checkpoint resume) — a progress hook, never part of results. *)
 
-type worker_outcome = {
-  w_claimed : int;  (** shards this worker won a claim for *)
-  w_built : int;  (** shards it actually counted and checkpointed *)
-  w_stolen : int;  (** claims taken over from a stale holder *)
-  w_waits : int;  (** poll sleeps spent waiting on siblings *)
-}
-
 val fold_worker :
   cache:Cache.t ->
-  ?telemetry:Telemetry.t ->
-  ?stale_after:float ->
-  ?poll_interval:float ->
+  slice:int * int ->
   stage:string ->
   key:string ->
   write:(Codec.sink -> 'b -> unit) ->
@@ -103,27 +91,16 @@ val fold_worker :
   total:int ->
   shard_size:int ->
   unit ->
-  worker_outcome
-(** The multi-process side of the stream: race cooperating processes
-    to checkpoint every shard of the plan, without merging anything.
-    Per sweep, each shard that has no checkpoint yet is claimed through
-    {!Cache.try_claim} under {!claim_name} (with [stale_after] passed
-    through, so a [kill -9]'d sibling's claims are taken over once they
-    age past it); a won claim re-probes the checkpoint, then loads,
-    counts and stores it, and is always released. When some shards are
-    still held by live siblings the worker sleeps [poll_interval]
-    seconds (default 0.05) between sweeps; it returns once every shard
-    in the plan is checkpointed.
-
-    Exactly-once when no claim goes stale: the [O_CREAT|O_EXCL] create
-    admits one builder per shard. After a stale takeover the work may
-    be duplicated — never diverging, since checkpoint bytes are a
-    deterministic function of the shard and stores are atomic.
+  int
+(** The multi-process side of the stream. With [slice = (k, n)],
+    checkpoint every shard of the plan whose index is [k] mod [n] and
+    that has no checkpoint yet ({!Cache.mem}), then return how many
+    shards it built. It never merges, never waits and never looks at
+    other workers: [n] workers given slices [0/n … (n-1)/n] partition
+    the plan, so each shard is built by exactly one of them. Raises
+    [Invalid_argument] unless [0 <= k < n].
 
     The caller (the parent orchestration) must still run {!fold} to
-    merge the checkpoints — that fold is the merge pass, and rebuilds
+    merge the checkpoints. That fold is the merge pass, and it rebuilds
     inline any shard no worker finished, so completion never depends
-    on worker survival.
-
-    [telemetry] receives [mproc.claimed]/[mproc.built]/[mproc.stolen]/
-    [mproc.waits] and [shard.items] inside a [shard.worker] span. *)
+    on worker survival. *)

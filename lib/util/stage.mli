@@ -1,12 +1,11 @@
-(** First-class pipeline stages.
+(** The runner for the cacheable pipeline stages.
 
     The cacheable Figure-2 artifacts (the KB statistics and the mined
     candidate set) are outputs folded shard by shard over the corpus
-    (typically a {!Shard_stream.fold}). A {!t} bundles what such a
-    stage {e is} — a name, a cache address and codec for its artifact,
-    and the fold that builds it — and {!run} applies every
-    cross-cutting concern uniformly: warm-cache lookup/write, job-count
-    plumbing and a {!Telemetry} span with cache/parallel counters.
+    (typically a {!Shard_stream.fold}). {!run} applies every
+    cross-cutting concern to such a fold uniformly: warm-cache
+    lookup/write, the job-count note and a {!Telemetry} span with
+    cache/parallel counters.
 
     {b Determinism.} [run] returns either the fold's result or a cached
     artifact decoded from a sealed {!Codec} envelope, byte-identical by
@@ -20,36 +19,28 @@ type 'a artifact = {
 (** A codec pair for the stage's output. The [read]er may raise
     {!Codec.Corrupt}; {!Cache.find} turns that into a miss. *)
 
-type 'a t = {
-  name : string;
-      (** Cache stage namespace and telemetry span name; one of the
-          Figure-2 stage names in the pipeline. *)
-  key : string;
-      (** A {!Codec.fingerprint} of every input the artifact depends
-          on; with [size] it forms the artifact's cache address. *)
-  size : int option;
-  artifact : 'a artifact;
-  stream : cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a;
-      (** The fold. It receives the cache and telemetry so that its
-          per-shard checkpoints (stored under their own stage namespace)
-          let it re-count only unfinished shards; [cache = None] when
-          the runner has no cache — it must still fold, just without
-          checkpoints. *)
-}
-
-val streamed :
+val run :
+  ?cache:Cache.t ->
+  ?telemetry:Telemetry.t ->
+  ?jobs:int ->
   name:string ->
   key:string ->
   ?size:int ->
   artifact:'a artifact ->
-  (cache:Cache.t option -> telemetry:Telemetry.t -> jobs:int -> 'a) ->
-  'a t
+  (unit -> 'a) ->
+  'a
+(** [run ~name ~key ?size ~artifact fold] executes one stage. [name] is
+    the cache stage namespace and the telemetry span name; [key] is a
+    {!Codec.fingerprint} of every input the artifact depends on, and
+    with [size] it forms the artifact's cache address. An exact entry at
+    that address loads directly; otherwise [fold ()] runs and its result
+    is stored there (a fold over checkpointed shards, stored under their
+    own stage namespace, re-counts only unfinished shards). Without a
+    [cache], [fold ()] always runs and nothing is stored.
 
-val run : ?cache:Cache.t -> ?telemetry:Telemetry.t -> ?jobs:int -> 'a t -> 'a
-(** Execute the stage: an exact entry at [(key, size?)] loads directly;
-    otherwise [stream] runs and its result is stored at [(key, size?)].
-    Inside a telemetry span named [t.name] the runner records:
-    - note ["jobs"]: the resolved job count handed to [stream];
+    Inside a telemetry span named [name] the runner records:
+    - note ["jobs"]: the resolved job count (without [?jobs],
+      {!Parallel.recommended_jobs});
     - note ["source"]: where the artifact came from — ["uncached"] (no
       cache), ["warm"] (exact cache hit) or ["streamed"] (folded over
       shards, resuming from whatever checkpoints existed);
@@ -57,6 +48,4 @@ val run : ?cache:Cache.t -> ?telemetry:Telemetry.t -> ?jobs:int -> 'a t -> 'a
       stage's {!Cache.stats} delta;
     - counter [parallel.chunks]: the {!Parallel.chunks_scheduled}
       delta — scheduling metadata that varies with hardware, excluded
-      from determinism comparisons.
-
-    Without [?jobs] the fold runs with {!Parallel.recommended_jobs}. *)
+      from determinism comparisons. *)

@@ -1,8 +1,9 @@
-(* Multi-process mining tests: claim-file protocol units (claim /
-   release / stale takeover), the [Shard_stream.fold_worker] sweep
-   (completion, sibling wait, stale-claim steal, byte-identity of the
-   resulting checkpoints), and a qcheck property that any interleaving
-   of two claimants yields exactly-once mining per shard. *)
+(* Multi-process mining tests: the fixed-slice [Shard_stream.fold_worker]
+   (a lone 0/1 worker checkpoints every shard), a qcheck property that
+   running every slice K/N builds each shard exactly once and leaves the
+   merge fold nothing to build, with artifacts byte-identical to a
+   one-shard run, and the crash path: a slice that never ran is rebuilt
+   by the merge fold, and only that slice. *)
 
 module Shard_stream = Zodiac_util.Shard_stream
 module Cache = Zodiac_util.Cache
@@ -10,6 +11,7 @@ module Codec = Zodiac_util.Codec
 module Generator = Zodiac_corpus.Generator
 module Kb = Zodiac_kb.Kb
 module Miner = Zodiac_mining.Miner
+module Pipeline = Zodiac.Pipeline
 
 let provider = Zodiac_azure.Azure.provider
 
@@ -40,12 +42,10 @@ let projects =
 
 let slice lo hi = List.filteri (fun i _ -> i >= lo && i < hi) projects
 
-let bytes_of write v =
+let stats_bytes s =
   let b = Codec.sink () in
-  write b v;
+  Kb.write_stats b s;
   Codec.contents b
-
-let stats_bytes s = bytes_of Kb.write_stats s
 
 let fold_stats ?cache ~shard_size () =
   Shard_stream.fold ?cache ~stage:"t-kb" ~key:"t-kb" ~write:Kb.write_stats
@@ -54,65 +54,52 @@ let fold_stats ?cache ~shard_size () =
     ~count:Kb.stats_of_projects ~merge:Kb.merge_stats
     ~init:(Kb.stats_of_projects []) ~total:corpus_n ~shard_size ()
 
-let worker ?stale_after ?(poll_interval = 0.01) cache ~shard_size () =
-  Shard_stream.fold_worker ~cache ?stale_after ~poll_interval ~stage:"t-kb"
-    ~key:"t-kb" ~write:Kb.write_stats
-    ~load:(fun ~lo ~hi -> slice lo hi)
-    ~count:Kb.stats_of_projects ~total:corpus_n ~shard_size ()
+let claim_files dir =
+  List.filter
+    (fun f -> Filename.check_suffix f ".claim")
+    (Array.to_list (Sys.readdir dir))
 
-(* Backdate a claim file so stale-takeover logic sees an old holder. *)
-let backdate path = Unix.utimes path 1. 1.
+(* The final kb-/mine- artifacts of a cache dir, name and bytes: the
+   byte-equality contract (shard checkpoints are intermediate). *)
+let finals dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f ->
+         String.starts_with ~prefix:"kb-" f
+         || String.starts_with ~prefix:"mine-" f)
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         let ic = open_in_bin (Filename.concat dir f) in
+         Fun.protect
+           ~finally:(fun () -> close_in_noerr ic)
+           (fun () -> (f, really_input_string ic (in_channel_length ic))))
 
-(* ------------- claim protocol units ------------------------------------ *)
+let config ~total dir =
+  {
+    Pipeline.quick_config with
+    Pipeline.corpus_size = total;
+    jobs = 1;
+    cache_dir = Some dir;
+  }
 
-let test_claim_release () =
-  with_cache_dir "zodiac-test-mproc-claim" (fun dir ->
-      let cache = Cache.create ~dir () in
-      (match Cache.try_claim cache ~name:"s0" ~owner:"a" with
-      | Cache.Claimed { stolen } ->
-          Alcotest.(check bool) "fresh claim not stolen" false stolen
-      | Cache.Busy -> Alcotest.fail "fresh claim refused");
-      (match Cache.try_claim cache ~name:"s0" ~owner:"b" with
-      | Cache.Busy -> ()
-      | Cache.Claimed _ -> Alcotest.fail "second claimant won a held claim");
-      (* distinct names never contend *)
-      (match Cache.try_claim cache ~name:"s1" ~owner:"b" with
-      | Cache.Claimed _ -> ()
-      | Cache.Busy -> Alcotest.fail "distinct name refused");
-      Cache.release cache ~name:"s0";
-      (match Cache.try_claim cache ~name:"s0" ~owner:"b" with
-      | Cache.Claimed { stolen } ->
-          Alcotest.(check bool) "re-claim after release not stolen" false stolen
-      | Cache.Busy -> Alcotest.fail "released claim still busy");
-      (* release is idempotent, including for names never claimed *)
-      Cache.release cache ~name:"s0";
-      Cache.release cache ~name:"s0";
-      Cache.release cache ~name:"never-claimed")
+(* Finals of the one-shard run: the reference every plan must match. *)
+let one_shard_finals ~total =
+  with_cache_dir "zodiac-test-mproc-ref" (fun dir ->
+      ignore (Pipeline.mine_streamed ~config:(config ~total dir) ~shard_size:0 ());
+      finals dir)
 
-let test_stale_takeover () =
-  with_cache_dir "zodiac-test-mproc-stale" (fun dir ->
-      let cache = Cache.create ~dir () in
-      (match Cache.try_claim cache ~name:"s0" ~owner:"dead" with
-      | Cache.Claimed _ -> ()
-      | Cache.Busy -> Alcotest.fail "initial claim refused");
-      (* A fresh claim is never stolen, with or without a deadline. *)
-      (match Cache.try_claim ~stale_after:3600. cache ~name:"s0" ~owner:"b" with
-      | Cache.Busy -> ()
-      | Cache.Claimed _ -> Alcotest.fail "fresh claim stolen");
-      backdate (Cache.claim_path cache ~name:"s0");
-      (* Without a deadline even an ancient claim stays busy. *)
-      (match Cache.try_claim cache ~name:"s0" ~owner:"b" with
-      | Cache.Busy -> ()
-      | Cache.Claimed _ -> Alcotest.fail "claim stolen without a deadline");
-      (* With one, the backdated claim is taken over — and flagged. *)
-      (match Cache.try_claim ~stale_after:60. cache ~name:"s0" ~owner:"b" with
-      | Cache.Claimed { stolen } ->
-          Alcotest.(check bool) "takeover flagged as stolen" true stolen
-      | Cache.Busy -> Alcotest.fail "stale claim not taken over");
-      (* The thief now holds a *fresh* claim. *)
-      match Cache.try_claim ~stale_after:60. cache ~name:"s0" ~owner:"c" with
-      | Cache.Busy -> ()
-      | Cache.Claimed _ -> Alcotest.fail "fresh stolen claim re-stolen")
+(* Shards of the plan that slice [k]/[n] owns. *)
+let slice_size ~total ~shard_size (k, n) =
+  List.length
+    (List.filter
+       (fun (i, _, _) -> i mod n = k)
+       (Shard_stream.plan ~total ~shard_size))
+
+let outcome =
+  Alcotest.testable
+    (fun ppf (o : Shard_stream.outcome) ->
+      Format.fprintf ppf "{shards=%d; resumed=%d; built=%d}" o.Shard_stream.shards
+        o.Shard_stream.resumed o.Shard_stream.built)
+    ( = )
 
 (* ------------- fold_worker --------------------------------------------- *)
 
@@ -120,10 +107,13 @@ let test_worker_checkpoints_all () =
   with_cache_dir "zodiac-test-mproc-worker" (fun dir ->
       let cache = Cache.create ~dir () in
       let reference, _ = fold_stats ~shard_size:13 () in
-      let o = worker cache ~shard_size:13 () in
-      Alcotest.(check int) "claimed all" 5 o.Shard_stream.w_claimed;
-      Alcotest.(check int) "built all" 5 o.Shard_stream.w_built;
-      Alcotest.(check int) "nothing stolen" 0 o.Shard_stream.w_stolen;
+      let built =
+        Shard_stream.fold_worker ~cache ~slice:(0, 1) ~stage:"t-kb" ~key:"t-kb"
+          ~write:Kb.write_stats
+          ~load:(fun ~lo ~hi -> slice lo hi)
+          ~count:Kb.stats_of_projects ~total:corpus_n ~shard_size:13 ()
+      in
+      Alcotest.(check int) "built all" 5 built;
       (* The parent's fold is the merge pass: everything resumes, and
          the merged value equals the monolithic fold byte for byte. *)
       let merged, outcome = fold_stats ~cache ~shard_size:13 () in
@@ -131,152 +121,113 @@ let test_worker_checkpoints_all () =
       Alcotest.(check bool)
         "worker checkpoints ≡ monolithic" true
         (String.equal (stats_bytes reference) (stats_bytes merged));
-      (* All claims were released. *)
-      Alcotest.(check (list string))
-        "no lingering claim files" []
-        (List.filter
-           (fun f -> Filename.check_suffix f ".claim")
-           (Array.to_list (Sys.readdir dir))))
+      Alcotest.(check (list string)) "no claim files" [] (claim_files dir))
 
-let test_worker_steals_stale_claim () =
-  with_cache_dir "zodiac-test-mproc-steal" (fun dir ->
-      let cache = Cache.create ~dir () in
-      (* A dead sibling left a claim on the second shard. *)
-      let name = Shard_stream.claim_name ~stage:"t-kb" ~key:"t-kb" ~lo:13 ~hi:26 in
-      (match Cache.try_claim cache ~name ~owner:"dead" with
-      | Cache.Claimed _ -> ()
-      | Cache.Busy -> Alcotest.fail "plant failed");
-      backdate (Cache.claim_path cache ~name);
-      let o = worker ~stale_after:1. cache ~shard_size:13 () in
-      Alcotest.(check int) "built all despite the corpse" 5 o.Shard_stream.w_built;
-      Alcotest.(check int) "the stale claim was stolen" 1 o.Shard_stream.w_stolen;
-      let reference, _ = fold_stats ~shard_size:13 () in
-      let merged, _ = fold_stats ~cache ~shard_size:13 () in
-      Alcotest.(check bool)
-        "stolen-shard checkpoints ≡ monolithic" true
-        (String.equal (stats_bytes reference) (stats_bytes merged)))
+(* ------------- every slice, then the merge fold (qcheck) ----------------- *)
 
-let test_worker_waits_for_live_sibling () =
-  with_cache_dir "zodiac-test-mproc-wait" (fun dir ->
-      let cache = Cache.create ~dir () in
-      (* A live sibling holds the first shard and finishes it late:
-         checkpoint stored, then claim released, after a delay. *)
-      let name = Shard_stream.claim_name ~stage:"t-kb" ~key:"t-kb" ~lo:0 ~hi:13 in
-      let ckey = Shard_stream.shard_key ~key:"t-kb" ~lo:0 ~hi:13 in
-      (match Cache.try_claim cache ~name ~owner:"sibling" with
-      | Cache.Claimed _ -> ()
-      | Cache.Busy -> Alcotest.fail "plant failed");
-      let sibling =
-        Domain.spawn (fun () ->
-            Unix.sleepf 0.2;
-            let sibling_cache = Cache.create ~dir () in
-            Cache.store sibling_cache ~stage:"t-kb" ~key:ckey (fun b ->
-                Kb.write_stats b (Kb.stats_of_projects (slice 0 13)));
-            Cache.release sibling_cache ~name)
-      in
-      let o = worker ~stale_after:3600. cache ~shard_size:13 () in
-      Domain.join sibling;
-      Alcotest.(check int) "built the other shards" 4 o.Shard_stream.w_built;
-      Alcotest.(check bool) "polled at least once" true (o.Shard_stream.w_waits > 0);
-      let reference, _ = fold_stats ~shard_size:13 () in
-      let merged, outcome = fold_stats ~cache ~shard_size:13 () in
-      Alcotest.(check int) "all five resumed" 5 outcome.Shard_stream.resumed;
-      Alcotest.(check bool)
-        "mixed-author checkpoints ≡ monolithic" true
-        (String.equal (stats_bytes reference) (stats_bytes merged)))
-
-(* ------------- exactly-once interleaving property ----------------------- *)
-
-(* Two claimants, each a micro-step state machine over the same shard
-   plan (separate [Cache.t] handles on one directory — the same
-   observable state as two processes). A step either claims the next
-   unfinished shard, or — when already holding one — builds, stores and
-   releases it. The generated bool list drives which claimant moves;
-   both are then drained. Any interleaving must mine each shard exactly
-   once: claims never go stale here, so the O_EXCL create is the only
-   arbiter. *)
-let prop_two_claimants_exactly_once =
-  let total = 40 and shard_size = 10 in
-  let shards = Shard_stream.plan ~total ~shard_size in
-  QCheck.Test.make ~name:"any 2-claimant interleaving mines each shard once"
-    ~count:40
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 30) bool)
-    (fun order ->
-      with_cache_dir "zodiac-test-mproc-interleave" (fun dir ->
-          let builds = Hashtbl.create 8 in
-          let claimant label =
-            let cache = Cache.create ~dir () in
-            let holding = ref None in
-            fun () ->
-              match !holding with
-              | Some (name, ckey, lo, hi) ->
-                  (* Build step: count, checkpoint, release. *)
-                  Hashtbl.replace builds ckey
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt builds ckey));
-                  Cache.store cache ~stage:"t-kb" ~key:ckey (fun b ->
-                      Kb.write_stats b (Kb.stats_of_projects (slice lo hi)));
-                  Cache.release cache ~name;
-                  holding := None
-              | None -> (
-                  (* Claim step: first shard neither checkpointed nor
-                     held by the other claimant. *)
-                  match
-                    List.find_opt
-                      (fun (_i, lo, hi) ->
-                        let ckey = Shard_stream.shard_key ~key:"t-kb" ~lo ~hi in
-                        (not (Cache.mem cache ~stage:"t-kb" ~key:ckey))
-                        &&
-                        match
-                          Cache.try_claim cache
-                            ~name:
-                              (Shard_stream.claim_name ~stage:"t-kb" ~key:"t-kb"
-                                 ~lo ~hi)
-                            ~owner:label
-                        with
-                        | Cache.Claimed _ -> true
-                        | Cache.Busy -> false)
-                      shards
-                  with
-                  | Some (_i, lo, hi) ->
-                      holding :=
-                        Some
-                          ( Shard_stream.claim_name ~stage:"t-kb" ~key:"t-kb" ~lo
-                              ~hi,
-                            Shard_stream.shard_key ~key:"t-kb" ~lo ~hi,
-                            lo,
-                            hi )
-                  | None -> ())
+(* Random (total, shard_size, N) with a plan of at least two shards (a
+   one-shard plan never checkpoints). Every slice K/N runs for the kb
+   pass, then for the mine pass; each must build exactly the shards it
+   owns, which together are the whole plan. The merge fold then resumes
+   every shard and builds none, and the finals equal the one-shard
+   run's byte for byte. *)
+let prop_slices_partition_the_plan =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 40 >>= fun total ->
+      int_range 1 (total - 1) >>= fun shard_size ->
+      int_range 1 4 >|= fun n -> (total, shard_size, n))
+  in
+  QCheck.Test.make ~name:"every slice K/N builds each shard once" ~count:25
+    (QCheck.make
+       ~print:(fun (t, s, n) -> Printf.sprintf "total=%d shard=%d N=%d" t s n)
+       gen)
+    (fun (total, shard_size, n) ->
+      with_cache_dir "zodiac-test-mproc-slices" (fun dir ->
+          let config = config ~total dir in
+          let shards = List.length (Shard_stream.plan ~total ~shard_size) in
+          let run_pass pass =
+            List.for_all
+              (fun k ->
+                Pipeline.mine_worker ~config ~slice:(k, n) ~shard_size ~pass ()
+                = slice_size ~total ~shard_size (k, n))
+              (List.init n Fun.id)
           in
-          let a = claimant "a" and b = claimant "b" in
-          List.iter (fun pick -> if pick then a () else b ()) order;
-          (* Drain both so every shard finishes regardless of prefix. *)
-          for _ = 1 to 2 * List.length shards do
-            a ();
-            b ()
-          done;
-          List.for_all
-            (fun (_i, lo, hi) ->
-              let ckey = Shard_stream.shard_key ~key:"t-kb" ~lo ~hi in
-              Hashtbl.find_opt builds ckey = Some 1)
-            shards))
+          let kb_ok = run_pass `Kb in
+          let mine_ok = run_pass `Mine in
+          let s = Pipeline.mine_streamed ~config ~shard_size () in
+          let all_resumed = { Shard_stream.shards; resumed = shards; built = 0 } in
+          kb_ok && mine_ok
+          && s.Pipeline.s_kb_fold = all_resumed
+          && s.Pipeline.s_mine_fold = all_resumed
+          && claim_files dir = []
+          && finals dir = one_shard_finals ~total))
+
+(* ------------- a killed worker ------------------------------------------ *)
+
+(* Of a two-worker fleet, only slice 0/2 ran (worker 1 was killed
+   before it checkpointed anything). The merge fold must build exactly
+   slice 1's shards, at once, and the finals must not change. Checked
+   for a death in the kb pass and in the mine pass. *)
+let test_killed_worker pass () =
+  let total = corpus_n and shard_size = 13 in
+  let reference = one_shard_finals ~total in
+  with_cache_dir "zodiac-test-mproc-killed" (fun dir ->
+      let config = config ~total dir in
+      let shards = List.length (Shard_stream.plan ~total ~shard_size) in
+      let slice1 = slice_size ~total ~shard_size (1, 2) in
+      let worker pass k =
+        ignore (Pipeline.mine_worker ~config ~slice:(k, 2) ~shard_size ~pass ())
+      in
+      (match pass with
+      | `Kb -> worker `Kb 0
+      | `Mine ->
+          worker `Kb 0;
+          worker `Kb 1;
+          worker `Mine 0);
+      let s = Pipeline.mine_streamed ~config ~shard_size () in
+      let rebuilt = { Shard_stream.shards; resumed = shards - slice1; built = slice1 } in
+      let all_resumed = { Shard_stream.shards; resumed = shards; built = 0 } in
+      let all_built = { Shard_stream.shards; resumed = 0; built = shards } in
+      (match pass with
+      | `Kb ->
+          Alcotest.check outcome "kb pass rebuilds slice 1" rebuilt
+            s.Pipeline.s_kb_fold;
+          Alcotest.check outcome "mine pass had no workers" all_built
+            s.Pipeline.s_mine_fold
+      | `Mine ->
+          Alcotest.check outcome "kb pass complete" all_resumed
+            s.Pipeline.s_kb_fold;
+          Alcotest.check outcome "mine pass rebuilds slice 1" rebuilt
+            s.Pipeline.s_mine_fold);
+      Alcotest.(check bool) "finals ≡ one-shard run" true (finals dir = reference))
+
+let test_bad_slice () =
+  with_cache_dir "zodiac-test-mproc-bad" (fun dir ->
+      List.iter
+        (fun slice ->
+          match
+            Pipeline.mine_worker ~config:(config ~total:20 dir) ~slice
+              ~shard_size:5 ~pass:`Kb ()
+          with
+          | _ -> Alcotest.failf "slice %d/%d accepted" (fst slice) (snd slice)
+          | exception Invalid_argument _ -> ())
+        [ (0, 0); (2, 2); (-1, 3) ])
 
 let () =
   Alcotest.run "mproc"
     [
-      ( "claims",
-        [
-          Alcotest.test_case "claim / busy / release" `Quick test_claim_release;
-          Alcotest.test_case "stale takeover" `Quick test_stale_takeover;
-        ] );
       ( "worker",
         [
           Alcotest.test_case "checkpoints every shard" `Quick
             test_worker_checkpoints_all;
-          Alcotest.test_case "steals a stale claim" `Quick
-            test_worker_steals_stale_claim;
-          Alcotest.test_case "waits for a live sibling" `Quick
-            test_worker_waits_for_live_sibling;
+          Alcotest.test_case "rejects a bad slice" `Quick test_bad_slice;
         ] );
-      ( "exactly-once",
-        [ QCheck_alcotest.to_alcotest prop_two_claimants_exactly_once ] );
+      ( "slices",
+        [ QCheck_alcotest.to_alcotest prop_slices_partition_the_plan ] );
+      ( "killed worker",
+        [
+          Alcotest.test_case "kb pass" `Quick (test_killed_worker `Kb);
+          Alcotest.test_case "mine pass" `Quick (test_killed_worker `Mine);
+        ] );
     ]

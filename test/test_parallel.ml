@@ -1,4 +1,4 @@
-(* The deterministic domain pool: ordering, merge order, exception
+(* The deterministic domain pool: ordering, chunking, exception
    propagation, and the end-to-end jobs-independence contract of the
    pipeline (parallel output bit-identical to sequential). *)
 
@@ -43,21 +43,6 @@ let test_chunks_reassemble () =
       Alcotest.(check bool) "no empty chunks" true (List.for_all (( <> ) []) cs))
     [ (0, 4); (1, 4); (3, 8); (8, 3); (100, 4); (5, 1) ]
 
-let test_map_reduce_order () =
-  (* string concatenation is order-sensitive: any merge reordering would
-     show up immediately *)
-  let xs = List.init 64 string_of_int in
-  let expected = String.concat "," xs in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "fold in input order, jobs=%d" jobs)
-        expected
-        (Parallel.map_reduce ~jobs ~map:Fun.id
-           ~merge:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-           ~init:"" xs))
-    [ 1; 2; 4; 7 ]
-
 exception Boom of int
 
 let test_exception_propagation () =
@@ -87,15 +72,6 @@ let prop_map_equals_sequential =
     (fun (xs, jobs) ->
       let f x = Hashtbl.hash (x * 2654435761) in
       Parallel.map ~jobs f xs = List.map f xs)
-
-let prop_map_reduce_equals_fold =
-  QCheck.Test.make ~count:100 ~name:"map_reduce ≡ fold_left of map"
-    QCheck.(pair (list small_int) (int_range 1 9))
-    (fun (xs, jobs) ->
-      let map x = [ x; x + 1 ] in
-      let merge acc ys = acc @ ys in
-      Parallel.map_reduce ~jobs ~map ~merge ~init:[] xs
-      = List.fold_left merge [] (List.map map xs))
 
 (* ---- end-to-end: pipeline output is independent of [jobs] ------------ *)
 
@@ -153,13 +129,11 @@ let () =
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
           Alcotest.test_case "mapi indices" `Quick test_mapi_indices;
           Alcotest.test_case "chunks reassemble" `Quick test_chunks_reassemble;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_order;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
           Alcotest.test_case "pool survives exceptions" `Quick
             test_workers_survive_after_exception;
           QCheck_alcotest.to_alcotest prop_map_equals_sequential;
-          QCheck_alcotest.to_alcotest prop_map_reduce_equals_fold;
         ] );
       ( "determinism",
         [

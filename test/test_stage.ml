@@ -32,8 +32,8 @@ let with_cache_dir name f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A toy streamed stage over int lists: element [i] is [i * i].
-   [builds] counts folds so tests can tell which path ran. *)
+(* A toy stage over int lists, run through [Stage.run]: element [i]
+   is [i * i]. [builds] counts folds so tests can tell which path ran. *)
 let int_list_artifact =
   {
     Stage.write = (fun b xs -> Codec.write_list Codec.write_int b xs);
@@ -42,10 +42,10 @@ let int_list_artifact =
 
 let squares ~lo ~hi = List.init (hi - lo) (fun i -> (lo + i) * (lo + i))
 
-let toy_stage ?(builds = ref 0) n =
-  Stage.streamed ~name:"toy" ~key:(Codec.fingerprint [ "toy"; "v1" ]) ~size:n
-    ~artifact:int_list_artifact
-    (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
+let toy_stage ?cache ?telemetry ?(builds = ref 0) n =
+  Stage.run ?cache ?telemetry ~name:"toy"
+    ~key:(Codec.fingerprint [ "toy"; "v1" ])
+    ~size:n ~artifact:int_list_artifact (fun () ->
       incr builds;
       squares ~lo:0 ~hi:n)
 
@@ -157,11 +157,11 @@ let test_to_json_shape () =
 let test_runner_paths_byte_equal () =
   with_cache_dir "zodiac-test-stage-paths" (fun dir ->
       let cache = Cache.create ~dir () in
-      let uncached = Stage.run (toy_stage 50) in
+      let uncached = toy_stage 50 in
       let builds = ref 0 in
-      let cold = Stage.run ~cache (toy_stage ~builds 50) in
+      let cold = toy_stage ~cache ~builds 50 in
       Alcotest.(check int) "cold built" 1 !builds;
-      let warm = Stage.run ~cache (toy_stage ~builds 50) in
+      let warm = toy_stage ~cache ~builds 50 in
       Alcotest.(check int) "warm did not build" 1 !builds;
       Alcotest.(check bool)
         "cold ≡ warm ≡ uncached" true
@@ -180,20 +180,20 @@ let test_runner_source_notes () =
       in
       Alcotest.(check (option string))
         "no cache -> uncached" (Some "uncached")
-        (source_of (fun telemetry -> Stage.run ~telemetry (toy_stage 20)));
+        (source_of (fun telemetry -> toy_stage ~telemetry 20));
       Alcotest.(check (option string))
         "first run -> streamed" (Some "streamed")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20)));
+        (source_of (fun telemetry -> toy_stage ~cache ~telemetry 20));
       Alcotest.(check (option string))
         "second run -> warm" (Some "warm")
-        (source_of (fun telemetry -> Stage.run ~cache ~telemetry (toy_stage 20))))
+        (source_of (fun telemetry -> toy_stage ~cache ~telemetry 20)))
 
 let test_runner_cache_counters () =
   with_cache_dir "zodiac-test-stage-counters" (fun dir ->
       let cache = Cache.create ~dir () in
       let t = Telemetry.create () in
-      ignore (Stage.run ~cache ~telemetry:t (toy_stage 20));
-      ignore (Stage.run ~cache ~telemetry:t (toy_stage 20));
+      ignore (toy_stage ~cache ~telemetry:t 20);
+      ignore (toy_stage ~cache ~telemetry:t 20);
       match Telemetry.spans t with
       | [ cold; warm ] ->
           Alcotest.(check (option int))
@@ -213,7 +213,7 @@ let test_runner_cache_counters () =
 let test_runner_corruption_fallback () =
   with_cache_dir "zodiac-test-stage-corrupt" (fun dir ->
       let cache = Cache.create ~dir () in
-      let cold = Stage.run ~cache (toy_stage 24) in
+      let cold = toy_stage ~cache 24 in
       Array.iter
         (fun f ->
           let path = Filename.concat dir f in
@@ -229,7 +229,7 @@ let test_runner_corruption_fallback () =
           close_out oc)
         (Sys.readdir dir);
       let builds = ref 0 in
-      let rebuilt = Stage.run ~cache (toy_stage ~builds 24) in
+      let rebuilt = toy_stage ~cache ~builds 24 in
       Alcotest.(check int) "corruption forces a fresh fold" 1 !builds;
       Alcotest.(check bool)
         "rebuilt artifact identical" true
@@ -254,7 +254,7 @@ let prop_sinks_never_alter_artifacts =
       let v =
         Telemetry.with_span telemetry "prop" (fun () ->
             Telemetry.count telemetry "noise" n;
-            Stage.run ~telemetry (toy_stage n))
+            toy_stage ~telemetry n)
       in
       String.equal expected (bytes_of_ints v)
       && (sink_count < 2 || !seen > 0))

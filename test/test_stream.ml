@@ -2,7 +2,7 @@
    shard-boundary invariance properties (fold at any shard size ≡
    monolithic, for corpus stats, the KB and every miner table family),
    checkpointed resume after a mid-run crash, corrupted-checkpoint
-   fallback, the [Stage.streamed] warm path, the bounded observation
+   fallback, the [Stage.run] warm path, the bounded observation
    table's grouping invariance past its cap, and the peak-RSS probe. *)
 
 module Shard_stream = Zodiac_util.Shard_stream
@@ -192,16 +192,17 @@ let test_corrupt_checkpoint_fallback () =
         "rebuilt fold ≡ original" true
         (String.equal (stats_bytes reference) (stats_bytes rebuilt)))
 
-(* ------------- Stage.streamed ------------------------------------------- *)
+(* ------------- Stage.run warm path ---------------------------------------- *)
 
-let streamed_stage ?(folds = ref 0) () =
-  Stage.streamed ~name:"toy-stream" ~key:(Codec.fingerprint [ "toy-stream" ])
+let streamed_stage ?cache ?telemetry ?(folds = ref 0) () =
+  Stage.run ?cache ?telemetry ~name:"toy-stream"
+    ~key:(Codec.fingerprint [ "toy-stream" ])
     ~artifact:
       {
         Stage.write = (fun b xs -> Codec.write_list Codec.write_int b xs);
         read = Codec.read_list Codec.read_int;
       }
-    (fun ~cache:_ ~telemetry:_ ~jobs:_ ->
+    (fun () ->
       incr folds;
       List.init 10 (fun i -> i * i))
 
@@ -219,15 +220,15 @@ let test_stage_streamed_warm () =
       Alcotest.(check (option string))
         "no cache -> uncached" (Some "uncached")
         (source_of (fun telemetry ->
-             Stage.run ~telemetry (streamed_stage ~folds ())));
+             streamed_stage ~telemetry ~folds ()));
       Alcotest.(check (option string))
         "first cached run -> streamed" (Some "streamed")
         (source_of (fun telemetry ->
-             Stage.run ~cache ~telemetry (streamed_stage ~folds ())));
+             streamed_stage ~cache ~telemetry ~folds ()));
       Alcotest.(check (option string))
         "second cached run -> warm" (Some "warm")
         (source_of (fun telemetry ->
-             Stage.run ~cache ~telemetry (streamed_stage ~folds ())));
+             streamed_stage ~cache ~telemetry ~folds ()));
       Alcotest.(check int) "warm run did not fold" 2 !folds)
 
 (* ------------- bounded observation table -------------------------------- *)
