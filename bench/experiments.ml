@@ -2936,26 +2936,32 @@ let smoke () =
     && faulty_stats.Engine_stats.faults > 0
   in
   (* jobs equivalence: the batched parallel scheduler path must produce
-     the same verdicts, deployment counts and engine stats as the
-     sequential one *)
+     the same verdicts, deployment counts, mutant plans and engine stats
+     as the sequential one *)
   let par_run jobs =
     let engine = Engine.create ~provider ~config:Engine.default_config () in
+    let telemetry = Telemetry.create () in
     let result =
-      Scheduler.run ~config:config.Pipeline.scheduler ~jobs ~provider
+      Scheduler.run ~config:config.Pipeline.scheduler ~telemetry ~jobs ~provider
         ~deploy_batch:(Engine.oracle_batch ~jobs engine)
         ~kb:a.Pipeline.kb ~corpus:a.Pipeline.corpus
         ~deploy:(Engine.oracle engine)
         candidates
     in
-    (result, Engine.stats engine)
+    let mutations =
+      List.assoc_opt "scheduler.mutations" (Telemetry.totals telemetry)
+    in
+    (result, Engine.stats engine, mutations)
   in
-  let seq, seq_stats = par_run 1 in
-  let par, par_stats = par_run 2 in
+  let seq, seq_stats, seq_mutations = par_run 1 in
+  let par, par_stats, par_mutations = par_run 2 in
   let ok_jobs =
     verdict_sets seq = verdict_sets par
     && seq.Scheduler.deployments = par.Scheduler.deployments
     && seq.Scheduler.iterations = par.Scheduler.iterations
     && seq_stats = par_stats
+    && Option.is_some seq_mutations
+    && seq_mutations = par_mutations
   in
   (* warm-start cache: a warm run must reproduce the cold run's artifacts
      byte-for-byte with cache hits and no misses, and a corrupted cache

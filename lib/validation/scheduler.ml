@@ -86,9 +86,7 @@ type state = {
   index : Testcase.index;
 }
 
-let cids checks = List.map (fun (c : Check.t) -> c.Check.cid) checks
-
-let find_tps st ~provider ~corpus:_ ~limit (c : Check.t) =
+let find_tps st ~provider ~limit (c : Check.t) =
   match Hashtbl.find_opt st.tp_cache c.Check.cid with
   | Some tps -> tps
   | None ->
@@ -101,9 +99,6 @@ let remove_from_rc st cid =
 
 let in_rc st (c : Check.t) =
   List.exists (fun (c' : Check.t) -> String.equal c'.Check.cid c.Check.cid) st.rc
-
-let mutate _st ~provider ~kb ~donors ~target ~hard ~soft tp =
-  Mutation.negative ~provider ~kb ~donors ~target ~hard ~soft tp
 
 (* Warm the t_p cache for [checks]: the misses are computed in parallel
    (index search is pure) and committed sequentially, after which
@@ -123,26 +118,25 @@ let ensure_tps ?jobs st ~provider ~limit checks =
     (fun (c : Check.t) tps -> Hashtbl.replace st.tp_cache c.Check.cid tps)
     missing found
 
-(* Union-find style grouping of mutually-inseparable checks. *)
-let compute_groups ?jobs st ~provider ~kb ~donors ~corpus ~tp_limit =
-  ensure_tps ?jobs st ~provider ~limit:tp_limit st.rc;
-  let rn_of (c : Check.t) =
-    match find_tps st ~provider ~corpus ~limit:tp_limit c with
-    | [] -> []
-    | tp :: _ -> (
-        let soft =
-          List.filter (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid)) st.rc
-        in
-        match mutate st ~provider ~kb ~donors ~target:c ~hard:st.rv ~soft tp with
+(* Union-find style grouping of mutually-inseparable checks. [rc] is
+   [st.rc] and [plans] its TP-pass mutants (same target, hard [st.rv],
+   soft [rc] minus the target, first t_p), so each check's R_n is read
+   off its TP plan instead of being planned a second time. [negative]
+   plans a mutant from the scheduler's provider, KB and donors. *)
+let compute_groups ?jobs st ~provider ~tp_limit ~negative ~rc ~plans =
+  let rns : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter2
+    (fun (c : Check.t) plan ->
+      let rn =
+        match plan with
         | None -> []
-        | Some res -> c.Check.cid :: res.Mutation.violated_soft)
-  in
-  let rns =
-    Parallel.map ?jobs (fun (c : Check.t) -> (c.Check.cid, rn_of c)) st.rc
-  in
+        | Some res -> c.Check.cid :: res.Mutation.violated_soft
+      in
+      Hashtbl.replace rns c.Check.cid rn)
+    rc plans;
   let mutual (c1 : Check.t) (c2 : Check.t) =
     let rn_for (c : Check.t) =
-      Option.value ~default:[] (List.assoc_opt c.Check.cid rns)
+      Option.value ~default:[] (Hashtbl.find_opt rns c.Check.cid)
     in
     List.mem c2.Check.cid (rn_for c1) && List.mem c1.Check.cid (rn_for c2)
   in
@@ -165,10 +159,10 @@ let compute_groups ?jobs st ~provider ~kb ~donors ~corpus ~tp_limit =
           List.filter
             (fun (c' : Check.t) ->
               (not (String.equal c'.Check.cid c.Check.cid)) && mutual c c')
-            st.rc
+            rc
         in
         if mates <> [] then groups := (c :: mates) :: !groups)
-    st.rc;
+    rc;
   (* refine: a member is separable if some t_p admits a t_n conforming
      to all other group members (hard) *)
   let refined =
@@ -184,13 +178,9 @@ let compute_groups ?jobs st ~provider ~kb ~donors ~corpus ~tp_limit =
             let separable =
               List.exists
                 (fun tp ->
-                  match
-                    mutate st ~provider ~kb ~donors ~target:c
-                      ~hard:(st.rv @ others) ~soft:[] tp
-                  with
-                  | Some _ -> true
-                  | None -> false)
-                (find_tps st ~provider ~corpus ~limit:tp_limit c)
+                  Option.is_some
+                    (negative ~target:c ~hard:(st.rv @ others) ~soft:[] tp))
+                (find_tps st ~provider ~limit:tp_limit c)
             in
             not separable)
           group)
@@ -228,6 +218,11 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
       index = Testcase.index corpus;
     }
   in
+  let mutations = Atomic.make 0 in
+  let negative ~target ~hard ~soft tp =
+    Atomic.incr mutations;
+    Mutation.negative ~provider ~kb ~donors ~target ~hard ~soft tp
+  in
   let rank = type_ranks kb in
   let order checks =
     if config.use_partial_order then
@@ -260,7 +255,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     let plans =
       Parallel.map ?jobs
         (fun (c : Check.t) ->
-          match find_tps st ~provider ~corpus ~limit:config.tp_limit c with
+          match find_tps st ~provider ~limit:config.tp_limit c with
           | [] -> No_instance
           | tps -> (
               let soft =
@@ -268,13 +263,12 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
                   (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
                   rc0
               in
-              let results =
-                List.filter_map
-                  (fun tp ->
-                    mutate st ~provider ~kb ~donors ~target:c ~hard:rv0 ~soft tp)
-                  tps
-              in
-              match results with [] -> Unsat | res :: _ -> Planned res))
+              (* only the first t_p that yields a mutant is used *)
+              match
+                List.find_map (fun tp -> negative ~target:c ~hard:rv0 ~soft tp) tps
+              with
+              | None -> Unsat
+              | Some res -> Planned res))
         rc0
     in
     let to_deploy =
@@ -332,11 +326,29 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
                 victims
             end)
       rc0 plans;
-    (* ---- indistinguishable groups (O3) ---- *)
+    (* ---- true positive planning ---- *)
+    let rc1 = order st.rc in
+    let rv1 = st.rv in
+    ensure_tps ?jobs st ~provider ~limit:config.tp_limit rc1;
+    let plans =
+      Parallel.map ?jobs
+        (fun (c : Check.t) ->
+          match find_tps st ~provider ~limit:config.tp_limit c with
+          | [] -> None
+          | tp :: _ ->
+              let soft =
+                List.filter
+                  (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
+                  rc1
+              in
+              negative ~target:c ~hard:rv1 ~soft tp)
+        rc1
+    in
+    (* ---- indistinguishable groups (O3), from the TP plans ---- *)
     let groups =
       if config.handle_indistinct then
-        compute_groups ?jobs st ~provider ~kb ~donors ~corpus
-          ~tp_limit:config.tp_limit
+        compute_groups ?jobs st ~provider ~tp_limit:config.tp_limit ~negative
+          ~rc:rc1 ~plans
       else []
     in
     let group_of (cid : string) =
@@ -345,23 +357,6 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
         groups
     in
     (* ---- true positive validation pass ---- *)
-    let rc1 = order st.rc in
-    let rv1 = st.rv in
-    ensure_tps ?jobs st ~provider ~limit:config.tp_limit rc1;
-    let plans =
-      Parallel.map ?jobs
-        (fun (c : Check.t) ->
-          match find_tps st ~provider ~corpus ~limit:config.tp_limit c with
-          | [] -> None
-          | tp :: _ ->
-              let soft =
-                List.filter
-                  (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
-                  rc1
-              in
-              mutate st ~provider ~kb ~donors ~target:c ~hard:rv1 ~soft tp)
-        rc1
-    in
     let to_deploy =
       List.filter_map (Option.map (fun res -> res.Mutation.program)) plans
     in
@@ -442,6 +437,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     st.rc;
   Telemetry.count telemetry "scheduler.iterations" (List.length !iterations);
   Telemetry.count telemetry "scheduler.deployments" st.deployments;
+  Telemetry.count telemetry "scheduler.mutations" (Atomic.get mutations);
   {
     validated = List.rev st.rv;
     falsified = List.rev st.falsified;
@@ -451,19 +447,20 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
 
 let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
   let defaults = Arm.defaults provider in
+  let index = Testcase.index corpus in
   (* Pure phase, fanned out per check: collect the corpus programs whose
-     minimal deployable counterexample still violates the check. *)
+     minimal deployable counterexample still violates the check. Only
+     programs declaring every bound type can violate it. *)
   let mdcs_of (c : Check.t) =
-    List.filter_map
-      (fun (_, prog) ->
-        let graph = Graph.build prog in
-        match Eval.violations ~defaults graph c with
-        | [] -> None
-        | violation :: _ ->
-            let mdc = Mdc.prune prog ~keep:(List.map snd violation) in
-            let mdc_graph = Graph.build mdc in
-            if Eval.holds ~defaults mdc_graph c then None else Some mdc)
-      corpus
+    Testcase.binding_entries index c
+    |> Seq.filter_map (fun (entry : Testcase.entry) ->
+           match Eval.violations ~defaults entry.Testcase.e_graph c with
+           | [] -> None
+           | violation :: _ ->
+               let mdc = Mdc.prune entry.Testcase.e_prog ~keep:(List.map snd violation) in
+               let mdc_graph = Graph.build mdc in
+               if Eval.holds ~defaults mdc_graph c then None else Some mdc)
+    |> List.of_seq
   in
   let candidates = Parallel.map ?jobs mdcs_of validated in
   (* Deploy phase, sequential with the same early exit as a fully
@@ -475,6 +472,3 @@ let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
       (List.combine validated candidates)
   in
   (List.map fst kept, List.map fst exposed)
-
-(* silence unused-warning for cids helper kept for debugging *)
-let _ = cids

@@ -80,10 +80,18 @@ val run :
     verdicts sequentially in that order. The result is identical for
     every [jobs] value.
 
+    Each mutant is planned once. The FP pass stops at the first t_p
+    that yields a mutant. The TP pass plans one mutant per check per
+    iteration (first t_p) before O3 grouping, and grouping reads each
+    check's violated set off that plan; only its refine step plans
+    more.
+
     [telemetry] (default {!Zodiac_util.Telemetry.null}) receives
     [scheduler.batches] / [scheduler.batch_programs] per deployed
-    batch and [scheduler.iterations] / [scheduler.deployments] totals;
-    pure observation, never part of the result. *)
+    batch and [scheduler.iterations] / [scheduler.deployments] /
+    [scheduler.mutations] (calls to {!Mutation.negative}) totals; all
+    are deterministic and the same for every [jobs]. Pure observation,
+    never part of the result. *)
 
 val counterexample_pass :
   ?jobs:int ->
@@ -93,4 +101,7 @@ val counterexample_pass :
   Zodiac_spec.Check.t list ->
   Zodiac_spec.Check.t list * Zodiac_spec.Check.t list
 (** §5.6: hunt for corpus programs that violate a validated check yet
-    deploy successfully. Returns (kept, exposed false positives). *)
+    deploy successfully. Returns (kept, exposed false positives).
+    Runs over the indexed corpus graphs ({!Testcase.index}, built once
+    per call) and looks only at programs that declare every type the
+    check binds ({!Testcase.binding_entries}). *)

@@ -35,38 +35,41 @@ let check_types (check : Check.t) =
   List.sort_uniq String.compare
     (List.map (fun (b : Check.binding) -> b.Check.btype) check.Check.bindings)
 
+let binding_entries index check =
+  let wanted = check_types check in
+  List.to_seq index
+  |> Seq.filter (fun entry -> List.for_all (fun ty -> List.mem ty entry.e_types) wanted)
+
 let find_indexed ?(limit = 3) ~provider ~index check =
   let defaults = Arm.defaults provider in
-  let wanted = check_types check in
   let found = ref [] in
   let count = ref 0 in
   (try
-     List.iter
+     Seq.iter
        (fun entry ->
          if !count >= limit * 3 then raise Exit;
-         if List.for_all (fun ty -> List.mem ty entry.e_types) wanted then
-           match Eval.first_witness ~defaults entry.e_graph check with
-           | None -> ()
-           | Some witness ->
-               let keep = List.map snd witness in
-               let mdc = Mdc.prune entry.e_prog ~keep in
-               let mdc_graph = Graph.build mdc in
-               (* the pruned program must still witness the check *)
-               if
-                 Eval.first_witness ~defaults mdc_graph check <> None
-                 && Eval.holds ~defaults mdc_graph check
-               then begin
-                 incr count;
-                 found :=
-                   {
-                     program = mdc;
-                     original = entry.e_prog;
-                     witness;
-                     source = entry.e_source;
-                   }
-                   :: !found
-               end)
-       index
+         match Eval.first_witness ~defaults entry.e_graph check with
+         | None -> ()
+         | Some witness ->
+             let keep = List.map snd witness in
+             let mdc = Mdc.prune entry.e_prog ~keep in
+             let mdc_graph = Graph.build mdc in
+             (* the pruned program must still witness the check *)
+             if
+               Eval.first_witness ~defaults mdc_graph check <> None
+               && Eval.holds ~defaults mdc_graph check
+             then begin
+               incr count;
+               found :=
+                 {
+                   program = mdc;
+                   original = entry.e_prog;
+                   witness;
+                   source = entry.e_source;
+                 }
+                 :: !found
+             end)
+       (binding_entries index check)
    with Exit -> ());
   List.sort
     (fun a b -> Int.compare (Program.size a.program) (Program.size b.program))

@@ -19,11 +19,23 @@ val find :
     projects, smallest MDC first. The MDC is re-checked to still
     witness the check after pruning. *)
 
+type entry = {
+  e_source : string;  (** project name *)
+  e_prog : Zodiac_iac.Program.t;
+  e_graph : Zodiac_iac.Graph.t;  (** [Graph.build e_prog] *)
+  e_types : string list;  (** [Program.types e_prog] *)
+}
+
 type index
 (** A corpus with pre-built graphs and type signatures, so repeated
     lookups don't rebuild graphs per (check, program) pair. *)
 
 val index : (string * Zodiac_iac.Program.t) list -> index
+
+val binding_entries : index -> Zodiac_spec.Check.t -> entry Seq.t
+(** The indexed programs that declare every resource type the check
+    binds, lazily, in corpus order. Any other program has no assignment
+    for the check, so it can neither witness nor violate it. *)
 
 val find_indexed :
   ?limit:int ->

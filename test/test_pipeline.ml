@@ -6,17 +6,50 @@ module Registry = Zodiac.Registry
 module Scheduler = Zodiac_validation.Scheduler
 module Check = Zodiac_spec.Check
 module Arm = Zodiac_cloud.Arm
+module Checkset = Zodiac.Checkset
+module Sha256 = Zbench_lib.Sha256
 
-let artifacts =
-  lazy
-    (Pipeline.run
-       ~config:
-         {
-           Pipeline.quick_config with
-           Pipeline.corpus_size = 350;
-           scheduler = { Scheduler.default_config with Scheduler.max_iterations = 4 };
-         }
-       ())
+let run_with ~corpus_size scheduler =
+  Pipeline.run
+    ~config:
+      {
+        Pipeline.quick_config with
+        Pipeline.corpus_size;
+        scheduler = { scheduler with Scheduler.max_iterations = 4 };
+      }
+    ()
+
+let artifacts = lazy (run_with ~corpus_size:350 Scheduler.default_config)
+
+(* sha256 of the check set file a validate run writes, i.e.
+   [Checkset.save] of the final checks *)
+let checkset_sha256 a =
+  let path = Filename.temp_file "zodiac-checks" ".json" in
+  Checkset.save_exn path a.Pipeline.final_checks;
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Sha256.digest_hex bytes
+
+(* Byte pins of the validated check set: the default scheduler (O3
+   groups fed by the TP-pass mutants) and the two ablations that skip
+   grouping or reorder the passes. Planning changes that claim to be
+   pure speedups must keep all three. *)
+let test_checkset_pins () =
+  Alcotest.(check string) "default, 350 projects"
+    "515c51a04ecd6cc746ff25f8162696095ad69155596d75dfee642e99ad802da8"
+    (checkset_sha256 (Lazy.force artifacts));
+  Alcotest.(check string) "no O3, 150 projects"
+    "f579f98154484143cc4e4f04801281094e6d68f2a92e45b51203d4095cbfe32d"
+    (checkset_sha256
+       (run_with ~corpus_size:150
+          { Scheduler.default_config with Scheduler.handle_indistinct = false }));
+  Alcotest.(check string) "no O4, 150 projects"
+    "08677823c30d91f9f7d50a663c3cb3b0ea181d59f2ca627534b08bfdb78c8eab"
+    (checkset_sha256
+       (run_with ~corpus_size:150
+          { Scheduler.default_config with Scheduler.use_partial_order = false }))
 
 let test_funnel_shape () =
   let a = Lazy.force artifacts in
@@ -114,5 +147,6 @@ let () =
           Alcotest.test_case "appgw case study" `Quick test_registry_case_study;
           Alcotest.test_case "mine only" `Slow test_mine_only_skips_validation;
           Alcotest.test_case "determinism" `Slow test_determinism;
+          Alcotest.test_case "check set pins" `Slow test_checkset_pins;
         ] );
     ]

@@ -251,22 +251,53 @@ let test_scheduler_stalls_without_indistinct () =
        (fun (_, verdict) -> verdict = Scheduler.Falsified `Stalled)
        result.Scheduler.falsified)
 
+(* the §5.6 data-scarcity FP: source_image_ref "required" unless the
+   rare create=Attach appears in the corpus as a counterexample *)
+let fp_5_6 = lazy (parse "let r:VM, v:VPC in path(r -> v) => r.source_image_ref != null")
+let real_sa = lazy (parse "let r:SA in r.tier == 'Premium' => r.replica != 'GZRS'")
+
+(* need a corpus large enough to contain an Attach VM *)
+let big =
+  lazy
+    (List.map
+       (fun p -> (p.Generator.pname, p.Generator.program))
+       (Generator.conforming ~provider ~seed:88 ~count:1500 ()))
+
 let test_counterexample_pass () =
-  (* the §5.6 data-scarcity FP: source_image_ref "required" unless the
-     rare create=Attach appears in the corpus as a counterexample *)
-  let fp = parse "let r:VM, v:VPC in path(r -> v) => r.source_image_ref != null" in
-  let real = parse "let r:SA in r.tier == 'Premium' => r.replica != 'GZRS'" in
-  (* need a corpus large enough to contain an Attach VM *)
-  let big =
-    List.map
-      (fun p -> (p.Generator.pname, p.Generator.program))
-      (Generator.conforming ~provider ~seed:88 ~count:1500 ())
+  let fp = Lazy.force fp_5_6 and real = Lazy.force real_sa in
+  let kept, exposed =
+    Scheduler.counterexample_pass ~provider ~corpus:(Lazy.force big) ~deploy [ fp; real ]
   in
-  let kept, exposed = Scheduler.counterexample_pass ~provider ~corpus:big ~deploy [ fp; real ] in
   Alcotest.(check bool) "real kept" true
     (List.exists (fun (c : Check.t) -> c.Check.cid = real.Check.cid) kept);
   Alcotest.(check bool) "fp exposed" true
     (List.exists (fun (c : Check.t) -> c.Check.cid = fp.Check.cid) exposed)
+
+(* Naive reference for [counterexample_pass]: a graph built for every
+   corpus program, no type filter, in corpus order. *)
+let naive_counterexample_pass ~corpus checks =
+  let defaults = Arm.defaults provider in
+  let exposes (c : Check.t) (_, prog) =
+    match Eval.violations ~defaults (Graph.build prog) c with
+    | [] -> false
+    | violation :: _ ->
+        let mdc = Mdc.prune prog ~keep:(List.map snd violation) in
+        (not (Eval.holds ~defaults (Graph.build mdc) c)) && deploy mdc
+  in
+  List.partition (fun c -> not (List.exists (exposes c) corpus)) checks
+
+let test_counterexample_matches_reference () =
+  let alien = parse "let r:NO_SUCH_TYPE in r.tier == 'Premium' => r.replica != 'GZRS'" in
+  let checks = [ Lazy.force fp_5_6; Lazy.force real_sa; alien ] in
+  let corpus = Lazy.force big in
+  let cids (kept, exposed) =
+    let ids = List.map (fun (c : Check.t) -> c.Check.cid) in
+    (ids kept, ids exposed)
+  in
+  Alcotest.(check (pair (list string) (list string)))
+    "same (kept, exposed)"
+    (cids (naive_counterexample_pass ~corpus checks))
+    (cids (Scheduler.counterexample_pass ~jobs:2 ~provider ~corpus ~deploy checks))
 
 let () =
   Alcotest.run "validation"
@@ -298,5 +329,7 @@ let () =
           Alcotest.test_case "indistinguishable groups" `Slow test_scheduler_indistinguishable_group;
           Alcotest.test_case "stalls without O3" `Slow test_scheduler_stalls_without_indistinct;
           Alcotest.test_case "counterexample pass" `Slow test_counterexample_pass;
+          Alcotest.test_case "counterexample matches reference" `Slow
+            test_counterexample_matches_reference;
         ] );
     ]
