@@ -3,43 +3,32 @@
      dune exec bench/main.exe                    # all experiments + micro-benchmarks
      dune exec bench/main.exe -- e4 e8           # selected experiments
      dune exec bench/main.exe -- micro           # micro-benchmarks only
-     dune exec bench/main.exe -- smoke           # tier-1 gate (engine + daemon)
-     dune exec bench/main.exe -- smoke --serve-only  # just the daemon round-trip
-     dune exec bench/main.exe -- smoke --mproc-only  # just the multi-process gate
 
-   Each experiment regenerates one table or figure from the paper's
-   evaluation section (see DESIGN.md for the index) and prints the
-   paper's values alongside for shape comparison. *)
+   Experiments e1-e13 regenerate the tables and figures of the paper's
+   evaluation section; e18, e20 and e21 are the scale and provider
+   experiments beyond it (see DESIGN.md for the index). Correctness is
+   checked by `dune runtest`, wall time by the zbench benchmark
+   (benchmark/). *)
 
 let usage () =
-  print_endline
-    "usage: main.exe [e1..e21|micro|smoke [--serve-only|--mproc-only]|all]...";
+  Printf.printf "usage: main.exe [%s|micro|all]...\n"
+    (String.concat "|" (List.map fst Experiments.by_name));
   exit 1
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let serve_only = List.mem "--serve-only" args in
-  let mproc_only = List.mem "--mproc-only" args in
-  let args =
-    List.filter (fun a -> a <> "--serve-only" && a <> "--mproc-only") args
-  in
   let run_all () =
     List.iter (fun e -> e ()) Experiments.all;
     Micro.run ()
   in
   let (), total =
     Harness.timed "bench.total" (fun () ->
-        match args with
+        match List.tl (Array.to_list Sys.argv) with
         | [] | [ "all" ] -> run_all ()
         | args ->
             List.iter
               (fun arg ->
                 match arg with
                 | "micro" -> Micro.run ()
-                | "smoke" ->
-                    if serve_only then Experiments.smoke_serve_only ()
-                    else if mproc_only then Experiments.smoke_mproc_only ()
-                    else Experiments.smoke ()
                 | name -> (
                     match List.assoc_opt name Experiments.by_name with
                     | Some e -> e ()

@@ -429,7 +429,7 @@ let scan_cmd =
   let run verbose provider path checks_file format timestamps exit_zero =
     setup_logs verbose;
     (* shared with the daemon's scan_file: same findings, same SARIF
-       bytes (the smoke gate holds us to that) *)
+       bytes (test/test_cli.ml holds us to that) *)
     let checks = load_scan_checks provider checks_file in
     match Zodiac_serve.Scan.scan_file ~provider ~checks path with
     | Error e ->

@@ -7,7 +7,7 @@
     deterministic}: results are sorted by (file, line, rule id,
     bindings), rules by id, and no wall-clock value appears unless the
     caller explicitly passes [~timestamp]. That byte-stability is load
-    bearing: the smoke gate asserts the resident daemon and the
+    bearing: the test suite asserts the resident daemon and the
     one-shot CLI produce identical SARIF for the same input. *)
 
 type finding = {

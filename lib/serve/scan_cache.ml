@@ -79,9 +79,10 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find t ?tag ~mode ~file src =
+(* Lookup and insertion by a precomputed key: [scan] fingerprints the
+   source once and uses the key for both, then hands it back. *)
+let find_key t ~key ~file =
   with_lock t (fun () ->
-      let key = key t ?tag ~mode src in
       match Memo.find t.memo key with
       | Some findings ->
           t.hits <- t.hits + 1;
@@ -102,9 +103,8 @@ let find t ?tag ~mode ~file src =
               t.misses <- t.misses + 1;
               None))
 
-let add t ?tag ~mode src findings =
+let add_key t ~key findings =
   with_lock t (fun () ->
-      let key = key t ?tag ~mode src in
       let stripped = strip findings in
       Memo.add t.memo key stripped;
       match t.disk with
@@ -113,17 +113,23 @@ let add t ?tag ~mode src findings =
           Cache.store disk ~stage ~key (fun sink ->
               Codec.write_list write_finding sink stripped))
 
+let find t ?tag ~mode ~file src = find_key t ~key:(key t ?tag ~mode src) ~file
+
+let add t ?tag ~mode src findings =
+  add_key t ~key:(key t ?tag ~mode src) findings
+
 (* The cached-scan composition used by every daemon verb: lookup, else
    run the underlying scanner and remember only successful results
    (errors must re-run — they may be transient I/O). *)
 let scan t ?tag ~mode ~file src scanner =
-  match find t ?tag ~mode ~file src with
-  | Some findings -> Ok findings
+  let key = key t ?tag ~mode src in
+  match find_key t ~key ~file with
+  | Some findings -> Ok (findings, key)
   | None -> (
       match scanner () with
       | Ok findings ->
-          add t ?tag ~mode src findings;
-          Ok findings
+          add_key t ~key findings;
+          Ok (findings, key)
       | Error _ as e -> e)
 
 let hits t = with_lock t (fun () -> t.hits)

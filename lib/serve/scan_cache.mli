@@ -50,9 +50,11 @@ val scan :
   file:string ->
   string ->
   (unit -> (Sarif.finding list, string) result) ->
-  (Sarif.finding list, string) result
+  (Sarif.finding list * string, string) result
 (** [scan t ?tag ~mode ~file src scanner]: cached lookup, else run
-    [scanner] and cache its findings. Errors are never cached — a
+    [scanner] and cache its findings. The source is fingerprinted once;
+    on success the findings come back with that key, which is
+    {!fingerprint} of the same arguments. Errors are never cached — a
     failed scan re-runs next time. *)
 
 val fingerprint : t -> ?tag:string -> mode:string -> string -> string

@@ -36,7 +36,7 @@ val handle_line :
   ?config:config -> Session.t -> string -> Zodiac_util.Json.t
 (** Parse-guard-dispatch for one request line; the response value the
     transports serialize. Exposed for the in-process round-trip tests
-    and the E17/E19 latency benches. *)
+    and the benchmark's per-layer timings. *)
 
 val serve_channels :
   ?config:config -> Session.t -> in_channel -> out_channel -> unit

@@ -153,8 +153,8 @@ let checks_for t provider =
 
 (* Every scan funnels through the content-fingerprint cache: same
    bytes + same registry + same resolved provider = cached findings,
-   path reattached. The underlying scanner still sees the deadline
-   checkpoint. *)
+   path reattached, returned with the cache key. The underlying
+   scanner still sees the deadline checkpoint. *)
 let cached_scan ?checkpoint t ~mode ~file src =
   let provider = resolve t src in
   let checks = checks_for t provider in
@@ -172,41 +172,25 @@ let scan_path ?checkpoint t ~mode ~path ~source =
       | Error e -> Error e
       | Ok src -> cached_scan ?checkpoint t ~mode ~file:path src)
 
-(* Single-content scans resolve their source bytes up front: the same
-   bytes feed the scan and the [content_fingerprint] validator the
-   response envelope carries (the {!Scan_cache} key — an ETag clients
-   can use to skip resending unchanged content). *)
+(* Single-content scans answer with the [content_fingerprint] validator
+   beside the result: the {!Scan_cache} key of the scanned bytes — an
+   ETag clients can use to skip resending unchanged content. *)
 let do_scan_one ?checkpoint t ~mode ~path ~source =
-  let resolved =
-    match source with Some src -> Ok src | None -> Scan.read_file path
-  in
-  match resolved with
+  match scan_path ?checkpoint t ~mode ~path ~source with
   | Error e ->
       bump_errors t;
       Error (scan_error e)
-  | Ok src -> (
-      match cached_scan ?checkpoint t ~mode ~file:path src with
-      | Error e ->
-          bump_errors t;
-          Error (scan_error e)
-      | Ok findings ->
-          record_scanned t ~files:1 ~findings:(List.length findings);
-          Telemetry.count t.telemetry "serve.findings" (List.length findings);
-          Ok
-            ( sarif_of_findings t findings,
-              [
-                ( "content_fingerprint",
-                  Json.String
-                    (Scan_cache.fingerprint t.scan_cache
-                       ~tag:(Provider.fingerprint (resolve t src))
-                       ~mode src) );
-              ] ))
+  | Ok (findings, key) ->
+      record_scanned t ~files:1 ~findings:(List.length findings);
+      Telemetry.count t.telemetry "serve.findings" (List.length findings);
+      Ok
+        ( sarif_of_findings t findings,
+          [ ("content_fingerprint", Json.String key) ] )
 
 let do_scan_directory ?checkpoint t ~dir =
   let scan file =
-    match Scan.read_file file with
-    | Error e -> Error e
-    | Ok src -> cached_scan ?checkpoint t ~mode:"hcl" ~file src
+    Result.map fst
+      (scan_path ?checkpoint t ~mode:"hcl" ~path:file ~source:None)
   in
   match
     Scan.scan_directory ~jobs:t.config.jobs ?checkpoint ~scan
@@ -246,7 +230,8 @@ let do_scan_batch ?checkpoint t ~files =
   let results =
     Zodiac_util.Parallel.map ~jobs:t.config.jobs
       (fun (path, source) ->
-        (path, scan_path ?checkpoint t ~mode:"hcl" ~path ~source))
+        ( path,
+          Result.map fst (scan_path ?checkpoint t ~mode:"hcl" ~path ~source) ))
       files
   in
   let scanned, errors, findings =

@@ -254,6 +254,27 @@ let run_with_oracle deploy =
 let baseline =
   lazy (verdict_sets (run_with_oracle (fun p -> Arm.success (Arm.deploy ~provider p))))
 
+(* The memo changes what a scheduler run costs, never what it decides:
+   memo-off and memo-on runs over one candidate set reach the same
+   verdicts, and the memo saves raw deployments. *)
+let test_memo_sound_and_saves () =
+  let run memo =
+    let engine =
+      Engine.create ~provider
+        ~config:{ Engine.default_config with Engine.memo }
+        ()
+    in
+    let result = run_with_oracle (Engine.oracle engine) in
+    (verdict_sets result, Engine.stats engine)
+  in
+  let off, off_stats = run false in
+  let on, on_stats = run true in
+  Alcotest.(check bool) "memo-on verdicts = memo-off verdicts" true (on = off);
+  Alcotest.(check bool) "deployments saved" true
+    (on_stats.Stats.deployments_saved > 0);
+  Alcotest.(check bool) "fewer raw attempts with the memo" true
+    (on_stats.Stats.attempts < off_stats.Stats.attempts)
+
 let fault_stability_prop =
   QCheck.Test.make ~count:8 ~name:"verdicts under faults = fault-free verdicts"
     QCheck.(pair (float_range 0.0 0.9) small_nat)
@@ -305,6 +326,8 @@ let () =
             test_engine_memoizes_alpha_equivalent;
           Alcotest.test_case "default fault rate nonzero" `Quick
             test_default_fault_rate_nonzero;
+          Alcotest.test_case "memo keeps verdicts, saves deployments" `Quick
+            test_memo_sound_and_saves;
         ] );
       ( "soundness",
         [ QCheck_alcotest.to_alcotest ~long:true fault_stability_prop ] );

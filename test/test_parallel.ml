@@ -1,8 +1,10 @@
 (* The deterministic domain pool: ordering, chunking, exception
    propagation, and the end-to-end jobs-independence contract of the
-   pipeline (parallel output bit-identical to sequential). *)
+   pipeline (parallel output bit-identical to sequential, down to the
+   number of mutants the scheduler plans). *)
 
 module Parallel = Zodiac_util.Parallel
+module Telemetry = Zodiac_util.Telemetry
 module Pipeline = Zodiac.Pipeline
 module Scheduler = Zodiac_validation.Scheduler
 module Kb = Zodiac_kb.Kb
@@ -75,17 +77,23 @@ let prop_map_equals_sequential =
 
 (* ---- end-to-end: pipeline output is independent of [jobs] ------------ *)
 
+(* The artifacts plus the run's [scheduler.mutations] total (mutants
+   planned), which must not depend on [jobs] either. *)
 let run_pipeline jobs =
-  Pipeline.run
-    ~config:
-      {
-        Pipeline.quick_config with
-        Pipeline.corpus_size = 150;
-        jobs;
-        scheduler =
-          { Scheduler.default_config with Scheduler.max_iterations = 3 };
-      }
-    ()
+  let telemetry = Telemetry.create () in
+  let a =
+    Pipeline.run
+      ~config:
+        {
+          Pipeline.quick_config with
+          Pipeline.corpus_size = 150;
+          jobs;
+          scheduler =
+            { Scheduler.default_config with Scheduler.max_iterations = 3 };
+        }
+      ~telemetry ()
+  in
+  (a, List.assoc_opt "scheduler.mutations" (Telemetry.totals telemetry))
 
 let kb_summary kb =
   ( Kb.size kb,
@@ -99,8 +107,8 @@ let kb_summary kb =
 let cids checks = List.map (fun (c : Check.t) -> c.Check.cid) checks
 
 let test_pipeline_jobs_independent () =
-  let a = run_pipeline 1 in
-  let b = run_pipeline 4 in
+  let a, a_mutations = run_pipeline 1 in
+  let b, b_mutations = run_pipeline 4 in
   Alcotest.(check (list string))
     "identical final checks (order included)"
     (cids a.Pipeline.final_checks)
@@ -118,7 +126,10 @@ let test_pipeline_jobs_independent () =
     (a.Pipeline.validation.Scheduler.iterations
     = b.Pipeline.validation.Scheduler.iterations);
   Alcotest.(check bool) "identical engine stats" true
-    (a.Pipeline.engine_stats = b.Pipeline.engine_stats)
+    (a.Pipeline.engine_stats = b.Pipeline.engine_stats);
+  Alcotest.(check bool) "mutants planned" true (Option.is_some a_mutations);
+  Alcotest.(check (option int)) "identical scheduler.mutations" a_mutations
+    b_mutations
 
 let () =
   Alcotest.run "parallel"

@@ -1,6 +1,7 @@
 (* Tests for the provider seam: cross-provider cache isolation, Azure
    mine byte-identity across parallelism knobs, the AWS backend's
-   end-to-end pipeline, and per-provider SARIF rule-id prefixes. *)
+   end-to-end pipeline and serve session, and per-provider SARIF
+   rule-id prefixes. *)
 
 module Pipeline = Zodiac.Pipeline
 module Registry = Zodiac.Registry
@@ -12,6 +13,9 @@ module Codec = Zodiac_util.Codec
 module Cache = Zodiac_util.Cache
 module Scan = Zodiac_serve.Scan
 module Sarif = Zodiac_serve.Sarif
+module Session = Zodiac_serve.Session
+module Protocol = Zodiac_serve.Protocol
+module Json = Zodiac_util.Json
 
 let azure = Zodiac_azure.Azure.provider
 let aws = Zodiac_aws.Aws.provider
@@ -148,6 +152,42 @@ let test_sarif_rule_prefixes () =
         (String.starts_with ~prefix:"AWS-" f.Sarif.rule_id))
     azure_findings
 
+(* ------------- an aws serve session ------------------------------------ *)
+
+(* A daemon session started for aws reports aws in [stats] and scans
+   aws sources to AWS- rules. *)
+let test_aws_session () =
+  let config = { Session.default_config with Session.provider = aws } in
+  let session =
+    match Session.create config with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "session: %s" e
+  in
+  (match Session.handle session Protocol.Stats with
+  | Ok stats ->
+      Alcotest.(check (option string))
+        "stats report aws" (Some "aws")
+        (Json.string_value (Json.member "provider" stats))
+  | Error e -> Alcotest.failf "stats: %s" e.Protocol.message);
+  match
+    Session.handle session
+      (Protocol.Scan_file { path = "main.tf"; source = Some aws_bad_source })
+  with
+  | Error e -> Alcotest.failf "scan: %s" e.Protocol.message
+  | Ok sarif ->
+      let ids =
+        List.concat_map
+          (fun run ->
+            List.filter_map
+              (fun r -> Json.string_value (Json.member "ruleId" r))
+              (Json.to_list (Json.member "results" run)))
+          (Json.to_list (Json.member "runs" sarif))
+      in
+      Alcotest.(check bool) "aws scan finds violations" true (ids <> []);
+      Alcotest.(check bool)
+        "every rule id carries the AWS- prefix" true
+        (List.for_all (String.starts_with ~prefix:"AWS-") ids)
+
 let () =
   Alcotest.run "provider"
     [
@@ -156,7 +196,10 @@ let () =
       ( "byte-identity",
         List.map QCheck_alcotest.to_alcotest [ prop_mine_invariant ] );
       ( "aws",
-        [ Alcotest.test_case "end-to-end pipeline" `Slow test_aws_pipeline ] );
+        [
+          Alcotest.test_case "end-to-end pipeline" `Slow test_aws_pipeline;
+          Alcotest.test_case "serve session" `Quick test_aws_session;
+        ] );
       ( "sarif",
         [
           Alcotest.test_case "rule-id prefixes" `Quick test_sarif_rule_prefixes;

@@ -10,6 +10,7 @@ module Scan = Zodiac_serve.Scan
 module Protocol = Zodiac_serve.Protocol
 module Session = Zodiac_serve.Session
 module Server = Zodiac_serve.Server
+module Scan_cache = Zodiac_serve.Scan_cache
 module Registry = Zodiac.Registry
 
 (* ------------- JSON round-trip (qcheck) ------------------------------ *)
@@ -681,7 +682,15 @@ let test_content_fingerprint () =
   let sarif1, e1 = scan ~path:"a.tf" Registry.mssql_db_buggy in
   let _, e2 = scan ~path:"a.tf" Registry.mssql_db_buggy in
   let _, e3 = scan ~path:"b.tf" Registry.mssql_db_fixed in
-  Alcotest.(check string) "stable across repeats (ETag)" (fp e1) (fp e2);
+  (* the miss (e1) and the hit (e2) both report the cache key itself *)
+  let expected =
+    Scan_cache.fingerprint
+      (Scan_cache.create ~checks:(Session.checks session) ())
+      ~tag:(Zodiac_provider.Provider.fingerprint Zodiac_azure.Azure.provider)
+      ~mode:"hcl" Registry.mssql_db_buggy
+  in
+  Alcotest.(check string) "miss reports the cache key" expected (fp e1);
+  Alcotest.(check string) "hit reports the cache key" expected (fp e2);
   Alcotest.(check bool) "distinct contents, distinct fingerprints" true
     (fp e1 <> fp e3);
   (* the fingerprint rides beside [result] in the envelope: the result

@@ -1,8 +1,9 @@
 (* Stage-runner and telemetry tests: cold ≡ warm ≡ uncached
    byte-equality through [Stage.run], the sinks-never-alter-
    artifacts qcheck property, counter-total determinism across jobs,
-   corruption fallback, and the result-returning error paths added for
-   malformed user input. *)
+   a traced mining run byte-identical to an untraced one with a valid
+   JSON trace, corruption fallback, and the result-returning error
+   paths added for malformed user input. *)
 
 module Telemetry = Zodiac_util.Telemetry
 module Stage = Zodiac_util.Stage
@@ -278,6 +279,68 @@ let test_counter_totals_jobs_invariant () =
   Alcotest.(check (list (pair string int)))
     "totals identical for jobs=1 and jobs=4" (totals 1) (totals 4)
 
+(* ------------- traced pipeline ≡ untraced pipeline ---------------------- *)
+
+(* Byte-exact export of everything the mining phase produced: the
+   corpus, the mined candidates (statistics as IEEE-754 bits), the
+   deduplicated check funnel and the KB shape. *)
+let mine_artifact_bytes (a : Pipeline.artifacts) =
+  Codec.encode ~stage:"test-artifacts" (fun b ->
+      Codec.write_list Zodiac_corpus.Generator.write_project b
+        a.Pipeline.projects;
+      Codec.write_list Zodiac_mining.Candidate.write b a.Pipeline.mined;
+      Codec.write_list Zodiac_spec.Check.write b a.Pipeline.candidates;
+      Codec.write_int b (Zodiac_kb.Kb.size a.Pipeline.kb);
+      Codec.write_int b (List.length (Zodiac_kb.Kb.conn_kinds a.Pipeline.kb));
+      Codec.write_list Codec.write_string b (Zodiac_kb.Kb.types a.Pipeline.kb))
+
+(* The spans of a recorder's JSON trace, after a print/parse round
+   trip. *)
+let trace_spans telemetry =
+  let text = Json.to_string ~pretty:true (Telemetry.to_json telemetry) in
+  match Json.of_string_result text with
+  | Ok json -> Json.to_list (Json.member "spans" json)
+  | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
+
+let stage_spans = [ "corpus"; "materialize"; "kb"; "mine"; "filter"; "oracle" ]
+
+(* A clocked recorder with a counting sink must not perturb a mining
+   run, and its trace must cover every Figure-2 mining stage; a
+   clockless recorder writes no wall time at all. *)
+let test_traced_mine_only () =
+  let config = { Pipeline.quick_config with Pipeline.corpus_size = 60 } in
+  let untraced = mine_artifact_bytes (Pipeline.mine_only ~config ()) in
+  let events = ref 0 in
+  let clocked =
+    Telemetry.create ~clock:Unix.gettimeofday
+      ~sinks:[ (fun _ -> incr events) ]
+      ()
+  in
+  let traced = Pipeline.mine_only ~config ~telemetry:clocked () in
+  Alcotest.(check bool)
+    "traced artifacts ≡ untraced" true
+    (String.equal untraced (mine_artifact_bytes traced));
+  Alcotest.(check bool) "sink observed events" true (!events > 0);
+  let spans = trace_spans clocked in
+  let names =
+    List.filter_map (fun s -> Json.string_value (Json.member "name" s)) spans
+  in
+  List.iter
+    (fun stage ->
+      Alcotest.(check bool)
+        (stage ^ " span present") true (List.mem stage names))
+    stage_spans;
+  Alcotest.(check bool)
+    "clocked spans carry wall_seconds" true
+    (List.for_all (fun s -> Json.member "wall_seconds" s <> Json.Null) spans);
+  let clockless = Telemetry.create () in
+  ignore (Pipeline.mine_only ~config ~telemetry:clockless ());
+  Alcotest.(check bool)
+    "clockless spans carry no wall_seconds" true
+    (List.for_all
+       (fun s -> Json.member "wall_seconds" s = Json.Null)
+       (trace_spans clockless))
+
 (* ------------- result-returning error paths ---------------------------- *)
 
 let test_error_paths () =
@@ -324,6 +387,8 @@ let () =
         [
           Alcotest.test_case "counter totals jobs-invariant" `Quick
             test_counter_totals_jobs_invariant;
+          Alcotest.test_case "traced ≡ untraced, trace valid" `Quick
+            test_traced_mine_only;
         ] );
       ( "errors", [ Alcotest.test_case "result paths" `Quick test_error_paths ] );
     ]
