@@ -908,12 +908,6 @@ let zodiac_bin () =
   in
   List.find_opt Sys.file_exists candidates
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* ------------------------------------------------------------------ *)
 (* E18 — beyond the paper: streaming shard pipeline                     *)
 (* ------------------------------------------------------------------ *)
@@ -1248,20 +1242,6 @@ let e18 () =
 (* E20 — multi-process sharded mining: fixed-slice worker fleet        *)
 (* ------------------------------------------------------------------ *)
 
-(* The final kb-/mine- cache artifacts of a run, name → bytes. Shard
-   checkpoints are excluded: the merge-pass finals are the
-   byte-equality contract. *)
-let e20_finals dir =
-  List.filter_map
-    (fun f ->
-      if
-        (String.starts_with ~prefix:"kb-" f
-        || String.starts_with ~prefix:"mine-" f)
-        && Filename.check_suffix f ".bin"
-      then Some (f, read_all (Filename.concat dir f))
-      else None)
-    (List.sort String.compare (Array.to_list (Sys.readdir dir)))
-
 let e20_fresh_dir tag =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) ("zodiac-e20-" ^ tag)
@@ -1300,26 +1280,6 @@ let e20_worker_args ~n ~shard ~slice:(k, w) ~dir =
     Printf.sprintf "%d/%d" k w;
   ]
 
-(* The report's "<pass> pass: N shards (R resumed from checkpoints, B
-   built)" line, as (N, R, B). *)
-let e20_pass lines pass =
-  List.find_map
-    (fun l ->
-      Scanf.sscanf_opt (String.trim l)
-        "%s pass: %d shards (%d resumed from checkpoints, %d built)"
-        (fun p n r b -> if String.equal p pass then Some (n, r, b) else None)
-      |> Option.join)
-    lines
-
-(* The report's "<pass> fleet: W workers, F failed" line, as (W, F). *)
-let e20_fleet lines pass =
-  List.find_map
-    (fun l ->
-      Scanf.sscanf_opt (String.trim l) "%s fleet: %d workers, %d failed"
-        (fun p w f -> if String.equal p pass then Some (w, f) else None)
-      |> Option.join)
-    lines
-
 (* KB shard checkpoints present in a cache dir. *)
 let e20_kb_checkpoints dir =
   List.filter
@@ -1351,7 +1311,7 @@ let e20 () =
             "--cache-dir"; mono_dir; "--limit"; "0";
           ]
       in
-      let mono = e20_finals mono_dir in
+      let mono = Pipeline.final_entries mono_dir in
       if (not mono_ok) || mono = [] then begin
         print_endline "E20: FAIL — monolithic reference run failed";
         exit 1
@@ -1373,11 +1333,11 @@ let e20 () =
               workers = 1
               || List.for_all
                    (fun pass ->
-                     e20_fleet lines pass = Some (workers, 0)
-                     && e20_pass lines pass = Some (shards, shards, 0))
+                     Report.fleet_counts lines pass = Some (workers, 0)
+                     && Report.fold_counts lines pass = Some (shards, shards, 0))
                    [ "kb"; "mine" ]
             in
-            let ok = ok_run && fleet_ok && e20_finals dir = mono in
+            let ok = ok_run && fleet_ok && Pipeline.final_entries dir = mono in
             rm_rf dir;
             (workers, jobs, shard, wall, ok))
           grid
@@ -1436,7 +1396,7 @@ let e20 () =
                 workers jobs;
               exit 1
             end;
-            let finals = e20_finals dir in
+            let finals = Pipeline.final_entries dir in
             rm_rf dir;
             (workers, jobs, wall, rss_of lines, finals))
           scale_levels
@@ -1525,7 +1485,7 @@ let e20 () =
         e20_cli bin
           (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:1 ~dir)
       in
-      let resume_kb = e20_pass resume_lines "kb" in
+      let resume_kb = Report.fold_counts resume_lines "kb" in
       let ref_dir = e20_fresh_dir "kill-ref" in
       let _, ref_ok, _ =
         e20_cli bin
@@ -1535,7 +1495,7 @@ let e20 () =
       let ok_kill =
         resume_ok && ref_ok
         && resume_kb = Some (shards_kill, survivors, shards_kill - survivors)
-        && e20_finals dir = e20_finals ref_dir
+        && Pipeline.final_entries dir = Pipeline.final_entries ref_dir
       in
       Printf.printf
         "kill -9 mid-mine: %d/%d shards survived (work reopened: %b); resume \

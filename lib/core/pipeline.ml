@@ -354,6 +354,16 @@ let mine_worker ?(config = default_config) ~slice ~shard_size ~pass () =
 
 (* The one mining function: both passes over [load]'s shards, then
    filter + oracle. *)
+let final_entries dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f ->
+         (String.starts_with ~prefix:"kb-" f
+         || String.starts_with ~prefix:"mine-" f)
+         && Filename.check_suffix f ".bin")
+  |> List.sort String.compare
+  |> List.map (fun f ->
+         (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
 let mine_folds ~config ~telemetry ~workers ~worker_command ~progress ~load
     ~shard_size =
   let cache = cache_of config in

@@ -194,6 +194,12 @@ val mine_worker :
     complete by the time the parent spawns mine workers). It never
     merges and never writes final artifacts. *)
 
+val final_entries : string -> (string * string) list
+(** The final ["kb"]/["mine"] entries of the cache directory [dir], as
+    (file name, bytes) sorted by name: what the byte-identity contract
+    of {!mine_streamed} compares across shard sizes, [jobs] and
+    [workers]. Shard checkpoints are intermediate and left out. *)
+
 type violation_report = {
   project : string;
   check : Zodiac_spec.Check.t;

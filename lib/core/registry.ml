@@ -138,6 +138,17 @@ resource "azurerm_mssql_database" "d" {
 }
 |}
 
+let aws_db_buggy =
+  {|resource "aws_db_instance" "db" {
+  name                    = "appdb"
+  location                = "us-east-1"
+  engine                  = "postgres"
+  instance_class          = "db.t3.micro"
+  allocated_storage       = 5
+  backup_retention_period = 40
+}
+|}
+
 let mssql_db_fixed =
   let patch s (from, into) =
     let flen = String.length from in

@@ -16,6 +16,11 @@ val mssql_db_buggy : string
     analogue): compiles, fails to deploy. *)
 
 val mssql_db_fixed : string
+
+val aws_db_buggy : string
+(** An AWS database that breaks two AWS ground-truth rules: 5 GB of
+    storage (minimum 20) and a 40-day backup retention (maximum 35). *)
+
 val quickstart_vm : string
 (** A correct single-VM example used by the quickstart. *)
 

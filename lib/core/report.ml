@@ -169,6 +169,23 @@ let streamed_summary (s : Pipeline.streamed) =
       ]
     @ rss_summary ())
 
+let fold_counts lines pass =
+  List.find_map
+    (fun l ->
+      Scanf.sscanf_opt (String.trim l)
+        "%s pass: %d shards (%d resumed from checkpoints, %d built)"
+        (fun p n r b -> if String.equal p pass then Some (n, r, b) else None)
+      |> Option.join)
+    lines
+
+let fleet_counts lines pass =
+  List.find_map
+    (fun l ->
+      Scanf.sscanf_opt (String.trim l) "%s fleet: %d workers, %d failed"
+        (fun p w f -> if String.equal p pass then Some (w, f) else None)
+      |> Option.join)
+    lines
+
 let full ?telemetry a =
   String.concat "\n"
     [

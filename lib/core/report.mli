@@ -33,4 +33,13 @@ val streamed_summary : Pipeline.streamed -> string
     the worker fleet's size and failures, when one ran), the mining
     funnel counts, cache accounting and peak RSS. *)
 
+val fold_counts : string list -> string -> (int * int * int) option
+(** [fold_counts lines pass] reads {!streamed_summary}'s
+    ["<pass> pass: N shards (R resumed from checkpoints, B built)"]
+    line back out of the report [lines], as [(N, R, B)]. *)
+
+val fleet_counts : string list -> string -> (int * int) option
+(** The same for the ["<pass> fleet: W workers, F failed"] line, as
+    [(W, F)]. *)
+
 val full : ?telemetry:Zodiac_util.Telemetry.t -> Pipeline.artifacts -> string

@@ -8,7 +8,9 @@
 module Json = Zodiac_util.Json
 module Sarif = Zodiac_serve.Sarif
 module Scan = Zodiac_serve.Scan
+module Pipeline = Zodiac.Pipeline
 module Registry = Zodiac.Registry
+module Report = Zodiac.Report
 
 (* Built beside this test: <build>/test/test_cli.exe and
    <build>/bin/zodiac_cli.exe. *)
@@ -18,12 +20,6 @@ let zodiac =
     [ Filename.parent_dir_name; "bin"; "zodiac_cli.exe" ]
 
 (* ------------- helpers ------------------------------------------------ *)
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let with_temp suffix contents f =
   let path = Filename.temp_file "zodiac-test-cli" suffix in
@@ -68,19 +64,22 @@ let run ?(stdin = "/dev/null") args =
           (Filename.quote stdin) (Filename.quote out)
       in
       let code = Sys.command cmd in
-      (code, read_all out))
+      (code, In_channel.with_open_bin out In_channel.input_all))
 
 let check_exit what code = Alcotest.(check int) (what ^ " exits 0") 0 code
 
 let lines text = String.split_on_char '\n' (String.trim text)
 
-let rule_ids sarif =
-  List.concat_map
-    (fun run ->
-      List.filter_map
-        (fun r -> Json.string_value (Json.member "ruleId" r))
-        (Json.to_list (Json.member "results" run)))
-    (Json.to_list (Json.member "runs" sarif))
+(* The SARIF an in-process scan of the known-bad file [tf] renders:
+   what the spawned CLI must print, byte for byte. *)
+let in_process_sarif provider tf =
+  match Scan.load_checks provider None with
+  | Error e -> Alcotest.failf "load checks: %s" e
+  | Ok checks -> (
+      match Scan.scan_file ~provider ~checks tf with
+      | Ok findings when findings <> [] -> Sarif.to_string findings
+      | Ok _ -> Alcotest.fail "known-bad file not flagged"
+      | Error e -> Alcotest.failf "in-process scan: %s" e)
 
 (* ------------- daemon ≡ one-shot scan --------------------------------- *)
 
@@ -88,17 +87,9 @@ let test_serve_equals_scan () =
   with_temp ".tf" Registry.mssql_db_buggy (fun tf ->
       let code, cli = run [ "scan"; "--format"; "sarif"; "--exit-zero"; tf ] in
       check_exit "scan" code;
-      let provider = Zodiac_azure.Azure.provider in
-      let oneshot =
-        match Scan.load_checks provider None with
-        | Error e -> Alcotest.failf "load checks: %s" e
-        | Ok checks -> (
-            match Scan.scan_file ~provider ~checks tf with
-            | Ok findings when findings <> [] -> Sarif.to_string findings
-            | Ok _ -> Alcotest.fail "known-bad file not flagged"
-            | Error e -> Alcotest.failf "in-process scan: %s" e)
-      in
-      Alcotest.(check string) "spawned scan ≡ in-process scan" oneshot cli;
+      Alcotest.(check string) "spawned scan ≡ in-process scan"
+        (in_process_sarif Zodiac_azure.Azure.provider tf)
+        cli;
       let requests =
         Json.to_string
           (Json.Obj
@@ -138,40 +129,10 @@ let mine ?(workers = 1) dir =
      ]
     @ if workers > 1 then [ "--workers"; string_of_int workers ] else [])
 
-(* The final kb-/mine- artifacts of a cache dir, name and bytes: the
-   byte-equality contract (shard checkpoints are intermediate). *)
-let finals dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.filter (fun f ->
-         String.starts_with ~prefix:"kb-" f
-         || String.starts_with ~prefix:"mine-" f)
-  |> List.sort String.compare
-  |> List.map (fun f -> (f, read_all (Filename.concat dir f)))
-
 let claim_files dir =
   List.filter
     (fun f -> Filename.check_suffix f ".claim")
     (Array.to_list (Sys.readdir dir))
-
-(* The report's "<pass> pass: N shards (R resumed from checkpoints, B
-   built)" line, as (N, R, B). *)
-let pass_line out pass =
-  List.find_map
-    (fun l ->
-      Option.join
-        (Scanf.sscanf_opt (String.trim l)
-           "%s pass: %d shards (%d resumed from checkpoints, %d built)"
-           (fun p n r b -> if p = pass then Some (n, r, b) else None)))
-    (lines out)
-
-(* The report's "<pass> fleet: W workers, F failed" line, as (W, F). *)
-let fleet_line out pass =
-  List.find_map
-    (fun l ->
-      Option.join
-        (Scanf.sscanf_opt (String.trim l) "%s fleet: %d workers, %d failed"
-           (fun p w f -> if p = pass then Some (w, f) else None)))
-    (lines out)
 
 let shards = Alcotest.(option (triple int int int))
 
@@ -186,13 +147,13 @@ let test_fleet_equals_single () =
           (fun pass ->
             Alcotest.(check (option (pair int int)))
               (pass ^ " fleet: 2 workers, none failed") (Some (2, 0))
-              (fleet_line out2 pass);
+              (Report.fleet_counts (lines out2) pass);
             Alcotest.check shards
               (pass ^ " merge pass resumes every shard") (Some (3, 3, 0))
-              (pass_line out2 pass))
+              (Report.fold_counts (lines out2) pass))
           [ "kb"; "mine" ];
         Alcotest.(check bool) "workers=2 finals ≡ workers=1" true
-          (finals d2 = finals d1);
+          (Pipeline.final_entries d2 = Pipeline.final_entries d1);
         Alcotest.(check (list string)) "no claim files" [] (claim_files d2)
     | _ -> assert false)
 
@@ -215,45 +176,26 @@ let test_partial_slice_resume () =
         let code, out = mine partial in
         check_exit "resumed mine" code;
         Alcotest.check shards "kb pass builds only the missing shard"
-          (Some (3, 2, 1)) (pass_line out "kb");
+          (Some (3, 2, 1)) (Report.fold_counts (lines out) "kb");
         Alcotest.(check bool) "resumed finals ≡ reference" true
-          (finals partial = finals reference);
+          (Pipeline.final_entries partial = Pipeline.final_entries reference);
         Alcotest.(check (list string)) "no claim files" [] (claim_files partial)
     | _ -> assert false)
 
 (* ------------- --provider ---------------------------------------------- *)
 
-let aws_bad_source =
-  {|resource "aws_db_instance" "db" {
-  name                    = "appdb"
-  location                = "us-east-1"
-  engine                  = "postgres"
-  instance_class          = "db.t3.micro"
-  allocated_storage       = 5
-  backup_retention_period = 40
-}
-|}
-
+(* An aws scan through the CLI prints what the in-process aws scan
+   renders (test_provider checks that those rule ids are AWS-'s). *)
 let test_provider_flag () =
-  with_temp ".tf" aws_bad_source (fun tf ->
+  with_temp ".tf" Registry.aws_db_buggy (fun tf ->
       let code, out =
         run
           [ "scan"; "--provider"; "aws"; "--format"; "sarif"; "--exit-zero"; tf ]
       in
       check_exit "scan --provider aws" code;
-      let ids =
-        match Json.of_string_result out with
-        | Ok sarif -> rule_ids sarif
-        | Error e -> Alcotest.failf "scan output is not JSON: %s" e
-      in
-      Alcotest.(check bool) "aws scan finds violations" true (ids <> []);
-      List.iter
-        (fun id ->
-          Alcotest.(check bool)
-            (id ^ " carries the AWS- prefix")
-            true
-            (String.starts_with ~prefix:"AWS-" id))
-        ids;
+      Alcotest.(check string) "scan --provider aws ≡ in-process aws scan"
+        (in_process_sarif Zodiac_aws.Aws.provider tf)
+        out;
       let code, _ = run [ "scan"; "--provider"; "nonesuch"; tf ] in
       Alcotest.(check bool) "unknown --provider is an error" true (code <> 0))
 

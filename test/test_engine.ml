@@ -288,6 +288,21 @@ let fault_stability_prop =
       let result = run_with_oracle (Engine.oracle engine) in
       verdict_sets result = Lazy.force baseline)
 
+(* The property above passes vacuously if no fault ever reaches the
+   scheduler, so one fixed run also requires that the faulty engine
+   really injected faults. *)
+let test_faulty_engine_injects () =
+  let engine =
+    Engine.create ~provider
+      ~config:(Engine.faulty_config ~fault_rate:0.3 ~seed:11 ())
+      ()
+  in
+  let result = run_with_oracle (Engine.oracle engine) in
+  Alcotest.(check bool) "verdicts = fault-free verdicts" true
+    (verdict_sets result = Lazy.force baseline);
+  Alcotest.(check bool) "faults injected" true
+    ((Engine.stats engine).Stats.faults > 0)
+
 let test_default_fault_rate_nonzero () =
   Alcotest.(check bool) "default fault rate nonzero" true
     (Flaky.default_config.Flaky.fault_rate > 0.0)
@@ -330,5 +345,9 @@ let () =
             test_memo_sound_and_saves;
         ] );
       ( "soundness",
-        [ QCheck_alcotest.to_alcotest ~long:true fault_stability_prop ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:true fault_stability_prop;
+          Alcotest.test_case "faulty engine injects, verdicts hold" `Quick
+            test_faulty_engine_injects;
+        ] );
     ]

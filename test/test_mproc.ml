@@ -59,20 +59,6 @@ let claim_files dir =
     (fun f -> Filename.check_suffix f ".claim")
     (Array.to_list (Sys.readdir dir))
 
-(* The final kb-/mine- artifacts of a cache dir, name and bytes: the
-   byte-equality contract (shard checkpoints are intermediate). *)
-let finals dir =
-  Array.to_list (Sys.readdir dir)
-  |> List.filter (fun f ->
-         String.starts_with ~prefix:"kb-" f
-         || String.starts_with ~prefix:"mine-" f)
-  |> List.sort String.compare
-  |> List.map (fun f ->
-         let ic = open_in_bin (Filename.concat dir f) in
-         Fun.protect
-           ~finally:(fun () -> close_in_noerr ic)
-           (fun () -> (f, really_input_string ic (in_channel_length ic))))
-
 let config ~total dir =
   {
     Pipeline.quick_config with
@@ -85,7 +71,7 @@ let config ~total dir =
 let one_shard_finals ~total =
   with_cache_dir "zodiac-test-mproc-ref" (fun dir ->
       ignore (Pipeline.mine_streamed ~config:(config ~total dir) ~shard_size:0 ());
-      finals dir)
+      Pipeline.final_entries dir)
 
 (* Shards of the plan that slice [k]/[n] owns. *)
 let slice_size ~total ~shard_size (k, n) =
@@ -161,7 +147,7 @@ let prop_slices_partition_the_plan =
           && s.Pipeline.s_kb_fold = all_resumed
           && s.Pipeline.s_mine_fold = all_resumed
           && claim_files dir = []
-          && finals dir = one_shard_finals ~total))
+          && Pipeline.final_entries dir = one_shard_finals ~total))
 
 (* ------------- a killed worker ------------------------------------------ *)
 
@@ -200,7 +186,8 @@ let test_killed_worker pass () =
             s.Pipeline.s_kb_fold;
           Alcotest.check outcome "mine pass rebuilds slice 1" rebuilt
             s.Pipeline.s_mine_fold);
-      Alcotest.(check bool) "finals ≡ one-shard run" true (finals dir = reference))
+      Alcotest.(check bool) "finals ≡ one-shard run" true
+        (Pipeline.final_entries dir = reference))
 
 let test_bad_slice () =
   with_cache_dir "zodiac-test-mproc-bad" (fun dir ->

@@ -111,17 +111,6 @@ let test_aws_pipeline () =
 
 (* ------------- per-provider SARIF rule-id prefixes --------------------- *)
 
-let aws_bad_source =
-  {|resource "aws_db_instance" "db" {
-  name                    = "appdb"
-  location                = "us-east-1"
-  engine                  = "postgres"
-  instance_class          = "db.t3.micro"
-  allocated_storage       = 5
-  backup_retention_period = 40
-}
-|}
-
 let scan_ground_truth provider src =
   match
     Scan.scan_source ~provider
@@ -132,7 +121,7 @@ let scan_ground_truth provider src =
   | Error e -> Alcotest.failf "scan failed: %s" e
 
 let test_sarif_rule_prefixes () =
-  let aws_findings = scan_ground_truth aws aws_bad_source in
+  let aws_findings = scan_ground_truth aws Registry.aws_db_buggy in
   Alcotest.(check bool) "aws scan finds violations" true (aws_findings <> []);
   List.iter
     (fun (f : Sarif.finding) ->
@@ -171,7 +160,7 @@ let test_aws_session () =
   | Error e -> Alcotest.failf "stats: %s" e.Protocol.message);
   match
     Session.handle session
-      (Protocol.Scan_file { path = "main.tf"; source = Some aws_bad_source })
+      (Protocol.Scan_file { path = "main.tf"; source = Some Registry.aws_db_buggy })
   with
   | Error e -> Alcotest.failf "scan: %s" e.Protocol.message
   | Ok sarif ->
