@@ -151,22 +151,21 @@ let telemetry_of trace =
   | None -> Zodiac_util.Telemetry.create ()
   | Some _ -> Zodiac_util.Telemetry.create ~clock:Unix.gettimeofday ()
 
+let write_json_trace path json =
+  match open_out path with
+  | exception Sys_error e ->
+      prerr_endline ("error writing trace: " ^ e);
+      exit 2
+  | oc ->
+      output_string oc (Zodiac_util.Json.to_string ~pretty:true json);
+      output_char oc '\n';
+      close_out oc
+
 let write_trace trace telemetry =
-  match trace with
-  | None -> ()
-  | Some path -> (
-      let json =
-        Zodiac_util.Json.to_string ~pretty:true
-          (Zodiac_util.Telemetry.to_json telemetry)
-      in
-      match open_out path with
-      | exception Sys_error e ->
-          prerr_endline ("error writing trace: " ^ e);
-          exit 2
-      | oc ->
-          output_string oc json;
-          output_char oc '\n';
-          close_out oc)
+  Option.iter
+    (fun path ->
+      write_json_trace path (Zodiac_util.Telemetry.to_json telemetry))
+    trace
 
 (* ---- mine ----------------------------------------------------------- *)
 
@@ -672,7 +671,6 @@ let serve_cmd =
   let run verbose provider checks_file socket jobs cache trace timestamps
       max_request_bytes deadline_ms max_clients =
     setup_logs verbose;
-    let telemetry = telemetry_of trace in
     let session_config =
       {
         Zodiac_serve.Session.provider;
@@ -683,7 +681,7 @@ let serve_cmd =
         engine = Zodiac_engine.Engine.default_config;
       }
     in
-    match Zodiac_serve.Session.create ~telemetry session_config with
+    match Zodiac_serve.Session.create session_config with
     | Error e ->
         prerr_endline ("error: " ^ e);
         exit 2
@@ -713,7 +711,25 @@ let serve_cmd =
         | Some path ->
             Zodiac_serve.Server.serve_socket ~config:server_config session
               ~path);
-        write_trace trace telemetry
+        Option.iter
+          (fun path ->
+            write_json_trace path
+              (Zodiac_util.Json.Obj
+                 [ ("latency_us", Zodiac_serve.Session.latency_json session) ]))
+          trace
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "When the daemon exits, write its per-verb request statistics \
+             to $(docv) as JSON: the $(b,latency_us) member of the \
+             $(b,stats) reply, i.e. per verb the completed and failed \
+             request counts and a log2-microsecond latency histogram. \
+             Nothing is recorded per request, so the daemon's memory does \
+             not grow with traffic.")
   in
   let checks_file =
     Arg.(
@@ -779,7 +795,7 @@ let serve_cmd =
           line-delimited JSON protocol with SARIF results")
     Term.(
       const run $ verbose_arg $ provider_arg $ checks_file $ socket $ jobs_arg
-      $ cache_term $ trace_arg $ timestamps $ max_request_bytes $ deadline_ms
+      $ cache_term $ trace $ timestamps $ max_request_bytes $ deadline_ms
       $ max_clients)
 
 (* ---- rules ---------------------------------------------------------- *)

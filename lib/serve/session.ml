@@ -1,5 +1,4 @@
 module Json = Zodiac_util.Json
-module Telemetry = Zodiac_util.Telemetry
 module Cache = Zodiac_util.Cache
 module Engine = Zodiac_engine.Engine
 module Provider = Zodiac_provider.Provider
@@ -24,12 +23,25 @@ let default_config =
     engine = Engine.default_config;
   }
 
+(* What the daemon remembers of one verb's traffic: fixed size, however
+   many requests it serves. Bucket [i] of [latency] counts requests that
+   took fewer than [2^i] µs and at least [2^(i-1)] (bucket 0: under
+   1 µs); the last bucket also takes everything slower. *)
+let latency_buckets = 24
+
+type verb_stats = {
+  mutable received : int;  (** counted on arrival: [stats]' [requests] *)
+  mutable failed : int;  (** completed with an error reply *)
+  latency : int array;  (** completed requests, [latency_buckets] long *)
+}
+
 (* One session is shared by every connection the server accepts, so
    the mutable surface splits into three independently-locked parts:
-   [state_lock] guards the request/connection counters, [engine_lock]
-   serializes the deployment engine (its memo table is not
-   thread-safe), and the scan cache locks internally. Handlers hold at
-   most one lock at a time — no ordering to get wrong. *)
+   [state_lock] guards the request/connection counters and the per-verb
+   stats, [engine_lock] serializes the deployment engine (its memo
+   table is not thread-safe), and the scan cache locks internally.
+   Handlers hold at most one lock at a time — no ordering to get
+   wrong. *)
 type t = {
   config : config;
   provider : Provider.t;
@@ -41,9 +53,8 @@ type t = {
   engine_lock : Mutex.t;
   cache : Cache.t option;
   scan_cache : Scan_cache.t;
-  telemetry : Telemetry.t;
   state_lock : Mutex.t;
-  requests : (string, int) Hashtbl.t;  (** method -> count *)
+  verbs : (string, verb_stats) Hashtbl.t;  (** method -> stats *)
   mutable findings_total : int;
   mutable files_scanned : int;
   mutable errors_total : int;
@@ -53,7 +64,7 @@ type t = {
   stop : bool Atomic.t;
 }
 
-let create ?(telemetry = Telemetry.null) (config : config) =
+let create (config : config) =
   match Scan.load_checks config.provider config.checks_file with
   | Error e -> Error e
   | Ok checks ->
@@ -78,9 +89,8 @@ let create ?(telemetry = Telemetry.null) (config : config) =
           engine_lock = Mutex.create ();
           cache;
           scan_cache = Scan_cache.create ?disk:cache ~checks ();
-          telemetry;
           state_lock = Mutex.create ();
-          requests = Hashtbl.create 8;
+          verbs = Hashtbl.create 16;
           findings_total = 0;
           files_scanned = 0;
           errors_total = 0;
@@ -182,7 +192,6 @@ let do_scan_one ?checkpoint t ~mode ~path ~source =
       Error (scan_error e)
   | Ok (findings, key) ->
       record_scanned t ~files:1 ~findings:(List.length findings);
-      Telemetry.count t.telemetry "serve.findings" (List.length findings);
       Ok
         ( sarif_of_findings t findings,
           [ ("content_fingerprint", Json.String key) ] )
@@ -204,8 +213,6 @@ let do_scan_directory ?checkpoint t ~dir =
       record_scanned t ~files:(List.length files)
         ~findings:(List.length findings);
       bump_errors ~n:(List.length errors) t;
-      Telemetry.count t.telemetry "serve.findings" (List.length findings);
-      Telemetry.count t.telemetry "serve.files" (List.length files);
       Ok
         (Json.Obj
            [
@@ -244,8 +251,6 @@ let do_scan_batch ?checkpoint t ~files =
   in
   record_scanned t ~files:scanned ~findings;
   bump_errors ~n:errors t;
-  Telemetry.count t.telemetry "serve.findings" findings;
-  Telemetry.count t.telemetry "serve.files" scanned;
   Ok
     (Json.Obj
        [
@@ -343,7 +348,6 @@ let do_validate ?checkpoint t ~path ~source =
                ])
       | Ok outcome ->
           let open Zodiac_cloud.Arm in
-          Telemetry.count t.telemetry "serve.deployments" 1;
           Ok
             (Json.Obj
                [
@@ -359,12 +363,69 @@ let do_validate ?checkpoint t ~path ~source =
                    Json.List (List.map failure_json outcome.post_sync_issues) );
                ]))
 
+(* Per-verb members in verb-name order; call under [state_lock]. *)
+let by_verb t f =
+  List.sort compare
+    (Hashtbl.fold
+       (fun name v acc ->
+         match f v with Some json -> (name, json) :: acc | None -> acc)
+       t.verbs [])
+
+(* A latency bucket's exclusive upper bound in µs; [null] for the
+   open-ended last bucket. *)
+let bucket_bound i =
+  if i = latency_buckets - 1 then Json.Null else Json.Int (1 lsl i)
+
+let bucket_of_us us =
+  let rec bits n = if n <= 0 then 0 else 1 + bits (n lsr 1) in
+  min (latency_buckets - 1) (bits us)
+
+(* Nearest-rank percentile [pct] of [completed] samples, as the upper
+   bound of the bucket holding it. *)
+let percentile latency ~completed pct =
+  let rank = max 1 (((pct * completed) + 99) / 100) in
+  let rec go i seen =
+    let seen = seen + latency.(i) in
+    if seen >= rank || i = latency_buckets - 1 then bucket_bound i
+    else go (i + 1) seen
+  in
+  go 0 0
+
+(* Verbs with no completed request yet (a first [stats] asking about
+   itself) are left out. *)
+let latency_of_verbs t =
+  Json.Obj
+    (by_verb t (fun v ->
+         let completed = Array.fold_left ( + ) 0 v.latency in
+         if completed = 0 then None
+         else
+           Some
+             (Json.Obj
+                [
+                  ("count", Json.Int completed);
+                  ("errors", Json.Int v.failed);
+                  ("p50", percentile v.latency ~completed 50);
+                  ("p99", percentile v.latency ~completed 99);
+                  ( "buckets",
+                    Json.List
+                      (List.filter_map
+                         (fun i ->
+                           if v.latency.(i) = 0 then None
+                           else
+                             Some
+                               (Json.List
+                                  [ bucket_bound i; Json.Int v.latency.(i) ]))
+                         (List.init latency_buckets Fun.id)) );
+                ])))
+
+let latency_json t = with_state t (fun () -> latency_of_verbs t)
+
 let do_stats t =
-  let requests, files_scanned, findings_total, errors_total, conn_active,
-      conn_total, queue_depth =
+  let requests, latency, files_scanned, findings_total, errors_total,
+      conn_active, conn_total, queue_depth =
     with_state t (fun () ->
-        ( List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) t.requests []),
+        ( by_verb t (fun v -> Some (Json.Int v.received)),
+          latency_of_verbs t,
           t.files_scanned,
           t.findings_total,
           t.errors_total,
@@ -427,6 +488,7 @@ let do_stats t =
          ("checks_loaded", Json.Int (List.length t.checks));
          ("jobs", Json.Int t.config.jobs);
          ("peak_rss_kb", peak_rss);
+         ("latency_us", latency);
          ("scan_cache", scan_cache);
          ("engine", engine);
          ("cache", cache);
@@ -464,9 +526,25 @@ let deadline_error ms =
 
 let handle_extra ?deadline_ms t verb =
   let name = Protocol.verb_name verb in
-  with_state t (fun () ->
-      Hashtbl.replace t.requests name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.requests name)));
+  let stats =
+    with_state t (fun () ->
+        let v =
+          match Hashtbl.find_opt t.verbs name with
+          | Some v -> v
+          | None ->
+              let v =
+                {
+                  received = 0;
+                  failed = 0;
+                  latency = Array.make latency_buckets 0;
+                }
+              in
+              Hashtbl.add t.verbs name v;
+              v
+        in
+        v.received <- v.received + 1;
+        v)
+  in
   (* The deadline is enforced *while* the request runs: [checkpoint]
      raises at the natural work boundaries (between checks, between
      files, before a deployment), so an over-deadline scan abandons
@@ -489,26 +567,30 @@ let handle_extra ?deadline_ms t verb =
     | None -> false
     | Some ms -> (Unix.gettimeofday () -. start) *. 1000. > float_of_int ms
   in
-  Telemetry.with_span t.telemetry ("serve." ^ name) (fun () ->
-      match dispatch ?checkpoint t verb with
-      | Ok _ when overdue () ->
-          (* Checkpoint-free verb finished past the deadline: the work
-             already ran to completion (counters/cache recorded it),
-             but the client still gets the structured error, counted
-             like the in-flight deadline path. *)
-          bump_errors t;
-          Error (deadline_error (Option.get deadline_ms))
-      | result -> result
-      | exception Deadline_exceeded ->
-          bump_errors t;
-          Error (deadline_error (Option.get deadline_ms))
-      | exception exn ->
-          bump_errors t;
-          Error
-            {
-              Protocol.code = "internal_error";
-              message = Printexc.to_string exn;
-            })
+  let result =
+    match dispatch ?checkpoint t verb with
+    | Ok _ when overdue () ->
+        (* Checkpoint-free verb finished past the deadline: the work
+           already ran to completion (counters/cache recorded it), but
+           the client still gets the structured error, counted like the
+           in-flight deadline path. *)
+        bump_errors t;
+        Error (deadline_error (Option.get deadline_ms))
+    | result -> result
+    | exception Deadline_exceeded ->
+        bump_errors t;
+        Error (deadline_error (Option.get deadline_ms))
+    | exception exn ->
+        bump_errors t;
+        Error
+          { Protocol.code = "internal_error"; message = Printexc.to_string exn }
+  in
+  let us = int_of_float ((Unix.gettimeofday () -. start) *. 1e6) in
+  with_state t (fun () ->
+      let b = bucket_of_us us in
+      stats.latency.(b) <- stats.latency.(b) + 1;
+      if Result.is_error result then stats.failed <- stats.failed + 1);
+  result
 
 let handle ?deadline_ms t verb =
   Result.map fst (handle_extra ?deadline_ms t verb)

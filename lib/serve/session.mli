@@ -16,9 +16,16 @@
     from the content-fingerprint cache only when the source bytes and
     check registry both match, so a hit is byte-identical to a fresh
     scan by construction. Directory and batch scans fan their per-file
-    work onto the {!Zodiac_util.Parallel} domain pool; every request
-    runs inside a [serve.<method>] {!Zodiac_util.Telemetry} span
-    carrying finding/file counters. *)
+    work onto the {!Zodiac_util.Parallel} domain pool.
+
+    What the session keeps of its traffic is fixed-size: per verb, a
+    request count, an error count and a log2-µs latency histogram
+    ({!latency_json}), beside the scalar counters [stats] reports.
+    Memory therefore grows with the number of verbs, not with the
+    number of requests; past that, the session holds the check
+    registry, the engine memo and the scan cache, both capacity-bounded
+    LRUs. It keeps no {!Zodiac_util.Telemetry} recorder, whose closed
+    spans would pile up in a resident process. *)
 
 type config = {
   provider : Zodiac_provider.Provider.t;
@@ -44,12 +51,24 @@ val default_config : config
 
 type t
 
-val create :
-  ?telemetry:Zodiac_util.Telemetry.t -> config -> (t, string) result
+val create : config -> (t, string) result
 (** Load checks, open the cache, build the engine. [Error] when the
     check-set file is missing or malformed. *)
 
 val checks : t -> Scan.check_entry list
+
+val latency_json : t -> Zodiac_util.Json.t
+(** The [latency_us] member of [stats], and what [zodiac serve --trace]
+    writes at exit: one member per verb with a completed request, in
+    verb-name order, each
+    [{"count", "errors", "p50", "p99", "buckets"}]. [count] is the
+    completed requests (every reply, errors included), [errors] those
+    answered with an error. Bucket [i] counts requests that took at
+    least [2^(i-1)] and fewer than [2^i] µs, named by that exclusive
+    upper bound; 24 buckets, the last open-ended (bound [null], 2^22 µs
+    ≈ 4.2 s and up). [buckets] lists the non-empty ones as
+    [[bound, n]] pairs; [p50]/[p99] are the bounds of the buckets
+    holding those nearest-rank percentiles. *)
 
 val utc_now : unit -> string
 (** RFC-3339 UTC wall-clock time — the [--timestamps] stamp. Shared

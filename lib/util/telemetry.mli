@@ -25,7 +25,17 @@
 
     Recording is protected by a mutex, but counters should be bumped
     from the controlling domain (after [Parallel] joins), matching how
-    the rest of the runtime keeps results jobs-invariant. *)
+    the rest of the runtime keeps results jobs-invariant.
+
+    {b Limits.} A recorder keeps every closed span until it is
+    dropped, so its memory grows with the number of spans recorded: it
+    is meant for bounded runs (one pipeline invocation, one bench
+    experiment), not for a resident process. Its span stack is shared
+    by all domains, so [with_span] calls running concurrently on two
+    domains nest under each other and their counters land in
+    whichever span opened last. For both reasons [zodiac serve] keeps
+    fixed-size per-verb statistics in its session instead of a
+    recorder. *)
 
 type span = {
   span_name : string;

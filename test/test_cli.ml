@@ -114,6 +114,59 @@ let test_serve_equals_scan () =
               | _ -> Alcotest.failf "scan request failed: %s" scan_line)
           | [] -> Alcotest.fail "no daemon response"))
 
+(* [serve --trace F] writes the per-verb aggregate at exit, the one the
+   [stats] reply carries as [latency_us]: one entry per verb, however
+   many requests, never a span per request. *)
+let test_serve_trace () =
+  let k = 5 in
+  with_temp ".tf" Registry.mssql_db_buggy (fun tf ->
+      let scan id =
+        Json.to_string
+          (Json.Obj
+             [
+               ("id", Json.Int id);
+               ("method", Json.String "scan_file");
+               ("params", Json.Obj [ ("path", Json.String tf) ]);
+             ])
+      in
+      let requests =
+        String.concat "\n"
+          (List.init k (fun i -> scan (i + 1))
+          @ [ {|{"id":0,"method":"stats"}|} ])
+        ^ "\n"
+      in
+      with_temp ".req" requests (fun req ->
+          with_temp ".json" "" (fun trace ->
+              let code, out =
+                run ~stdin:req [ "serve"; "--no-cache"; "--trace"; trace ]
+              in
+              check_exit "serve --trace" code;
+              let stats =
+                match List.rev (lines out) with
+                | last :: _ -> Json.member "result" (Json.of_string last)
+                | [] -> Alcotest.fail "no daemon response"
+              in
+              let written =
+                Json.of_string (In_channel.with_open_bin trace In_channel.input_all)
+              in
+              let latency = Json.member "latency_us" written in
+              let verbs =
+                match latency with
+                | Json.Obj members -> List.map fst members
+                | _ -> Alcotest.fail "trace lacks a latency_us object"
+              in
+              Alcotest.(check (list string)) "one entry per verb"
+                [ "scan_file"; "stats" ] verbs;
+              Alcotest.(check (option int)) "scan_file counts every request"
+                (Some k)
+                (Json.int_value
+                   (Json.member "count" (Json.member "scan_file" latency)));
+              Alcotest.(check bool) "no per-request spans" true
+                (Json.member "spans" written = Json.Null);
+              Alcotest.(check bool) "stats reports the same scan_file entry" true
+                (Json.member "scan_file" (Json.member "latency_us" stats)
+                = Json.member "scan_file" latency))))
+
 (* ------------- forked worker fleet ------------------------------------ *)
 
 (* 120 projects in shards of 40: 3 shards; slice 0/2 owns shards 0 and
@@ -206,6 +259,8 @@ let () =
         [
           Alcotest.test_case "spawned daemon ≡ spawned scan" `Quick
             test_serve_equals_scan;
+          Alcotest.test_case "--trace writes per-verb stats" `Quick
+            test_serve_trace;
         ] );
       ( "mproc",
         [

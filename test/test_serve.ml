@@ -613,7 +613,11 @@ let test_deadline_discards_partial_work () =
       Alcotest.(check bool) "partial findings not counted" true
         (Json.member "findings" stats = Json.Int 0);
       Alcotest.(check bool) "no cache entry from abandoned scan" true
-        (Json.member "entries" (Json.member "scan_cache" stats) = Json.Int 0)
+        (Json.member "entries" (Json.member "scan_cache" stats) = Json.Int 0);
+      let scan_file = Json.member "scan_file" (Json.member "latency_us" stats) in
+      Alcotest.(check bool) "deadline reply timed and counted as an error" true
+        (Json.member "count" scan_file = Json.Int 1
+        && Json.member "errors" scan_file = Json.Int 1)
 
 let test_scan_cache () =
   let session = make_session () in
@@ -662,6 +666,40 @@ let test_scan_cache_stats () =
         (Json.member "hits" sc = Json.Int 2);
       Alcotest.(check bool) "two entries" true
         (Json.member "entries" sc = Json.Int 2)
+
+(* The daemon's state is bounded by its caches, not by its traffic:
+   once 64 sources are cached, 2000 more requests cycling over them
+   leave the session's reachable heap exactly as it was. *)
+let test_state_bounded () =
+  let session = make_session () in
+  let sources =
+    Array.init 64 (fun i ->
+        Printf.sprintf "# source %d\n%s" i Registry.mssql_db_buggy)
+  in
+  let scan i =
+    match
+      Session.handle session
+        (Protocol.Scan_file
+           { path = "a.tf"; source = Some sources.(i mod Array.length sources) })
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "scan: %s" e.Protocol.message
+  in
+  Array.iteri (fun i _ -> scan i) sources;
+  let warm = Obj.reachable_words (Obj.repr session) in
+  for i = 0 to 1999 do
+    scan i
+  done;
+  Alcotest.(check int) "reachable words unchanged by 2000 requests" warm
+    (Obj.reachable_words (Obj.repr session));
+  match Session.handle session Protocol.Stats with
+  | Error e -> Alcotest.failf "stats: %s" e.Protocol.message
+  | Ok stats ->
+      let scan_file = Json.member "scan_file" (Json.member "latency_us" stats) in
+      Alcotest.(check (option int)) "every scan_file timed" (Some 2064)
+        (Json.int_value (Json.member "count" scan_file));
+      Alcotest.(check (option int)) "requests counts them too" (Some 2064)
+        (Json.int_value (Json.member "scan_file" (Json.member "requests" stats)))
 
 let test_content_fingerprint () =
   let session = make_session () in
@@ -917,6 +955,8 @@ let () =
           Alcotest.test_case "scan cache reattaches paths" `Quick
             test_scan_cache;
           Alcotest.test_case "scan cache stats" `Quick test_scan_cache_stats;
+          Alcotest.test_case "state bounded under traffic" `Quick
+            test_state_bounded;
           Alcotest.test_case "content fingerprint" `Quick
             test_content_fingerprint;
           Alcotest.test_case "scan_batch" `Quick test_scan_batch;
