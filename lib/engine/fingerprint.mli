@@ -17,13 +17,18 @@
       summaries, so resource order is irrelevant too.
 
     Two α-equivalent programs (identical up to local-name renaming and
-    resource order) therefore produce equal fingerprints, while any
-    attribute or topology difference — including the cloud-visible
-    ["name"] attributes — produces a different one. *)
+    resource order) therefore produce equal fingerprints, and any
+    attribute difference — including the cloud-visible ["name"]
+    attributes — produces a different one. Topology differences are
+    separated only as far as bidirectional 1-WL colour refinement
+    separates them, so two non-isomorphic programs can collide: for
+    example, subnets cross-wired across two attribute-identical VNets
+    and route tables, one 8-cycle against two 4-cycles. *)
 
 val canonical : Zodiac_iac.Program.t -> string
-(** The full canonical form. Collision-free by construction: use this
-    as the cache key. *)
+(** The full canonical form, used as the cache key: equal for
+    α-equivalent programs, but not guaranteed distinct for
+    1-WL-indistinguishable ones (see above). *)
 
 val digest : Zodiac_iac.Program.t -> string
 (** 16-hex-digit FNV-1a hash of {!canonical}, for display. *)

@@ -128,6 +128,8 @@ let rec read s =
       Ref { rtype; rname; attr }
   | n -> Codec.corrupt "bad value tag %d" n
 
+let codec = { Codec.write; read }
+
 let rec to_json = function
   | Null -> Json.Null
   | Bool b -> Json.Bool b

@@ -58,6 +58,9 @@ val write : Zodiac_util.Codec.sink -> t -> unit
 val read : Zodiac_util.Codec.src -> t
 (** @raise Zodiac_util.Codec.Corrupt on malformed input. *)
 
+val codec : t Zodiac_util.Codec.t
+(** {!write} and {!read} as one typed codec. *)
+
 val to_json : t -> Zodiac_util.Json.t
 (** References encode as [{"__ref__": "TYPE.name.attr"}]. *)
 

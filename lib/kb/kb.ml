@@ -202,60 +202,28 @@ let merge_stats = merge_shard
 
 module Codec = Zodiac_util.Codec
 
-let write_stats b (s : stats) =
-  let ws = Codec.write_string in
-  Codec.write_table
-    (fun b (ty, attr) ->
-      ws b ty;
-      ws b attr)
-    (fun b o ->
-      Codec.write_table Value.write Codec.write_int b o.values;
-      Codec.write_int b o.evicted;
-      Codec.write_bool b o.evicted_all_cidr)
-    b s.s_observations;
-  Codec.write_table
-    (fun b (ty, attr) ->
-      ws b ty;
-      ws b attr)
-    Codec.write_int b s.s_presence;
-  Codec.write_table
-    (fun b (st, sa, dt, da) ->
-      ws b st;
-      ws b sa;
-      ws b dt;
-      ws b da)
-    Codec.write_int b s.s_conns;
-  Codec.write_table ws Codec.write_int b s.s_populations
+(* Field order is the checkpoint layout: observations, presence,
+   connections, populations. *)
+let stats_codec =
+  let obs =
+    Codec.(
+      conv
+        (fun o -> (o.values, o.evicted, o.evicted_all_cidr))
+        (fun (values, evicted, evicted_all_cidr) -> { values; evicted; evicted_all_cidr })
+        (triple (table Value.codec int) int bool))
+  in
+  let attr_key = Codec.(pair string string) in
+  Codec.(
+    conv
+      (fun s -> (s.s_observations, s.s_presence, s.s_conns, s.s_populations))
+      (fun (s_observations, s_presence, s_conns, s_populations) ->
+        { s_observations; s_presence; s_conns; s_populations })
+      (quad (table attr_key obs) (table attr_key int)
+         (table (quad string string string string) int)
+         (table string int)))
 
-let read_stats s =
-  let rs = Codec.read_string in
-  let pair s =
-    let ty = rs s in
-    let attr = rs s in
-    (ty, attr)
-  in
-  let s_observations =
-    Codec.read_table pair
-      (fun s ->
-        let values = Codec.read_table Value.read Codec.read_int s in
-        let evicted = Codec.read_int s in
-        let evicted_all_cidr = Codec.read_bool s in
-        { values; evicted; evicted_all_cidr })
-      s
-  in
-  let s_presence = Codec.read_table pair Codec.read_int s in
-  let s_conns =
-    Codec.read_table
-      (fun s ->
-        let st = rs s in
-        let sa = rs s in
-        let dt = rs s in
-        let da = rs s in
-        (st, sa, dt, da))
-      Codec.read_int s
-  in
-  let s_populations = Codec.read_table rs Codec.read_int s in
-  { s_observations; s_presence; s_conns; s_populations }
+let write_stats = stats_codec.Codec.write
+let read_stats = stats_codec.Codec.read
 
 let stats_artifact =
   { Zodiac_util.Stage.write = write_stats; read = read_stats }

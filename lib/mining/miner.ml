@@ -24,33 +24,13 @@ let incr_tbl tbl key =
 
 let get_count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 
-(* ---- shard-table merges -------------------------------------------
-   Counting runs as shard-then-merge when [jobs > 1]: each chunk of the
-   corpus fills private tables, merged in chunk order. Every merge below
-   is an exact monoid on integers (addition, or (min, max, sum)), so the
-   merged counts are independent of the chunking. *)
-
 let add_count tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let merge_counts dst src = Hashtbl.iter (add_count dst) src
-
-(* (denominator, numerator) statistics *)
-let merge_stats dst src =
-  Hashtbl.iter
-    (fun k (d, s) ->
-      let d0, s0 = Option.value ~default:(0, 0) (Hashtbl.find_opt dst k) in
-      Hashtbl.replace dst k (d0 + d, s0 + s))
-    src
-
-let count_sharded ?jobs count merge programs =
-  match Parallel.chunks ?jobs programs with
-  | [] -> count []
-  | [ chunk ] -> count chunk
-  | chunks -> (
-      match Parallel.map ?jobs count chunks with
-      | first :: rest -> List.fold_left merge first rest
-      | [] -> assert false)
+(* One more trial of a (trials, hits) statistic. *)
+let tally tbl key hit =
+  let d, s = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl key) in
+  Hashtbl.replace tbl key (d + 1, if hit then s + 1 else s)
 
 let lift_of conf prior =
   let prior = Float.max prior 1e-6 in
@@ -167,162 +147,704 @@ let fact_cond var = function
 let intra_check ty cond stmt =
   Check.make ~source:Check.Mined [ { Check.var = "r"; btype = ty } ] cond stmt
 
+
 (* ------------------------------------------------------------------ *)
-(* Intra-resource mining                                               *)
+(* The count tables                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type intra_counts = {
+type conn_key = string * string * string * string (* src ty, src attr, dst ty, dst attr *)
+
+(* Every family's counts as one value: the unit a parallel chunk or a
+   streamed shard counts, merges and checkpoints, and that emission
+   reads once the corpus is folded. (d, s) pairs are (trials, hits). *)
+type tables = {
+  (* intra-resource *)
   n_by_type : (string, int) Hashtbl.t;
   single : (string * fact, int) Hashtbl.t;
   pair : (string * fact * fact, int) Hashtbl.t;
   num_range : (string * fact * string, int * int * int) Hashtbl.t;
       (* (type, cond fact, numeric attr) -> (min, max, count) *)
+  (* indexed (repeated blocks): (type, coll, x, y) -> (pairs equal on
+     x, of those distinct on y) for EQ-NE; (type, coll, y) -> (pairs,
+     distinct pairs) for NE; (type, coll, y) -> value counts *)
+  eqne : (string * string * string * string, int * int) Hashtbl.t;
+  ne : (string * string * string, int * int) Hashtbl.t;
+  elem_values : (string * string * string, (Value.t, int) Hashtbl.t) Hashtbl.t;
+  (* inter-resource *)
+  edgecount : (conn_key, int) Hashtbl.t;
+  paireq : (conn_key * string * string, int) Hashtbl.t;
+  dstval : (conn_key * string * Value.t, int) Hashtbl.t;
+  srcval : (conn_key * string * Value.t, int) Hashtbl.t;
+  dstnull : (conn_key * string, int) Hashtbl.t;
+  cond2 : (conn_key * string * Value.t, int) Hashtbl.t;
+  both2 : (conn_key * string * Value.t * string * Value.t, int) Hashtbl.t;
+  containc : (conn_key * string * string, int * int) Hashtbl.t;
+  sibcount : (conn_key, int) Hashtbl.t;
+  sib_nooverlap : (conn_key * string, int * int) Hashtbl.t;
+  sib_ne : (conn_key * string, int * int) Hashtbl.t;
+  assoc_eq : (conn_key * conn_key * string * string, int * int) Hashtbl.t;
+  assoc_count : (conn_key * conn_key, int) Hashtbl.t;
+  outdeg_one : (conn_key, int) Hashtbl.t;
+  outdeg_excl : (conn_key, int) Hashtbl.t;
+  copath_pairs : (string * string * string, int * int) Hashtbl.t;
+  patheq : (string * string * string * string, int * int) Hashtbl.t;
+      (* (src ty, dst ty, src attr, dst attr) -> (pairs, equal) *)
+  deg_max : (string * string * Value.t * string * [ `In | `Out ], int * int) Hashtbl.t;
+      (* (type, attr, value, peer type, direction) -> (max degree, count) *)
+  name_excl : (string * string * string, int * int) Hashtbl.t;
 }
 
-let count_intra provider cfg kb programs =
-  let n_by_type : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let single : (string * fact, int) Hashtbl.t = Hashtbl.create 1024 in
-  let pair : (string * fact * fact, int) Hashtbl.t = Hashtbl.create 4096 in
-  let num_range : (string * fact * string, int * int * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let observe r =
-    let ty = r.Resource.rtype in
-    incr_tbl n_by_type ty;
-    let facts = facts_of_resource provider cfg kb r in
-    List.iter (fun f -> incr_tbl single (ty, f)) facts;
-    List.iter
-      (fun f1 ->
-        List.iter
-          (fun f2 ->
-            let attr_of = function F_val (a, _) | F_present a -> a in
-            if not (String.equal (attr_of f1) (attr_of f2)) then
-              incr_tbl pair (ty, f1, f2))
-          facts)
-      facts;
-    (* numeric observations conditioned on each fact (and on the
-       numeric attribute's own presence) *)
-    let numeric_attrs =
-      List.filter_map
-        (fun path ->
-          match Resource.get_all r path with
-          | [ Value.Int i ] -> Some (path, i)
-          | _ -> None)
-        (flat_paths provider r)
-    in
-    List.iter
-      (fun (npath, i) ->
-        let update cond_fact =
-          let key = (ty, cond_fact, npath) in
-          let lo, hi, c =
-            Option.value ~default:(i, i, 0) (Hashtbl.find_opt num_range key)
-          in
-          Hashtbl.replace num_range key (min lo i, max hi i, c + 1)
-        in
-        update (F_present npath);
-        List.iter
-          (fun f ->
-            match f with
-            | F_val (a, _) when not (String.equal a npath) -> update f
-            | F_val _ | F_present _ -> ())
-          facts)
-      numeric_attrs
-  in
-  List.iter (fun p -> List.iter observe (Program.resources p)) programs;
-  { n_by_type; single; pair; num_range }
+let create () =
+  let h = Hashtbl.create in
+  {
+    n_by_type = h 64;
+    single = h 1024;
+    pair = h 4096;
+    num_range = h 256;
+    eqne = h 128;
+    ne = h 128;
+    elem_values = h 128;
+    edgecount = h 128;
+    paireq = h 512;
+    dstval = h 512;
+    srcval = h 512;
+    dstnull = h 512;
+    cond2 = h 512;
+    both2 = h 512;
+    containc = h 64;
+    sibcount = h 64;
+    sib_nooverlap = h 64;
+    sib_ne = h 64;
+    assoc_eq = h 128;
+    assoc_count = h 64;
+    outdeg_one = h 64;
+    outdeg_excl = h 64;
+    copath_pairs = h 64;
+    patheq = h 256;
+    deg_max = h 256;
+    name_excl = h 32;
+  }
 
-(* Codec for the intra counting tables, the intra part of a shard
-   checkpoint. [min_support] only gates emission, never counting. *)
-let write_fact b = function
-  | F_val (attr, v) ->
-      Codec.write_byte b 0;
-      Codec.write_string b attr;
-      Value.write b v
-  | F_present attr ->
-      Codec.write_byte b 1;
-      Codec.write_string b attr
+(* A table's value codec and merge monoid: [combine] folds a source row
+   into the destination row under the same key; [fresh] stores a row the
+   destination lacks, copying a mutable value so that a merge never
+   aliases its source. Every monoid is exact integer arithmetic, so the
+   merged counts do not depend on how the corpus was grouped. *)
+type 'v monoid = { value : 'v Codec.t; fresh : 'v -> 'v; combine : 'v -> 'v -> 'v }
 
-let read_fact s =
-  match Codec.read_byte s with
-  | 0 ->
-      let attr = Codec.read_string s in
-      F_val (attr, Value.read s)
-  | 1 -> F_present (Codec.read_string s)
-  | n -> Codec.corrupt "bad fact tag %d" n
+let sum = { value = Codec.int; fresh = Fun.id; combine = ( + ) }
 
-let write_intra b (c : intra_counts) =
-  Codec.write_table Codec.write_string Codec.write_int b c.n_by_type;
-  Codec.write_table
-    (fun b (ty, f) ->
-      Codec.write_string b ty;
-      write_fact b f)
-    Codec.write_int b c.single;
-  Codec.write_table
-    (fun b (ty, f1, f2) ->
-      Codec.write_string b ty;
-      write_fact b f1;
-      write_fact b f2)
-    Codec.write_int b c.pair;
-  Codec.write_table
-    (fun b (ty, f, attr) ->
-      Codec.write_string b ty;
-      write_fact b f;
-      Codec.write_string b attr)
-    (fun b (lo, hi, n) ->
-      Codec.write_int b lo;
-      Codec.write_int b hi;
-      Codec.write_int b n)
-    b c.num_range
+let sum_pair =
+  {
+    value = Codec.(pair int int);
+    fresh = Fun.id;
+    combine = (fun (d0, s0) (d, s) -> (d0 + d, s0 + s));
+  }
 
-let read_intra s =
-  let n_by_type = Codec.read_table Codec.read_string Codec.read_int s in
-  let single =
-    Codec.read_table
+let min_max_sum =
+  {
+    value = Codec.(triple int int int);
+    fresh = Fun.id;
+    combine = (fun (lo0, hi0, c0) (lo, hi, c) -> (min lo0 lo, max hi0 hi, c0 + c));
+  }
+
+let max_sum =
+  {
+    value = Codec.(pair int int);
+    fresh = Fun.id;
+    combine = (fun (hi0, c0) (hi, c) -> (max hi0 hi, c0 + c));
+  }
+
+let value_counts =
+  {
+    value = Codec.table Value.codec Codec.int;
+    fresh = Hashtbl.copy;
+    combine =
+      (fun into tbl ->
+        Hashtbl.iter (add_count into) tbl;
+        into);
+  }
+
+let fact_codec =
+  {
+    Codec.write =
+      (fun b -> function
+        | F_val (attr, v) ->
+            Codec.write_byte b 0;
+            Codec.write_string b attr;
+            Value.write b v
+        | F_present attr ->
+            Codec.write_byte b 1;
+            Codec.write_string b attr);
+    read =
       (fun s ->
-        let ty = Codec.read_string s in
-        let f = read_fact s in
-        (ty, f))
-      Codec.read_int s
-  in
-  let pair =
-    Codec.read_table
-      (fun s ->
-        let ty = Codec.read_string s in
-        let f1 = read_fact s in
-        let f2 = read_fact s in
-        (ty, f1, f2))
-      Codec.read_int s
-  in
-  let num_range =
-    Codec.read_table
-      (fun s ->
-        let ty = Codec.read_string s in
-        let f = read_fact s in
-        let attr = Codec.read_string s in
-        (ty, f, attr))
-      (fun s ->
-        let lo = Codec.read_int s in
-        let hi = Codec.read_int s in
-        let n = Codec.read_int s in
-        (lo, hi, n))
-      s
-  in
-  { n_by_type; single; pair; num_range }
+        match Codec.read_byte s with
+        | 0 ->
+            let attr = Codec.read_string s in
+            F_val (attr, Value.read s)
+        | 1 -> F_present (Codec.read_string s)
+        | n -> Codec.corrupt "bad fact tag %d" n);
+  }
 
-let merge_intra dst src =
-  merge_counts dst.n_by_type src.n_by_type;
-  merge_counts dst.single src.single;
-  merge_counts dst.pair src.pair;
-  Hashtbl.iter
-    (fun k (lo, hi, c) ->
-      let merged =
-        match Hashtbl.find_opt dst.num_range k with
-        | None -> (lo, hi, c)
-        | Some (lo0, hi0, c0) -> (min lo lo0, max hi hi0, c0 + c)
-      in
-      Hashtbl.replace dst.num_range k merged)
-    src.num_range;
+let direction_codec =
+  {
+    Codec.write = (fun b dir -> Codec.write_byte b (match dir with `In -> 0 | `Out -> 1));
+    read =
+      (fun s ->
+        match Codec.read_byte s with
+        | 0 -> `In
+        | 1 -> `Out
+        | n -> Codec.corrupt "bad degree direction tag %d" n);
+  }
+
+type field = Field : 'k Codec.t * 'v monoid * (tables -> ('k, 'v) Hashtbl.t) -> field
+
+(* One entry per table: its key codec, its monoid and where it lives.
+   The order is the checkpoint layout, so reordering it changes the
+   bytes of every shard checkpoint (bump [Codec.version] if it must). *)
+let fields =
+  let open Codec in
+  let value = Value.codec and fact = fact_codec in
+  let conn = quad string string string string in
+  [
+    Field (string, sum, fun t -> t.n_by_type);
+    Field (pair string fact, sum, fun t -> t.single);
+    Field (triple string fact fact, sum, fun t -> t.pair);
+    Field (triple string fact string, min_max_sum, fun t -> t.num_range);
+    Field (quad string string string string, sum_pair, fun t -> t.eqne);
+    Field (triple string string string, sum_pair, fun t -> t.ne);
+    Field (triple string string string, value_counts, fun t -> t.elem_values);
+    Field (conn, sum, fun t -> t.edgecount);
+    Field (triple conn string string, sum, fun t -> t.paireq);
+    Field (triple conn string value, sum, fun t -> t.dstval);
+    Field (triple conn string value, sum, fun t -> t.srcval);
+    Field (pair conn string, sum, fun t -> t.dstnull);
+    Field (triple conn string value, sum, fun t -> t.cond2);
+    Field (quint conn string value string value, sum, fun t -> t.both2);
+    Field (triple conn string string, sum_pair, fun t -> t.containc);
+    Field (conn, sum, fun t -> t.sibcount);
+    Field (pair conn string, sum_pair, fun t -> t.sib_nooverlap);
+    Field (pair conn string, sum_pair, fun t -> t.sib_ne);
+    Field (quad conn conn string string, sum_pair, fun t -> t.assoc_eq);
+    Field (pair conn conn, sum, fun t -> t.assoc_count);
+    Field (conn, sum, fun t -> t.outdeg_one);
+    Field (conn, sum, fun t -> t.outdeg_excl);
+    Field (triple string string string, sum_pair, fun t -> t.copath_pairs);
+    Field (quad string string string string, sum_pair, fun t -> t.patheq);
+    Field (quint string string value string direction_codec, max_sum, fun t -> t.deg_max);
+    Field (triple string string string, sum_pair, fun t -> t.name_excl);
+  ]
+
+let merge_tables dst src =
+  List.iter
+    (fun (Field (_, m, get)) ->
+      let into = get dst in
+      Hashtbl.iter
+        (fun k v ->
+          Hashtbl.replace into k
+            (match Hashtbl.find_opt into k with
+            | None -> m.fresh v
+            | Some v0 -> m.combine v0 v))
+        (get src))
+    fields;
   dst
+
+(* [Codec.write_table] sorts rows by key, so equal tables encode to
+   equal bytes regardless of merge history. *)
+let write_tables b t =
+  List.iter
+    (fun (Field (key, m, get)) -> (Codec.table key m.value).Codec.write b (get t))
+    fields
+
+let read_tables s =
+  let t = create () in
+  List.iter
+    (fun (Field (key, m, get)) ->
+      Hashtbl.iter (Hashtbl.replace (get t)) ((Codec.table key m.value).Codec.read s))
+    fields;
+  t
+
+(* ------------------------------------------------------------------ *)
+(* Counting                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Intra-resource families: fact frequencies, fact co-occurrence and
+   numeric ranges per resource type. *)
+let count_intra provider cfg kb t r =
+  let ty = r.Resource.rtype in
+  incr_tbl t.n_by_type ty;
+  let facts = facts_of_resource provider cfg kb r in
+  List.iter (fun f -> incr_tbl t.single (ty, f)) facts;
+  List.iter
+    (fun f1 ->
+      List.iter
+        (fun f2 ->
+          let attr_of = function F_val (a, _) | F_present a -> a in
+          if not (String.equal (attr_of f1) (attr_of f2)) then
+            incr_tbl t.pair (ty, f1, f2))
+        facts)
+    facts;
+  (* numeric observations conditioned on each fact (and on the
+     numeric attribute's own presence) *)
+  let numeric_attrs =
+    List.filter_map
+      (fun path ->
+        match Resource.get_all r path with
+        | [ Value.Int i ] -> Some (path, i)
+        | _ -> None)
+      (flat_paths provider r)
+  in
+  List.iter
+    (fun (npath, i) ->
+      let update cond_fact =
+        let key = (ty, cond_fact, npath) in
+        let lo, hi, c =
+          Option.value ~default:(i, i, 0) (Hashtbl.find_opt t.num_range key)
+        in
+        Hashtbl.replace t.num_range key (min lo i, max hi i, c + 1)
+      in
+      update (F_present npath);
+      List.iter
+        (fun f ->
+          match f with
+          | F_val (a, _) when not (String.equal a npath) -> update f
+          | F_val _ | F_present _ -> ())
+        facts)
+    numeric_attrs
+
+(* Collection path -> element field lists, for every attribute holding a
+   non-empty list of blocks. *)
+let collections r =
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Value.List items
+        when List.length items >= 1
+             && List.for_all (function Value.Block _ -> true | _ -> false) items ->
+          Some (name, List.map (function Value.Block f -> f | _ -> []) items)
+      | _ -> None)
+    r.Resource.attrs
+
+(* Indexed family: distinctness of sub-attributes across the elements
+   of one repeated block. *)
+let count_indexed t r =
+  let ty = r.Resource.rtype in
+  List.iter
+    (fun (coll, elems) ->
+      let keys elem = List.filter (fun (_, v) -> is_scalar v || (match v with Value.Int _ -> true | _ -> false)) elem in
+      List.iter
+        (fun elem ->
+          List.iter
+            (fun (sub, v) ->
+              let tbl =
+                match Hashtbl.find_opt t.elem_values (ty, coll, sub) with
+                | Some tbl -> tbl
+                | None ->
+                    let tbl = Hashtbl.create 8 in
+                    Hashtbl.replace t.elem_values (ty, coll, sub) tbl;
+                    tbl
+              in
+              incr_tbl tbl v)
+            (keys elem))
+        elems;
+      List.iteri
+        (fun i e1 ->
+          List.iteri
+            (fun j e2 ->
+              if i <> j then begin
+                let a1 = keys e1 and a2 = keys e2 in
+                List.iter
+                  (fun (sub, v1) ->
+                    match List.assoc_opt sub a2 with
+                    | None -> ()
+                    | Some v2 ->
+                        (* unconditional distinctness of sub *)
+                        tally t.ne (ty, coll, sub) (not (Value.equal v1 v2));
+                        (* conditioned on equality of sub, distinctness of others *)
+                        if Value.equal v1 v2 then
+                          List.iter
+                            (fun (sub2, w1) ->
+                              if not (String.equal sub2 sub) then
+                                match List.assoc_opt sub2 a2 with
+                                | None -> ()
+                                | Some w2 ->
+                                    tally t.eqne (ty, coll, sub, sub2)
+                                      (not (Value.equal w1 w2)))
+                            a1)
+                  a1
+              end)
+            elems)
+        elems)
+    (collections r)
+
+let scalar_paths r =
+  List.filter (fun p -> is_scalar (Resource.get r p)) (Resource.attr_paths r)
+
+(* Inter-resource families over one program's reference graph.
+   [reserved_names] is read-only during counting, so it is shared across
+   chunks rather than merged. *)
+let count_inter provider cfg kb reserved_names t prog =
+  let enum_facts r =
+    let ty = r.Resource.rtype in
+    List.filter_map
+      (fun path ->
+        let v = Resource.get r path in
+        if is_scalar v && (not cfg.use_kb || List.mem v (Kb.enum_values kb ~rtype:ty ~attr:path))
+        then Some (path, v)
+        else None)
+      (flat_paths provider r)
+  in
+  (* per-resource facts, derived once per program rather than per edge *)
+  let derived = Hashtbl.create 16 in
+  List.iter
+    (fun r -> Hashtbl.replace derived (Resource.id r) (scalar_paths r, enum_facts r))
+    (Program.resources prog);
+  let scalars r = fst (Hashtbl.find derived (Resource.id r)) in
+  let enums r = snd (Hashtbl.find derived (Resource.id r)) in
+  let graph = Graph.build prog in
+  let edges = Graph.edges graph in
+  let find id = Program.find prog id in
+  List.iter
+    (fun (e : Graph.edge) ->
+      match (find e.Graph.src, find e.Graph.dst) with
+      | Some a, Some b ->
+          let k =
+            ( e.Graph.src.Resource.rtype,
+              e.Graph.src_attr,
+              e.Graph.dst.Resource.rtype,
+              e.Graph.dst_attr )
+          in
+          incr_tbl t.edgecount k;
+          (* equality join between a and b attributes *)
+          let b_by_value = Hashtbl.create 16 in
+          List.iter (fun p -> Hashtbl.add b_by_value (Resource.get b p) p) (scalars b);
+          List.iter
+            (fun pa ->
+              let va = Resource.get a pa in
+              List.iter
+                (fun pb -> incr_tbl t.paireq (k, pa, pb))
+                (Hashtbl.find_all b_by_value va))
+            (scalars a);
+          (* dst/src enum values *)
+          let enum_a = enums a and enum_b = enums b in
+          List.iter (fun (p, v) -> incr_tbl t.dstval (k, p, v)) enum_b;
+          List.iter (fun (p, v) -> incr_tbl t.srcval (k, p, v)) enum_a;
+          (* reserved dst names *)
+          (match Resource.get b "name" with
+          | Value.Str s when Hashtbl.mem reserved_names (b.Resource.rtype, s) ->
+              incr_tbl t.dstval (k, "name", Value.Str s)
+          | _ -> ());
+          (* dst null-ness of optional attrs known to the KB *)
+          List.iter
+            (fun (info : Kb.attr_info) ->
+              if
+                info.Kb.requirement = Some Schema.Optional
+                && Value.is_null (Resource.get b info.Kb.attr)
+                && (not (String.contains info.Kb.attr '.'))
+              then incr_tbl t.dstnull (k, info.Kb.attr))
+            (Kb.attrs_of_type kb b.Resource.rtype);
+          (* conditional: src enum -> dst enum *)
+          List.iter
+            (fun (pa, va) ->
+              incr_tbl t.cond2 (k, pa, va);
+              List.iter (fun (pb, vb) -> incr_tbl t.both2 (k, pa, va, pb, vb)) enum_b)
+            enum_a;
+          (* containment between CIDR attributes *)
+          List.iter
+            (fun ca ->
+              let va = Resource.get_all a ca in
+              List.iter
+                (fun cb ->
+                  let vb = Resource.get_all b cb in
+                  if va <> [] && vb <> [] then begin
+                    let cidrs vs =
+                      List.concat_map
+                        (fun v ->
+                          match v with
+                          | Value.Str s -> Option.to_list (Cidr.of_string s)
+                          | Value.List items ->
+                              List.filter_map
+                                (function
+                                  | Value.Str s -> Cidr.of_string s | _ -> None)
+                                items
+                          | _ -> [])
+                        vs
+                    in
+                    let ca_c = cidrs va and cb_c = cidrs vb in
+                    if ca_c <> [] && cb_c <> [] then
+                      tally t.containc (k, ca, cb)
+                        (List.for_all
+                           (fun x -> List.exists (fun y -> Cidr.contains y x) cb_c)
+                           ca_c)
+                  end)
+                (Kb.cidr_attrs kb b.Resource.rtype))
+            (Kb.cidr_attrs kb a.Resource.rtype);
+          (* aggregation facts per edge *)
+          let same_ty = Graph.Type e.Graph.src.Resource.rtype in
+          let od = Graph.outdegree graph e.Graph.dst same_ty in
+          if od = 1 then incr_tbl t.outdeg_one k;
+          let od_other =
+            Graph.outdegree graph e.Graph.dst
+              (Graph.Not_type e.Graph.src.Resource.rtype)
+          in
+          if od_other = 0 then incr_tbl t.outdeg_excl k
+      | _ -> ())
+    edges;
+  (* sibling analysis: group in-edges per (dst resource, kind) *)
+  let sib_groups = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Graph.edge) ->
+      let k =
+        ( e.Graph.src.Resource.rtype,
+          e.Graph.src_attr,
+          e.Graph.dst.Resource.rtype,
+          e.Graph.dst_attr )
+      in
+      Hashtbl.replace sib_groups
+        (e.Graph.dst, k)
+        (e.Graph.src
+        :: Option.value ~default:[] (Hashtbl.find_opt sib_groups (e.Graph.dst, k))))
+    edges;
+  Hashtbl.iter
+    (fun ((_dst : Resource.id), (k : conn_key)) srcs ->
+      let src_ty, _, _, _ = k in
+      let resources = List.filter_map find srcs in
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              if i < j then begin
+                incr_tbl t.sibcount k;
+                (* CIDR disjointness *)
+                List.iter
+                  (fun cattr ->
+                    match
+                      ( (Resource.get a cattr : Value.t),
+                        (Resource.get b cattr : Value.t) )
+                    with
+                    | Value.Str sa, Value.Str sb -> (
+                        match (Cidr.of_string sa, Cidr.of_string sb) with
+                        | Some c1, Some c2 ->
+                            tally t.sib_nooverlap (k, cattr) (not (Cidr.overlap c1 c2))
+                        | _ -> ())
+                    | _ -> ())
+                  (Kb.cidr_attrs kb src_ty);
+                (* attribute distinctness *)
+                List.iter
+                  (fun p ->
+                    let va = Resource.get a p and vb = Resource.get b p in
+                    if is_scalar va && is_scalar vb then
+                      tally t.sib_ne (k, p) (not (Value.equal va vb)))
+                  (scalars a)
+              end)
+            resources)
+        resources)
+    sib_groups;
+  (* association analysis: resources with two outgoing reference kinds *)
+  List.iter
+    (fun c ->
+      let outs = Graph.edges_from graph (Resource.id c) in
+      List.iter
+        (fun (e1 : Graph.edge) ->
+          List.iter
+            (fun (e2 : Graph.edge) ->
+              if
+                not (String.equal e1.Graph.src_attr e2.Graph.src_attr)
+                && not (Resource.equal_id e1.Graph.dst e2.Graph.dst)
+              then begin
+                let k1 =
+                  ( c.Resource.rtype,
+                    e1.Graph.src_attr,
+                    e1.Graph.dst.Resource.rtype,
+                    e1.Graph.dst_attr )
+                and k2 =
+                  ( c.Resource.rtype,
+                    e2.Graph.src_attr,
+                    e2.Graph.dst.Resource.rtype,
+                    e2.Graph.dst_attr )
+                in
+                incr_tbl t.assoc_count (k1, k2);
+                match (find e1.Graph.dst, find e2.Graph.dst) with
+                | Some a, Some b ->
+                    (* compare attributes that share a path or are
+                       name-formatted on both sides *)
+                    List.iter
+                      (fun pa ->
+                        List.iter
+                          (fun pb ->
+                            let comparable =
+                              String.equal pa pb
+                              ||
+                              let name_like ty p =
+                                match Kb.attr_info kb ~rtype:ty ~attr:p with
+                                | Some { Kb.format = Schema.Name_format; _ } -> true
+                                | _ -> false
+                              in
+                              name_like a.Resource.rtype pa
+                              && name_like b.Resource.rtype pb
+                            in
+                            if comparable then begin
+                              let va = Resource.get a pa and vb = Resource.get b pb in
+                              if is_scalar va && is_scalar vb then
+                                tally t.assoc_eq (k1, k2, pa, pb) (Value.equal va vb)
+                            end)
+                          (scalars b))
+                      (scalars a)
+                | _ -> ()
+              end)
+            outs)
+        outs)
+    (Program.resources prog);
+  (* path-based attribute agreement: reachable pairs with matching
+     scalar attributes (e.g. NIC and VPC two hops apart agreeing on
+     location) *)
+  List.iter
+    (fun r1 ->
+      let id1 = Resource.id r1 in
+      List.iter
+        (fun (id2 : Resource.id) ->
+          if not (String.equal id1.Resource.rtype id2.Resource.rtype) then
+            match find id2 with
+            | None -> ()
+            | Some r2 ->
+                (* compare attributes sharing a dotted path; the shared
+                   name keeps the family small and meaningful *)
+                List.iter
+                  (fun pa ->
+                    let va = Resource.get r1 pa in
+                    let vb = Resource.get r2 pa in
+                    if is_scalar va && is_scalar vb then
+                      tally t.patheq
+                        (id1.Resource.rtype, id2.Resource.rtype, pa, pa)
+                        (Value.equal va vb))
+                  (scalars r1))
+        (Graph.reachable_from graph id1))
+    (Program.resources prog);
+  (* copath overlap: resources reaching two same-type CIDR-bearing nodes *)
+  List.iter
+    (fun r ->
+      let reach = Graph.reachable_from graph (Resource.id r) in
+      List.iteri
+        (fun i (v1 : Resource.id) ->
+          List.iteri
+            (fun j (v2 : Resource.id) ->
+              if i < j && String.equal v1.Resource.rtype v2.Resource.rtype then
+                match (find v1, find v2) with
+                | Some r1, Some r2 ->
+                    List.iter
+                      (fun cattr ->
+                        let c1 =
+                          match Resource.get r1 cattr with
+                          | Value.Str s -> Cidr.of_string s
+                          | Value.List (Value.Str s :: _) -> Cidr.of_string s
+                          | _ -> None
+                        and c2 =
+                          match Resource.get r2 cattr with
+                          | Value.Str s -> Cidr.of_string s
+                          | Value.List (Value.Str s :: _) -> Cidr.of_string s
+                          | _ -> None
+                        in
+                        match (c1, c2) with
+                        | Some c1, Some c2 ->
+                            tally t.copath_pairs
+                              (r.Resource.rtype, v1.Resource.rtype, cattr)
+                              (not (Cidr.overlap c1 c2))
+                        | _ -> ())
+                      (Kb.cidr_attrs kb v1.Resource.rtype)
+                | _ -> ())
+            reach)
+        reach)
+    (Program.resources prog);
+  (* degree maxima conditioned on enum attributes *)
+  List.iter
+    (fun r ->
+      let id = Resource.id r in
+      let peer_types_out =
+        List.map (fun (e : Graph.edge) -> e.Graph.dst.Resource.rtype) (Graph.edges_from graph id)
+      and peer_types_in =
+        List.map (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype) (Graph.edges_to graph id)
+      in
+      let dedup = List.sort_uniq String.compare in
+      let observe key d =
+        let hi, c = Option.value ~default:(d, 0) (Hashtbl.find_opt t.deg_max key) in
+        Hashtbl.replace t.deg_max key (max hi d, c + 1)
+      in
+      List.iter
+        (fun (p, v) ->
+          List.iter
+            (fun tau ->
+              observe (r.Resource.rtype, p, v, tau, `In)
+                (Graph.indegree graph id (Graph.Type tau)))
+            (dedup peer_types_out);
+          List.iter
+            (fun tau ->
+              observe (r.Resource.rtype, p, v, tau, `Out)
+                (Graph.outdegree graph id (Graph.Type tau)))
+            (dedup peer_types_in))
+        (enums r))
+    (Program.resources prog);
+  (* reserved names exclusivity *)
+  List.iter
+    (fun r ->
+      match Resource.get r "name" with
+      | Value.Str s when Hashtbl.mem reserved_names (r.Resource.rtype, s) ->
+          let id = Resource.id r in
+          let referrers =
+            List.map
+              (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype)
+              (Graph.edges_to graph id)
+          in
+          List.iter
+            (fun tau ->
+              tally t.name_excl (r.Resource.rtype, s, tau)
+                (Graph.outdegree graph id (Graph.Not_type tau) = 0))
+            (List.sort_uniq String.compare referrers)
+      | _ -> ())
+    (Program.resources prog)
+
+(* Reserved-name candidates are a pure function of the finalized KB —
+   fixed before any inter counting starts, and shared read-only across
+   shards (streamed or parallel). *)
+let reserved_names_of kb =
+  let reserved_names : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
+  List.iter
+    (fun ty ->
+      match Kb.attr_info kb ~rtype:ty ~attr:"name" with
+      | None -> ()
+      | Some info ->
+          List.iter
+            (fun (v, c) ->
+              match v with
+              | Value.Str s when c >= 5 -> Hashtbl.replace reserved_names (ty, s) c
+              | _ -> ())
+            info.Kb.observed)
+    (Kb.types kb);
+  reserved_names
+
+(* One pass per chunk counts every family into one [tables]; the chunks'
+   tables merge in chunk order. *)
+let count_tables ~provider ?jobs config kb programs =
+  let reserved_names = reserved_names_of kb in
+  let count chunk =
+    let t = create () in
+    List.iter
+      (fun prog ->
+        List.iter
+          (fun r ->
+            count_intra provider config kb t r;
+            count_indexed t r)
+          (Program.resources prog);
+        count_inter provider config kb reserved_names t prog)
+      chunk;
+    t
+  in
+  match Parallel.map ?jobs count (Parallel.chunks ?jobs programs) with
+  | [] -> create ()
+  | first :: rest -> List.fold_left merge_tables first rest
+
+(* ------------------------------------------------------------------ *)
+(* Emission                                                            *)
+(* ------------------------------------------------------------------ *)
 
 (* Candidate emission from final merged tables. Emission is a pure
    function of (config, KB, counts): iteration order over the hash
@@ -331,7 +853,7 @@ let merge_intra dst src =
    order makes the downstream artifact independent of it — the same
    argument that already covers [jobs]-invariance covers shard-boundary
    invariance. *)
-let emit_intra cfg kb { n_by_type; single; pair; num_range } =
+let emit_intra cfg kb { n_by_type; single; pair; num_range; _ } =
   let out = ref [] in
   let emit c = out := c :: !out in
   let fact_stmt_prior ty = function
@@ -420,172 +942,7 @@ let emit_intra cfg kb { n_by_type; single; pair; num_range } =
     num_range;
   !out
 
-let mine_intra_families ~provider ?jobs cfg kb programs =
-  emit_intra cfg kb
-    (count_sharded ?jobs (count_intra provider cfg kb) merge_intra programs)
-
-(* ------------------------------------------------------------------ *)
-(* Indexed (repeated-block) mining                                     *)
-(* ------------------------------------------------------------------ *)
-
-type indexed_counts = {
-  (* (type, coll, x, y) -> (cond pairs, cond&stmt pairs) for EQ-NE;
-     (type, coll, y) -> (pairs, distinct pairs) for NE *)
-  eqne : (string * string * string * string, int * int) Hashtbl.t;
-  ne : (string * string * string, int * int) Hashtbl.t;
-  elem_values : (string * string * string, (Value.t, int) Hashtbl.t) Hashtbl.t;
-}
-
-let count_indexed programs =
-  (* collection path -> per-resource element lists *)
-  let collections r =
-    List.filter_map
-      (fun (name, v) ->
-        match v with
-        | Value.List items
-          when List.length items >= 1
-               && List.for_all (function Value.Block _ -> true | _ -> false) items ->
-            Some (name, List.map (function Value.Block f -> f | _ -> []) items)
-        | _ -> None)
-      r.Resource.attrs
-  in
-  let eqne : (string * string * string * string, int * int) Hashtbl.t =
-    Hashtbl.create 128
-  in
-  let ne : (string * string * string, int * int) Hashtbl.t = Hashtbl.create 128 in
-  let elem_values : (string * string * string, (Value.t, int) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 128
-  in
-  let observe r =
-    let ty = r.Resource.rtype in
-    List.iter
-      (fun (coll, elems) ->
-        let keys elem = List.filter (fun (_, v) -> is_scalar v || (match v with Value.Int _ -> true | _ -> false)) elem in
-        List.iter
-          (fun elem ->
-            List.iter
-              (fun (sub, v) ->
-                let tbl =
-                  match Hashtbl.find_opt elem_values (ty, coll, sub) with
-                  | Some t -> t
-                  | None ->
-                      let t = Hashtbl.create 8 in
-                      Hashtbl.replace elem_values (ty, coll, sub) t;
-                      t
-                in
-                incr_tbl tbl v)
-              (keys elem))
-          elems;
-        List.iteri
-          (fun i e1 ->
-            List.iteri
-              (fun j e2 ->
-                if i <> j then begin
-                  let a1 = keys e1 and a2 = keys e2 in
-                  List.iter
-                    (fun (sub, v1) ->
-                      match List.assoc_opt sub a2 with
-                      | None -> ()
-                      | Some v2 ->
-                          (* unconditional distinctness of sub *)
-                          let p, d = Option.value ~default:(0, 0) (Hashtbl.find_opt ne (ty, coll, sub)) in
-                          Hashtbl.replace ne (ty, coll, sub)
-                            (p + 1, d + if Value.equal v1 v2 then 0 else 1);
-                          (* conditioned on equality of sub, distinctness of others *)
-                          if Value.equal v1 v2 then
-                            List.iter
-                              (fun (sub2, w1) ->
-                                if not (String.equal sub2 sub) then
-                                  match List.assoc_opt sub2 a2 with
-                                  | None -> ()
-                                  | Some w2 ->
-                                      let p, d =
-                                        Option.value ~default:(0, 0)
-                                          (Hashtbl.find_opt eqne (ty, coll, sub, sub2))
-                                      in
-                                      Hashtbl.replace eqne (ty, coll, sub, sub2)
-                                        ( p + 1,
-                                          d + if Value.equal w1 w2 then 0 else 1 ))
-                              a1)
-                    a1
-                end)
-              elems)
-          elems)
-      (collections r)
-  in
-  List.iter (fun p -> List.iter observe (Program.resources p)) programs;
-  { eqne; ne; elem_values }
-
-let merge_indexed dst src =
-  merge_stats dst.eqne src.eqne;
-  merge_stats dst.ne src.ne;
-  Hashtbl.iter
-    (fun k tbl ->
-      match Hashtbl.find_opt dst.elem_values k with
-      | None -> Hashtbl.replace dst.elem_values k (Hashtbl.copy tbl)
-      | Some into -> merge_counts into tbl)
-    src.elem_values;
-  dst
-
-(* Codec for the indexed counting tables — a pure function of the
-   materialized corpus, so the cache key is the corpus key alone. *)
-let write_indexed b (c : indexed_counts) =
-  Codec.write_table
-    (fun b (ty, coll, x, y) ->
-      Codec.write_string b ty;
-      Codec.write_string b coll;
-      Codec.write_string b x;
-      Codec.write_string b y)
-    (fun b (p, d) ->
-      Codec.write_int b p;
-      Codec.write_int b d)
-    b c.eqne;
-  Codec.write_table
-    (fun b (ty, coll, y) ->
-      Codec.write_string b ty;
-      Codec.write_string b coll;
-      Codec.write_string b y)
-    (fun b (p, d) ->
-      Codec.write_int b p;
-      Codec.write_int b d)
-    b c.ne;
-  Codec.write_table
-    (fun b (ty, coll, sub) ->
-      Codec.write_string b ty;
-      Codec.write_string b coll;
-      Codec.write_string b sub)
-    (Codec.write_table Value.write Codec.write_int)
-    b c.elem_values
-
-let read_indexed s =
-  let int_pair s =
-    let p = Codec.read_int s in
-    let d = Codec.read_int s in
-    (p, d)
-  in
-  let eqne =
-    Codec.read_table
-      (fun s ->
-        let ty = Codec.read_string s in
-        let coll = Codec.read_string s in
-        let x = Codec.read_string s in
-        let y = Codec.read_string s in
-        (ty, coll, x, y))
-      int_pair s
-  in
-  let triple s =
-    let ty = Codec.read_string s in
-    let coll = Codec.read_string s in
-    let y = Codec.read_string s in
-    (ty, coll, y)
-  in
-  let ne = Codec.read_table triple int_pair s in
-  let elem_values =
-    Codec.read_table triple (Codec.read_table Value.read Codec.read_int) s
-  in
-  { eqne; ne; elem_values }
-
-let emit_indexed cfg { eqne; ne; elem_values } =
+let emit_indexed cfg { eqne; ne; elem_values; _ } =
   let distinct_prior tbl =
     (* probability two random elements differ, from the value table;
        summed in sorted-value order so the float result is independent
@@ -661,699 +1018,6 @@ let emit_indexed cfg { eqne; ne; elem_values } =
     ne;
   !out
 
-let mine_indexed ?jobs cfg programs =
-  emit_indexed cfg (count_sharded ?jobs count_indexed merge_indexed programs)
-
-(* ------------------------------------------------------------------ *)
-(* Inter-resource mining                                               *)
-(* ------------------------------------------------------------------ *)
-
-type conn_key = string * string * string * string (* src ty, src attr, dst ty, dst attr *)
-
-let scalar_paths r =
-  List.filter (fun p -> is_scalar (Resource.get r p)) (Resource.attr_paths r)
-
-type inter_counts = {
-  edgecount : (conn_key, int) Hashtbl.t;
-  paireq : (conn_key * string * string, int) Hashtbl.t;
-  dstval : (conn_key * string * Value.t, int) Hashtbl.t;
-  srcval : (conn_key * string * Value.t, int) Hashtbl.t;
-  dstnull : (conn_key * string, int) Hashtbl.t;
-  cond2 : (conn_key * string * Value.t, int) Hashtbl.t;
-  both2 : (conn_key * string * Value.t * string * Value.t, int) Hashtbl.t;
-  containc : (conn_key * string * string, int * int) Hashtbl.t;
-  sibcount : (conn_key, int) Hashtbl.t;
-  sib_nooverlap : (conn_key * string, int * int) Hashtbl.t;
-  sib_ne : (conn_key * string, int * int) Hashtbl.t;
-  assoc_eq : (conn_key * conn_key * string * string, int * int) Hashtbl.t;
-  assoc_count : (conn_key * conn_key, int) Hashtbl.t;
-  outdeg_one : (conn_key, int) Hashtbl.t;
-  outdeg_excl : (conn_key, int) Hashtbl.t;
-  copath_pairs : (string * string * string, int * int) Hashtbl.t;
-  patheq : (string * string * string * string, int * int) Hashtbl.t;
-  deg_max :
-    (string * string * Value.t * string * [ `In | `Out ], int * int) Hashtbl.t;
-  name_excl : (string * string * string, int * int) Hashtbl.t;
-}
-
-(* [reserved_names] is read-only during counting, so it is shared across
-   shards rather than merged. *)
-let count_inter provider cfg kb reserved_names programs =
-  let edgecount : (conn_key, int) Hashtbl.t = Hashtbl.create 128 in
-  let paireq : (conn_key * string * string, int) Hashtbl.t = Hashtbl.create 512 in
-  let dstval : (conn_key * string * Value.t, int) Hashtbl.t = Hashtbl.create 512 in
-  let srcval : (conn_key * string * Value.t, int) Hashtbl.t = Hashtbl.create 512 in
-  let dstnull : (conn_key * string, int) Hashtbl.t = Hashtbl.create 512 in
-  let cond2 : (conn_key * string * Value.t, int) Hashtbl.t = Hashtbl.create 512 in
-  let both2 : (conn_key * string * Value.t * string * Value.t, int) Hashtbl.t =
-    Hashtbl.create 512
-  in
-  let containc : (conn_key * string * string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let sibcount : (conn_key, int) Hashtbl.t = Hashtbl.create 64 in
-  let sib_nooverlap : (conn_key * string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let sib_ne : (conn_key * string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let assoc_eq : (conn_key * conn_key * string * string, int * int) Hashtbl.t =
-    Hashtbl.create 128
-  in
-  let assoc_count : (conn_key * conn_key, int) Hashtbl.t = Hashtbl.create 64 in
-  let outdeg_one : (conn_key, int) Hashtbl.t = Hashtbl.create 64 in
-  let outdeg_excl : (conn_key, int) Hashtbl.t = Hashtbl.create 64 in
-  let copath_pairs : (string * string * string, int * int) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let patheq : (string * string * string * string, int * int) Hashtbl.t =
-    (* (src ty, dst ty, src attr, dst attr) -> (pairs, equal) *)
-    Hashtbl.create 256
-  in
-  let deg_max :
-      (string * string * Value.t * string * [ `In | `Out ], int * int) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let name_excl : (string * string * string, int * int) Hashtbl.t = Hashtbl.create 32 in
-  let enum_facts r =
-    let ty = r.Resource.rtype in
-    List.filter_map
-      (fun path ->
-        let v = Resource.get r path in
-        if is_scalar v && (not cfg.use_kb || List.mem v (Kb.enum_values kb ~rtype:ty ~attr:path))
-        then Some (path, v)
-        else None)
-      (flat_paths provider r)
-  in
-  let observe_program prog =
-    let graph = Graph.build prog in
-    let edges = Graph.edges graph in
-    let find id = Program.find prog id in
-    List.iter
-      (fun (e : Graph.edge) ->
-        match (find e.Graph.src, find e.Graph.dst) with
-        | Some a, Some b ->
-            let k =
-              ( e.Graph.src.Resource.rtype,
-                e.Graph.src_attr,
-                e.Graph.dst.Resource.rtype,
-                e.Graph.dst_attr )
-            in
-            incr_tbl edgecount k;
-            (* equality join between a and b attributes *)
-            let b_by_value = Hashtbl.create 16 in
-            List.iter
-              (fun p -> Hashtbl.add b_by_value (Resource.get b p) p)
-              (scalar_paths b);
-            List.iter
-              (fun pa ->
-                let va = Resource.get a pa in
-                List.iter
-                  (fun pb -> incr_tbl paireq (k, pa, pb))
-                  (Hashtbl.find_all b_by_value va))
-              (scalar_paths a);
-            (* dst/src enum values *)
-            List.iter (fun (p, v) -> incr_tbl dstval (k, p, v)) (enum_facts b);
-            List.iter (fun (p, v) -> incr_tbl srcval (k, p, v)) (enum_facts a);
-            (* reserved dst names *)
-            (match Resource.get b "name" with
-            | Value.Str s when Hashtbl.mem reserved_names (b.Resource.rtype, s) ->
-                incr_tbl dstval (k, "name", Value.Str s)
-            | _ -> ());
-            (* dst null-ness of optional attrs known to the KB *)
-            List.iter
-              (fun (info : Kb.attr_info) ->
-                if
-                  info.Kb.requirement = Some Schema.Optional
-                  && Value.is_null (Resource.get b info.Kb.attr)
-                  && (not (String.contains info.Kb.attr '.'))
-                then incr_tbl dstnull (k, info.Kb.attr))
-              (Kb.attrs_of_type kb b.Resource.rtype);
-            (* conditional: src enum -> dst enum *)
-            List.iter
-              (fun (pa, va) ->
-                incr_tbl cond2 (k, pa, va);
-                List.iter
-                  (fun (pb, vb) -> incr_tbl both2 (k, pa, va, pb, vb))
-                  (enum_facts b))
-              (enum_facts a);
-            (* containment between CIDR attributes *)
-            List.iter
-              (fun ca ->
-                let va = Resource.get_all a ca in
-                List.iter
-                  (fun cb ->
-                    let vb = Resource.get_all b cb in
-                    if va <> [] && vb <> [] then begin
-                      let cidrs vs =
-                        List.concat_map
-                          (fun v ->
-                            match v with
-                            | Value.Str s -> Option.to_list (Cidr.of_string s)
-                            | Value.List items ->
-                                List.filter_map
-                                  (function
-                                    | Value.Str s -> Cidr.of_string s | _ -> None)
-                                  items
-                            | _ -> [])
-                          vs
-                      in
-                      let ca_c = cidrs va and cb_c = cidrs vb in
-                      if ca_c <> [] && cb_c <> [] then begin
-                        let contained =
-                          List.for_all
-                            (fun x -> List.exists (fun y -> Cidr.contains y x) cb_c)
-                            ca_c
-                        in
-                        let d, s =
-                          Option.value ~default:(0, 0)
-                            (Hashtbl.find_opt containc (k, ca, cb))
-                        in
-                        Hashtbl.replace containc (k, ca, cb)
-                          (d + 1, s + if contained then 1 else 0)
-                      end
-                    end)
-                  (Kb.cidr_attrs kb b.Resource.rtype))
-              (Kb.cidr_attrs kb a.Resource.rtype);
-            (* aggregation facts per edge *)
-            let same_ty = Graph.Type e.Graph.src.Resource.rtype in
-            let od = Graph.outdegree graph e.Graph.dst same_ty in
-            if od = 1 then incr_tbl outdeg_one k;
-            let od_other =
-              Graph.outdegree graph e.Graph.dst
-                (Graph.Not_type e.Graph.src.Resource.rtype)
-            in
-            if od_other = 0 then incr_tbl outdeg_excl k
-        | _ -> ())
-      edges;
-    (* sibling analysis: group in-edges per (dst resource, kind) *)
-    let sib_groups = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Graph.edge) ->
-        let k =
-          ( e.Graph.src.Resource.rtype,
-            e.Graph.src_attr,
-            e.Graph.dst.Resource.rtype,
-            e.Graph.dst_attr )
-        in
-        Hashtbl.replace sib_groups
-          (e.Graph.dst, k)
-          (e.Graph.src
-          :: Option.value ~default:[] (Hashtbl.find_opt sib_groups (e.Graph.dst, k))))
-      edges;
-    Hashtbl.iter
-      (fun ((_dst : Resource.id), (k : conn_key)) srcs ->
-        let src_ty, _, _, _ = k in
-        let resources = List.filter_map find srcs in
-        List.iteri
-          (fun i a ->
-            List.iteri
-              (fun j b ->
-                if i < j then begin
-                  incr_tbl sibcount k;
-                  (* CIDR disjointness *)
-                  List.iter
-                    (fun cattr ->
-                      match
-                        ( (Resource.get a cattr : Value.t),
-                          (Resource.get b cattr : Value.t) )
-                      with
-                      | Value.Str sa, Value.Str sb -> (
-                          match (Cidr.of_string sa, Cidr.of_string sb) with
-                          | Some c1, Some c2 ->
-                              let d, s =
-                                Option.value ~default:(0, 0)
-                                  (Hashtbl.find_opt sib_nooverlap (k, cattr))
-                              in
-                              Hashtbl.replace sib_nooverlap (k, cattr)
-                                (d + 1, s + if Cidr.overlap c1 c2 then 0 else 1)
-                          | _ -> ())
-                      | _ -> ())
-                    (Kb.cidr_attrs kb src_ty);
-                  (* attribute distinctness *)
-                  List.iter
-                    (fun p ->
-                      let va = Resource.get a p and vb = Resource.get b p in
-                      if is_scalar va && is_scalar vb then begin
-                        let d, s =
-                          Option.value ~default:(0, 0)
-                            (Hashtbl.find_opt sib_ne (k, p))
-                        in
-                        Hashtbl.replace sib_ne (k, p)
-                          (d + 1, s + if Value.equal va vb then 0 else 1)
-                      end)
-                    (scalar_paths a)
-                end)
-              resources)
-          resources)
-      sib_groups;
-    (* association analysis: resources with two outgoing reference kinds *)
-    List.iter
-      (fun c ->
-        let outs = Graph.edges_from graph (Resource.id c) in
-        List.iter
-          (fun (e1 : Graph.edge) ->
-            List.iter
-              (fun (e2 : Graph.edge) ->
-                if
-                  not (String.equal e1.Graph.src_attr e2.Graph.src_attr)
-                  && not (Resource.equal_id e1.Graph.dst e2.Graph.dst)
-                then begin
-                  let k1 =
-                    ( c.Resource.rtype,
-                      e1.Graph.src_attr,
-                      e1.Graph.dst.Resource.rtype,
-                      e1.Graph.dst_attr )
-                  and k2 =
-                    ( c.Resource.rtype,
-                      e2.Graph.src_attr,
-                      e2.Graph.dst.Resource.rtype,
-                      e2.Graph.dst_attr )
-                  in
-                  incr_tbl assoc_count (k1, k2);
-                  match (find e1.Graph.dst, find e2.Graph.dst) with
-                  | Some a, Some b ->
-                      (* compare attributes that share a path or are
-                         name-formatted on both sides *)
-                      List.iter
-                        (fun pa ->
-                          List.iter
-                            (fun pb ->
-                              let comparable =
-                                String.equal pa pb
-                                ||
-                                let name_like ty p =
-                                  match Kb.attr_info kb ~rtype:ty ~attr:p with
-                                  | Some { Kb.format = Schema.Name_format; _ } -> true
-                                  | _ -> false
-                                in
-                                name_like a.Resource.rtype pa
-                                && name_like b.Resource.rtype pb
-                              in
-                              if comparable then begin
-                                let va = Resource.get a pa and vb = Resource.get b pb in
-                                if is_scalar va && is_scalar vb then begin
-                                  let d, s =
-                                    Option.value ~default:(0, 0)
-                                      (Hashtbl.find_opt assoc_eq (k1, k2, pa, pb))
-                                  in
-                                  Hashtbl.replace assoc_eq (k1, k2, pa, pb)
-                                    (d + 1, s + if Value.equal va vb then 1 else 0)
-                                end
-                              end)
-                            (scalar_paths b))
-                        (scalar_paths a)
-                  | _ -> ()
-                end)
-              outs)
-          outs)
-      (Program.resources prog);
-    (* path-based attribute agreement: reachable pairs with matching
-       scalar attributes (e.g. NIC and VPC two hops apart agreeing on
-       location) *)
-    List.iter
-      (fun r1 ->
-        let id1 = Resource.id r1 in
-        List.iter
-          (fun (id2 : Resource.id) ->
-            if not (String.equal id1.Resource.rtype id2.Resource.rtype) then
-              match find id2 with
-              | None -> ()
-              | Some r2 ->
-                  (* compare attributes sharing a dotted path; the shared
-                     name keeps the family small and meaningful *)
-                  List.iter
-                    (fun pa ->
-                      let va = Resource.get r1 pa in
-                      let vb = Resource.get r2 pa in
-                      if is_scalar va && is_scalar vb then begin
-                        let key =
-                          (id1.Resource.rtype, id2.Resource.rtype, pa, pa)
-                        in
-                        let d, e =
-                          Option.value ~default:(0, 0) (Hashtbl.find_opt patheq key)
-                        in
-                        Hashtbl.replace patheq key
-                          (d + 1, e + if Value.equal va vb then 1 else 0)
-                      end)
-                    (scalar_paths r1))
-          (Graph.reachable_from graph id1))
-      (Program.resources prog);
-    (* copath overlap: resources reaching two same-type CIDR-bearing nodes *)
-    List.iter
-      (fun t ->
-        let reach = Graph.reachable_from graph (Resource.id t) in
-        List.iteri
-          (fun i (v1 : Resource.id) ->
-            List.iteri
-              (fun j (v2 : Resource.id) ->
-                if i < j && String.equal v1.Resource.rtype v2.Resource.rtype then
-                  match (find v1, find v2) with
-                  | Some r1, Some r2 ->
-                      List.iter
-                        (fun cattr ->
-                          let c1 =
-                            match Resource.get r1 cattr with
-                            | Value.Str s -> Cidr.of_string s
-                            | Value.List (Value.Str s :: _) -> Cidr.of_string s
-                            | _ -> None
-                          and c2 =
-                            match Resource.get r2 cattr with
-                            | Value.Str s -> Cidr.of_string s
-                            | Value.List (Value.Str s :: _) -> Cidr.of_string s
-                            | _ -> None
-                          in
-                          match (c1, c2) with
-                          | Some c1, Some c2 ->
-                              let key = (t.Resource.rtype, v1.Resource.rtype, cattr) in
-                              let d, s =
-                                Option.value ~default:(0, 0)
-                                  (Hashtbl.find_opt copath_pairs key)
-                              in
-                              Hashtbl.replace copath_pairs key
-                                (d + 1, s + if Cidr.overlap c1 c2 then 0 else 1)
-                          | _ -> ())
-                        (Kb.cidr_attrs kb v1.Resource.rtype)
-                  | _ -> ())
-              reach)
-          reach)
-      (Program.resources prog);
-    (* degree maxima conditioned on enum attributes *)
-    List.iter
-      (fun r ->
-        let id = Resource.id r in
-        let peer_types_out =
-          List.map (fun (e : Graph.edge) -> e.Graph.dst.Resource.rtype) (Graph.edges_from graph id)
-        and peer_types_in =
-          List.map (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype) (Graph.edges_to graph id)
-        in
-        let dedup = List.sort_uniq String.compare in
-        List.iter
-          (fun (p, v) ->
-            List.iter
-              (fun tau ->
-                let d = Graph.indegree graph id (Graph.Type tau) in
-                let key = (r.Resource.rtype, p, v, tau, `In) in
-                let hi, c = Option.value ~default:(d, 0) (Hashtbl.find_opt deg_max key) in
-                Hashtbl.replace deg_max key (max hi d, c + 1))
-              (dedup peer_types_out);
-            List.iter
-              (fun tau ->
-                let d = Graph.outdegree graph id (Graph.Type tau) in
-                let key = (r.Resource.rtype, p, v, tau, `Out) in
-                let hi, c = Option.value ~default:(d, 0) (Hashtbl.find_opt deg_max key) in
-                Hashtbl.replace deg_max key (max hi d, c + 1))
-              (dedup peer_types_in))
-          (enum_facts r))
-      (Program.resources prog);
-    (* reserved names exclusivity *)
-    List.iter
-      (fun r ->
-        match Resource.get r "name" with
-        | Value.Str s when Hashtbl.mem reserved_names (r.Resource.rtype, s) ->
-            let id = Resource.id r in
-            let referrers =
-              List.map
-                (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype)
-                (Graph.edges_to graph id)
-            in
-            List.iter
-              (fun tau ->
-                let other = Graph.outdegree graph id (Graph.Not_type tau) in
-                let key = (r.Resource.rtype, s, tau) in
-                let d, sat =
-                  Option.value ~default:(0, 0) (Hashtbl.find_opt name_excl key)
-                in
-                Hashtbl.replace name_excl key (d + 1, sat + if other = 0 then 1 else 0))
-              (List.sort_uniq String.compare referrers)
-        | _ -> ())
-      (Program.resources prog)
-  in
-  List.iter observe_program programs;
-  {
-    edgecount;
-    paireq;
-    dstval;
-    srcval;
-    dstnull;
-    cond2;
-    both2;
-    containc;
-    sibcount;
-    sib_nooverlap;
-    sib_ne;
-    assoc_eq;
-    assoc_count;
-    outdeg_one;
-    outdeg_excl;
-    copath_pairs;
-    patheq;
-    deg_max;
-    name_excl;
-  }
-
-let merge_inter dst src =
-  merge_counts dst.edgecount src.edgecount;
-  merge_counts dst.paireq src.paireq;
-  merge_counts dst.dstval src.dstval;
-  merge_counts dst.srcval src.srcval;
-  merge_counts dst.dstnull src.dstnull;
-  merge_counts dst.cond2 src.cond2;
-  merge_counts dst.both2 src.both2;
-  merge_counts dst.sibcount src.sibcount;
-  merge_counts dst.assoc_count src.assoc_count;
-  merge_counts dst.outdeg_one src.outdeg_one;
-  merge_counts dst.outdeg_excl src.outdeg_excl;
-  merge_stats dst.containc src.containc;
-  merge_stats dst.sib_nooverlap src.sib_nooverlap;
-  merge_stats dst.sib_ne src.sib_ne;
-  merge_stats dst.assoc_eq src.assoc_eq;
-  merge_stats dst.copath_pairs src.copath_pairs;
-  merge_stats dst.patheq src.patheq;
-  merge_stats dst.name_excl src.name_excl;
-  Hashtbl.iter
-    (fun k (hi, c) ->
-      let merged =
-        match Hashtbl.find_opt dst.deg_max k with
-        | None -> (hi, c)
-        | Some (hi0, c0) -> (max hi hi0, c0 + c)
-      in
-      Hashtbl.replace dst.deg_max k merged)
-    src.deg_max;
-  dst
-
-(* Codec for the inter counting tables. [deg_max]'s direction is a byte
-   tag so decoding round-trips; Codec.write_table's canonical key sort
-   keeps equal tables byte-equal regardless of merge history. *)
-let write_conn b (src_ty, src_attr, dst_ty, dst_attr) =
-  Codec.write_string b src_ty;
-  Codec.write_string b src_attr;
-  Codec.write_string b dst_ty;
-  Codec.write_string b dst_attr
-
-let read_conn s =
-  let src_ty = Codec.read_string s in
-  let src_attr = Codec.read_string s in
-  let dst_ty = Codec.read_string s in
-  let dst_attr = Codec.read_string s in
-  (src_ty, src_attr, dst_ty, dst_attr)
-
-let write_int_pair b (d, n) =
-  Codec.write_int b d;
-  Codec.write_int b n
-
-let read_int_pair s =
-  let d = Codec.read_int s in
-  let n = Codec.read_int s in
-  (d, n)
-
-let write_inter b (c : inter_counts) =
-  let conn_str b (k, x) =
-    write_conn b k;
-    Codec.write_string b x
-  in
-  let conn_str2 b (k, x, y) =
-    conn_str b (k, x);
-    Codec.write_string b y
-  in
-  let conn_str_val b (k, x, v) =
-    conn_str b (k, x);
-    Value.write b v
-  in
-  let str3 b (x, y, z) =
-    Codec.write_string b x;
-    Codec.write_string b y;
-    Codec.write_string b z
-  in
-  Codec.write_table write_conn Codec.write_int b c.edgecount;
-  Codec.write_table conn_str2 Codec.write_int b c.paireq;
-  Codec.write_table conn_str_val Codec.write_int b c.dstval;
-  Codec.write_table conn_str_val Codec.write_int b c.srcval;
-  Codec.write_table conn_str Codec.write_int b c.dstnull;
-  Codec.write_table conn_str_val Codec.write_int b c.cond2;
-  Codec.write_table
-    (fun b (k, x, v, y, w) ->
-      conn_str_val b (k, x, v);
-      Codec.write_string b y;
-      Value.write b w)
-    Codec.write_int b c.both2;
-  Codec.write_table conn_str2 write_int_pair b c.containc;
-  Codec.write_table write_conn Codec.write_int b c.sibcount;
-  Codec.write_table conn_str write_int_pair b c.sib_nooverlap;
-  Codec.write_table conn_str write_int_pair b c.sib_ne;
-  Codec.write_table
-    (fun b (k1, k2, x, y) ->
-      write_conn b k1;
-      write_conn b k2;
-      Codec.write_string b x;
-      Codec.write_string b y)
-    write_int_pair b c.assoc_eq;
-  Codec.write_table
-    (fun b (k1, k2) ->
-      write_conn b k1;
-      write_conn b k2)
-    Codec.write_int b c.assoc_count;
-  Codec.write_table write_conn Codec.write_int b c.outdeg_one;
-  Codec.write_table write_conn Codec.write_int b c.outdeg_excl;
-  Codec.write_table str3 write_int_pair b c.copath_pairs;
-  Codec.write_table
-    (fun b (x, y, z, w) ->
-      str3 b (x, y, z);
-      Codec.write_string b w)
-    write_int_pair b c.patheq;
-  Codec.write_table
-    (fun b (ty, p, v, tau, dir) ->
-      Codec.write_string b ty;
-      Codec.write_string b p;
-      Value.write b v;
-      Codec.write_string b tau;
-      Codec.write_byte b (match dir with `In -> 0 | `Out -> 1))
-    write_int_pair b c.deg_max;
-  Codec.write_table str3 write_int_pair b c.name_excl
-
-let read_inter s =
-  let conn_str s =
-    let k = read_conn s in
-    let x = Codec.read_string s in
-    (k, x)
-  in
-  let conn_str2 s =
-    let k, x = conn_str s in
-    let y = Codec.read_string s in
-    (k, x, y)
-  in
-  let conn_str_val s =
-    let k, x = conn_str s in
-    let v = Value.read s in
-    (k, x, v)
-  in
-  let str3 s =
-    let x = Codec.read_string s in
-    let y = Codec.read_string s in
-    let z = Codec.read_string s in
-    (x, y, z)
-  in
-  let edgecount = Codec.read_table read_conn Codec.read_int s in
-  let paireq = Codec.read_table conn_str2 Codec.read_int s in
-  let dstval = Codec.read_table conn_str_val Codec.read_int s in
-  let srcval = Codec.read_table conn_str_val Codec.read_int s in
-  let dstnull = Codec.read_table conn_str Codec.read_int s in
-  let cond2 = Codec.read_table conn_str_val Codec.read_int s in
-  let both2 =
-    Codec.read_table
-      (fun s ->
-        let k, x, v = conn_str_val s in
-        let y = Codec.read_string s in
-        let w = Value.read s in
-        (k, x, v, y, w))
-      Codec.read_int s
-  in
-  let containc = Codec.read_table conn_str2 read_int_pair s in
-  let sibcount = Codec.read_table read_conn Codec.read_int s in
-  let sib_nooverlap = Codec.read_table conn_str read_int_pair s in
-  let sib_ne = Codec.read_table conn_str read_int_pair s in
-  let assoc_eq =
-    Codec.read_table
-      (fun s ->
-        let k1 = read_conn s in
-        let k2 = read_conn s in
-        let x = Codec.read_string s in
-        let y = Codec.read_string s in
-        (k1, k2, x, y))
-      read_int_pair s
-  in
-  let assoc_count =
-    Codec.read_table
-      (fun s ->
-        let k1 = read_conn s in
-        let k2 = read_conn s in
-        (k1, k2))
-      Codec.read_int s
-  in
-  let outdeg_one = Codec.read_table read_conn Codec.read_int s in
-  let outdeg_excl = Codec.read_table read_conn Codec.read_int s in
-  let copath_pairs = Codec.read_table str3 read_int_pair s in
-  let patheq =
-    Codec.read_table
-      (fun s ->
-        let x, y, z = str3 s in
-        let w = Codec.read_string s in
-        (x, y, z, w))
-      read_int_pair s
-  in
-  let deg_max =
-    Codec.read_table
-      (fun s ->
-        let ty = Codec.read_string s in
-        let p = Codec.read_string s in
-        let v = Value.read s in
-        let tau = Codec.read_string s in
-        let dir =
-          match Codec.read_byte s with
-          | 0 -> `In
-          | 1 -> `Out
-          | n -> Codec.corrupt "bad degree direction tag %d" n
-        in
-        (ty, p, v, tau, dir))
-      read_int_pair s
-  in
-  let name_excl = Codec.read_table str3 read_int_pair s in
-  {
-    edgecount;
-    paireq;
-    dstval;
-    srcval;
-    dstnull;
-    cond2;
-    both2;
-    containc;
-    sibcount;
-    sib_nooverlap;
-    sib_ne;
-    assoc_eq;
-    assoc_count;
-    outdeg_one;
-    outdeg_excl;
-    copath_pairs;
-    patheq;
-    deg_max;
-    name_excl;
-  }
-
-(* Reserved-name candidates are a pure function of the finalized KB —
-   fixed before any inter counting starts, and shared read-only across
-   shards (streamed or parallel). *)
-let reserved_names_of kb =
-  let reserved_names : (string * string, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun ty ->
-      match Kb.attr_info kb ~rtype:ty ~attr:"name" with
-      | None -> ()
-      | Some info ->
-          List.iter
-            (fun (v, c) ->
-              match v with
-              | Value.Str s when c >= 5 -> Hashtbl.replace reserved_names (ty, s) c
-              | _ -> ())
-            info.Kb.observed)
-    (Kb.types kb);
-  reserved_names
-
 let emit_inter cfg kb
     {
       edgecount;
@@ -1375,8 +1039,8 @@ let emit_inter cfg kb
       patheq;
       deg_max;
       name_excl;
+      _;
     } =
-  (* ---- emit ---- *)
   let out = ref [] in
   let emit c = out := c :: !out in
   let conn_cond k =
@@ -1672,58 +1336,9 @@ let emit_inter cfg kb
     deg_max;
   !out
 
-let mine_inter ~provider ?jobs cfg kb programs =
-  emit_inter cfg kb
-    (count_sharded ?jobs
-       (count_inter provider cfg kb (reserved_names_of kb))
-       merge_inter programs)
-
-(* ------------------------------------------------------------------ *)
-(* The tables monoid                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* All three counting families bundled as one mergeable value: the unit
-   of work a streamed shard produces, checkpoints and folds. The inter
-   family's reserved names come from the finalized KB, so a stream must
-   finish its KB fold before the first [count_tables] call. *)
-type tables = {
-  t_intra : intra_counts;
-  t_indexed : indexed_counts;
-  t_inter : inter_counts;
-}
-
-let count_tables ~provider ?jobs config kb programs =
-  {
-    t_intra = count_sharded ?jobs (count_intra provider config kb) merge_intra programs;
-    t_indexed = count_sharded ?jobs count_indexed merge_indexed programs;
-    t_inter =
-      count_sharded ?jobs
-        (count_inter provider config kb (reserved_names_of kb))
-        merge_inter programs;
-  }
-
-let merge_tables dst src =
-  let _ = merge_intra dst.t_intra src.t_intra in
-  let _ = merge_indexed dst.t_indexed src.t_indexed in
-  let _ = merge_inter dst.t_inter src.t_inter in
-  dst
-
-let write_tables b t =
-  write_intra b t.t_intra;
-  write_indexed b t.t_indexed;
-  write_inter b t.t_inter
-
-let read_tables s =
-  let t_intra = read_intra s in
-  let t_indexed = read_indexed s in
-  let t_inter = read_inter s in
-  { t_intra; t_indexed; t_inter }
-
 let emit_tables config kb t =
   Candidate.dedup
-    (emit_intra config kb t.t_intra
-    @ emit_indexed config t.t_indexed
-    @ emit_inter config kb t.t_inter)
+    (emit_intra config kb t @ emit_indexed config t @ emit_inter config kb t)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1736,18 +1351,15 @@ let materialize ~provider ?jobs programs =
         (List.map (Defaults.effective provider) (Program.resources p)))
     programs
 
-let mine_intra ~provider ?(config = default_config) ?jobs kb programs =
-  let programs = materialize ~provider ?jobs programs in
-  Candidate.dedup
-    (mine_intra_families ~provider ?jobs config kb programs
-    @ mine_indexed ?jobs config programs)
+let count_corpus ~provider ?jobs config kb programs =
+  count_tables ~provider ?jobs config kb (materialize ~provider ?jobs programs)
 
 let mine ~provider ?(config = default_config) ?jobs kb programs =
-  let programs = materialize ~provider ?jobs programs in
-  Candidate.dedup
-    (mine_intra_families ~provider ?jobs config kb programs
-    @ mine_indexed ?jobs config programs
-    @ mine_inter ~provider ?jobs config kb programs)
+  emit_tables config kb (count_corpus ~provider ?jobs config kb programs)
+
+let mine_intra ~provider ?(config = default_config) ?jobs kb programs =
+  let t = count_corpus ~provider ?jobs config kb programs in
+  Candidate.dedup (emit_intra config kb t @ emit_indexed config t)
 
 let intra_counts_by_type ~provider ?jobs ~use_kb kb programs =
   let config = { default_config with use_kb } in
@@ -1766,3 +1378,4 @@ let intra_counts_by_type ~provider ?jobs ~use_kb kb programs =
       | Some schema ->
           Some (ty, Schema.attr_count schema, get_count by_type ty))
     (Kb.types kb)
+

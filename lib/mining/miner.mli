@@ -1,8 +1,8 @@
 (** The association-rule mining engine (§3.3).
 
-    One counting pass per template family walks the (default-
-    materialized) corpus and instantiates every witnessed check with
-    its association statistics:
+    One counting pass walks the (default-materialized) corpus, filling
+    every template family's count tables, and emission instantiates
+    every witnessed check with its association statistics:
 
     - {e support}: number of instances satisfying the condition;
     - {e confidence}: P(statement | condition);
@@ -52,9 +52,11 @@ val mine :
     to [jobs] domains (default: recommended domain count); the result
     is identical for every [jobs] value.
 
-    The pipeline mines through the tables monoid below, shard by shard;
-    [mine] counts every family directly and is the independent
-    reference the fold is tested against. *)
+    [mine] is [emit_tables] over one {!count_tables} of the whole
+    (materialized) corpus. The pipeline runs the same count and emit
+    shard by shard through the tables monoid below, so the tests check
+    it by comparing a one-shard fold with a k-shard fold, bytes and
+    candidates both. *)
 
 (** {2 The tables monoid}
 
@@ -64,14 +66,17 @@ val mine :
     the per-shard values in shard order ({!merge_tables}), checkpoint
     them through the {!Zodiac_util.Cache} codec pair
     ({!write_tables}/{!read_tables}) and emit candidates once from the
-    final merged value ({!emit_tables}). Every merge is an exact monoid
-    over contiguous groupings — addition, (min, max, sum) or
-    (max, sum) — so for any shard size (and any mix of resumed and
-    rebuilt shards) [emit_tables config kb (fold of count_tables)]
-    equals [mine ~config kb corpus]. *)
+    final merged value ({!emit_tables}). Each table is declared once,
+    with its key codec and merge monoid — addition, (d, n) addition,
+    (min, max, sum), (max, sum), or a nested count table — and one
+    ordered field list drives merge, write and read. Every monoid is
+    exact over contiguous groupings, so for any shard size (and any mix
+    of resumed and rebuilt shards) [emit_tables config kb (fold of
+    count_tables)] equals [mine ~config kb corpus]. *)
 
 type tables
-(** Intra + indexed + inter counting tables, merged by mutation. *)
+(** The intra, indexed and inter counting tables as one value, merged
+    by mutation. *)
 
 val count_tables :
   provider:Zodiac_provider.Provider.t ->
@@ -83,8 +88,9 @@ val count_tables :
 (** Count one shard of {e materialized} programs. [kb] must be the
     finalized KB of the {e whole} corpus (the inter family derives its
     reserved names from it), so a stream runs its KB fold to completion
-    before the first [count_tables] call. Within the shard, counting
-    shards again across up to [jobs] domains. *)
+    before the first [count_tables] call. Within the shard, the programs
+    are split into chunks across up to [jobs] domains; one pass per
+    chunk counts every family. *)
 
 val merge_tables : tables -> tables -> tables
 (** [merge_tables dst src] folds [src] into [dst] (mutating [dst]) and
@@ -111,9 +117,9 @@ val mine_intra :
   Zodiac_kb.Kb.t ->
   Zodiac_iac.Program.t list ->
   Candidate.t list
-(** Only the intra-resource families (used by the Figure 7a ablation,
-    which plots per-type intra candidate counts with and without the
-    KB). *)
+(** Only the intra-resource and indexed candidates of one count of the
+    corpus (used by the Figure 7a ablation, which plots per-type intra
+    candidate counts with and without the KB). *)
 
 val intra_counts_by_type :
   provider:Zodiac_provider.Provider.t ->

@@ -128,6 +128,87 @@ let read_table rk rv s =
   tbl
 
 (* ------------------------------------------------------------------ *)
+(* Typed codecs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type 'a t = { write : sink -> 'a -> unit; read : src -> 'a }
+
+let int = { write = write_int; read = read_int }
+let bool = { write = write_bool; read = read_bool }
+let string = { write = write_string; read = read_string }
+
+let conv encode decode c =
+  { write = (fun o x -> c.write o (encode x)); read = (fun s -> decode (c.read s)) }
+
+(* Components are read in sequence with [let]: a tuple expression would
+   evaluate its components in an unspecified order. *)
+let pair ca cb =
+  {
+    write =
+      (fun o (a, b) ->
+        ca.write o a;
+        cb.write o b);
+    read =
+      (fun s ->
+        let a = ca.read s in
+        let b = cb.read s in
+        (a, b));
+  }
+
+let triple ca cb cc =
+  {
+    write =
+      (fun o (a, b, c) ->
+        ca.write o a;
+        cb.write o b;
+        cc.write o c);
+    read =
+      (fun s ->
+        let a = ca.read s in
+        let b = cb.read s in
+        let c = cc.read s in
+        (a, b, c));
+  }
+
+let quad ca cb cc cd =
+  {
+    write =
+      (fun o (a, b, c, d) ->
+        ca.write o a;
+        cb.write o b;
+        cc.write o c;
+        cd.write o d);
+    read =
+      (fun s ->
+        let a = ca.read s in
+        let b = cb.read s in
+        let c = cc.read s in
+        let d = cd.read s in
+        (a, b, c, d));
+  }
+
+let quint ca cb cc cd ce =
+  {
+    write =
+      (fun o (a, b, c, d, e) ->
+        ca.write o a;
+        cb.write o b;
+        cc.write o c;
+        cd.write o d;
+        ce.write o e);
+    read =
+      (fun s ->
+        let a = ca.read s in
+        let b = cb.read s in
+        let c = cc.read s in
+        let d = cd.read s in
+        let e = ce.read s in
+        (a, b, c, d, e));
+  }
+
+let table ck cv = { write = write_table ck.write cv.write; read = read_table ck.read cv.read }
+
+(* ------------------------------------------------------------------ *)
 (* Sealed envelopes                                                    *)
 (* ------------------------------------------------------------------ *)
 

@@ -77,6 +77,32 @@ val write_table :
 
 val read_table : (src -> 'k) -> (src -> 'v) -> src -> ('k, 'v) Hashtbl.t
 
+(** {1 Typed codecs}
+
+    A writer and its reader as one value, so a layout is spelled once
+    and both directions agree by construction. Combinators write their
+    components in order with no framing: [pair int string] produces
+    exactly the bytes of [write_int] followed by [write_string]. *)
+
+type 'a t = { write : sink -> 'a -> unit; read : src -> 'a }
+
+val int : int t
+val bool : bool t
+val string : string t
+
+val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
+(** [conv encode decode c] codes ['a] through its image in ['b]. *)
+
+val pair : 'a t -> 'b t -> ('a * 'b) t
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
+val quad : 'a t -> 'b t -> 'c t -> 'd t -> ('a * 'b * 'c * 'd) t
+
+val quint :
+  'a t -> 'b t -> 'c t -> 'd t -> 'e t -> ('a * 'b * 'c * 'd * 'e) t
+
+val table : 'k t -> 'v t -> ('k, 'v) Hashtbl.t t
+(** {!write_table}/{!read_table}: rows in canonical key order. *)
+
 (** {1 Sealed envelopes} *)
 
 val encode : stage:string -> (sink -> unit) -> string

@@ -163,6 +163,31 @@ let test_candidate_roundtrip () =
            (bytes_of Check.write d.Candidate.check)))
     mined
 
+(* ------------- checkpoint format pin ---------------------------------- *)
+
+(* The bytes of the two shard-checkpoint payloads over a fixed corpus
+   (60 projects, seed 7, materialized). Checkpoints written by an older
+   build must still decode to the same tables, so any change to either
+   digest must come with a [Codec.version] bump, which turns stale
+   entries into cache misses. *)
+let test_checkpoint_format_pin () =
+  let programs =
+    Miner.materialize ~provider
+      (List.map
+         (fun p -> p.Generator.program)
+         (Generator.generate_range ~provider ~seed:7 ~lo:0 ~hi:60 ()))
+  in
+  let digest write v = Digest.to_hex (Digest.string (bytes_of write v)) in
+  let stats = Kb.stats_of_projects programs in
+  let kb = Kb.finalize ~provider stats in
+  let tables = Miner.count_tables ~provider Miner.default_config kb programs in
+  Alcotest.(check int) "codec version" 2 Codec.version;
+  Alcotest.(check string)
+    "kb stats bytes" "b18404a9e5769bd5917c1ef111279fc7" (digest Kb.write_stats stats);
+  Alcotest.(check string)
+    "miner tables bytes" "b6285f1cbcbe04dd5294619a29a5a353"
+    (digest Miner.write_tables tables)
+
 (* ------------- envelope invalidation ---------------------------------- *)
 
 let test_envelope () =
@@ -312,6 +337,8 @@ let () =
             test_kb_stats_roundtrip_and_monoid;
           Alcotest.test_case "mined candidates round-trip" `Quick
             test_candidate_roundtrip;
+          Alcotest.test_case "checkpoint format pin" `Quick
+            test_checkpoint_format_pin;
         ] );
       ( "envelope",
         [ Alcotest.test_case "seal, corrupt, stale version" `Quick test_envelope ] );

@@ -117,17 +117,25 @@ let prop_shard_size_invariant =
       && String.equal (stats_bytes mono) (stats_bytes a)
       && String.equal (stats_bytes mono) (stats_bytes b))
 
+(* Candidates alone could hide a wrong merge in a table emission never
+   reads in full (e.g. [deg_max]'s maximum), so the folded tables' bytes
+   are compared too, and must survive a read/write round trip. *)
 let prop_tables_invariant =
   QCheck.Test.make ~name:"miner tables fold ≡ monolithic mine" ~count:12
     QCheck.(int_range 1 70)
     (fun k ->
       let kb = Kb.finalize ~provider (fst (fold_stats ~shard_size:k ())) in
       let tables, _ = fold_tables kb ~shard_size:k () in
+      let whole, _ = fold_tables kb ~shard_size:corpus_n () in
+      let table_bytes = bytes_of Miner.write_tables tables in
+      let reread = Miner.read_tables (Codec.src_of_string table_bytes) in
       let streamed = Miner.emit_tables Miner.default_config kb tables in
       let mono = Miner.mine ~provider ~config:Miner.default_config kb projects in
-      String.equal
-        (bytes_of (Codec.write_list Candidate.write) streamed)
-        (bytes_of (Codec.write_list Candidate.write) mono))
+      String.equal table_bytes (bytes_of Miner.write_tables whole)
+      && String.equal table_bytes (bytes_of Miner.write_tables reread)
+      && String.equal
+           (bytes_of (Codec.write_list Candidate.write) streamed)
+           (bytes_of (Codec.write_list Candidate.write) mono))
 
 (* ------------- checkpointed resume -------------------------------------- *)
 
