@@ -28,8 +28,16 @@ type conn_kind = {
   count : int;
 }
 
+(* One type's entries, so that [attrs_of_type] and [cidr_attrs] are a
+   lookup, not a fold over every entry. *)
+type type_index = {
+  attrs : attr_info list;  (* sorted by attribute path *)
+  cidrs : string list;  (* the [Cidr_format] subset of [attrs], same order *)
+}
+
 type t = {
   entries : (string * string, attr_info) Hashtbl.t;  (* key: (rtype, attr) *)
+  by_type : (string, type_index) Hashtbl.t option Atomic.t;  (* see [type_index] *)
   conns : conn_kind list;
   known_types : string list;
   populations : (string, int) Hashtbl.t;  (* resources per type *)
@@ -345,7 +353,7 @@ let finalize ~provider (stats : stats) =
       (fun acc ty -> if List.mem ty acc then acc else acc @ [ ty ])
       provider.Provider.type_names from_corpus
   in
-  { entries; conns; known_types; populations }
+  { entries; by_type = Atomic.make None; conns; known_types; populations }
 
 let build ~provider ?jobs ~projects () =
   finalize ~provider (stats_of_projects ?jobs projects)
@@ -355,11 +363,41 @@ let attr_info t ~rtype ~attr = Hashtbl.find_opt t.entries (rtype, attr)
 let population t rtype =
   Option.value ~default:0 (Hashtbl.find_opt t.populations rtype)
 
-let attrs_of_type t rtype =
-  Hashtbl.fold
-    (fun _ info acc -> if String.equal info.rtype rtype then info :: acc else acc)
-    t.entries []
-  |> List.sort (fun a b -> String.compare a.attr b.attr)
+let index_by_type entries =
+  let grouped = Hashtbl.create 128 in
+  Hashtbl.iter
+    (fun (rtype, _) info ->
+      match Hashtbl.find_opt grouped rtype with
+      | Some infos -> infos := info :: !infos
+      | None -> Hashtbl.add grouped rtype (ref [ info ]))
+    entries;
+  let index infos =
+    let attrs = List.sort (fun a b -> String.compare a.attr b.attr) infos in
+    let cidrs =
+      List.filter_map
+        (fun info -> if info.format = Schema.Cidr_format then Some info.attr else None)
+        attrs
+    in
+    { attrs; cidrs }
+  in
+  Hashtbl.of_seq (Seq.map (fun (ty, infos) -> (ty, index !infos)) (Hashtbl.to_seq grouped))
+
+(* The per-type index is built on the first lookup, not in [finalize]:
+   a run that never asks (one with no programs to mine) does not pay
+   for it. Domains racing on the first lookup each build an equal
+   index from the read-only entries, and either one is kept. *)
+let type_index t rtype =
+  let by_type =
+    match Atomic.get t.by_type with
+    | Some by_type -> by_type
+    | None ->
+        let by_type = index_by_type t.entries in
+        Atomic.set t.by_type (Some by_type);
+        by_type
+  in
+  Option.value ~default:{ attrs = []; cidrs = [] } (Hashtbl.find_opt by_type rtype)
+
+let attrs_of_type t rtype = (type_index t rtype).attrs
 
 let enum_values t ~rtype ~attr =
   match attr_info t ~rtype ~attr with Some info -> info.enum_values | None -> []
@@ -382,23 +420,7 @@ let legal_targets t ~src_type ~src_attr =
       else None)
     t.conns
 
-let cidr_attrs t rtype =
-  List.filter_map
-    (fun info ->
-      if info.format = Schema.Cidr_format then Some info.attr else None)
-    (attrs_of_type t rtype)
-
-let numeric_attrs t rtype =
-  List.filter_map
-    (fun info ->
-      let numeric =
-        info.observed <> []
-        && List.for_all
-             (fun (v, _) -> match v with Value.Int _ -> true | _ -> false)
-             info.observed
-      in
-      if numeric then Some info.attr else None)
-    (attrs_of_type t rtype)
+let cidr_attrs t rtype = (type_index t rtype).cidrs
 
 let defaults provider ~rtype ~attr = Provider.defaults provider ~rtype ~attr
 

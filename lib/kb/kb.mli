@@ -117,7 +117,10 @@ val population : t -> string -> int
 (** Number of corpus resources of the given type. *)
 
 val attrs_of_type : t -> string -> attr_info list
-(** All attributes observed or declared for a type. *)
+(** All attributes observed or declared for a type, sorted by attribute
+    path ([[]] for an unknown type). The per-type index behind it is
+    built once per KB, on the first call from any domain, so a call is
+    one table lookup. *)
 
 val enum_values : t -> rtype:string -> attr:string -> Zodiac_iac.Value.t list
 val conn_kinds : t -> conn_kind list
@@ -130,9 +133,9 @@ val legal_targets : t -> src_type:string -> src_attr:string -> (string * string)
 (** Class 3: legal (dst type, dst attr) targets of an endpoint. *)
 
 val cidr_attrs : t -> string -> string list
-(** Attribute paths of a type holding CIDR values. *)
-
-val numeric_attrs : t -> string -> string list
+(** Attribute paths of a type holding CIDR values: the [Cidr_format]
+    entries of {!attrs_of_type}, in the same order; read from the same
+    index. *)
 
 val defaults : Zodiac_provider.Provider.t -> Zodiac_spec.Eval.defaults
 (** Class 2 defaults (delegates to the provider schema). *)

@@ -83,59 +83,8 @@ let is_scalar = function
   | Value.Str _ | Value.Bool _ -> true
   | Value.Int _ | Value.Null | Value.List _ | Value.Block _ | Value.Ref _ -> false
 
-(* Attribute paths of a resource that do not traverse a repeated-block
-   collection (those belong to the indexed family). *)
-let flat_paths provider r =
-  let schema = provider.Provider.find_schema r.Resource.rtype in
-  List.filter
-    (fun path ->
-      match schema with
-      | None -> true
-      | Some s -> (
-          (* exclude the path if any prefix is a list-of-blocks *)
-          let segments = String.split_on_char '.' path in
-          let rec check prefix = function
-            | [] -> true
-            | seg :: rest -> (
-                let p = if prefix = "" then seg else prefix ^ "." ^ seg in
-                match Schema.find_attr s p with
-                | Some { Schema.atype = Schema.T_list (Schema.T_block _); _ } -> false
-                | _ -> check p rest)
-          in
-          check "" segments))
-    (Resource.attr_paths r)
-
 (* Facts about one resource used by the intra families. *)
 type fact = F_val of string * Value.t | F_present of string
-
-let facts_of_resource provider cfg kb r =
-  let rtype = r.Resource.rtype in
-  List.concat_map
-    (fun path ->
-      let values = Resource.get_all r path in
-      let enum_ok v =
-        if cfg.use_kb then List.mem v (Kb.enum_values kb ~rtype ~attr:path)
-        else is_scalar v
-      in
-      let val_facts =
-        List.filter_map
-          (fun v -> if is_scalar v && enum_ok v then Some (F_val (path, v)) else None)
-          values
-      in
-      let presence_ok =
-        if not cfg.use_kb then true
-        else
-          match Kb.attr_info kb ~rtype ~attr:path with
-          | Some { Kb.requirement = Some Schema.Optional; _ } -> true
-          | Some { Kb.requirement = None; _ } -> true
-          | _ -> false
-      in
-      let present_facts = if values <> [] && presence_ok then [ F_present path ] else [] in
-      let dedup xs =
-        List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs
-      in
-      dedup (val_facts @ present_facts))
-    (flat_paths provider r)
 
 (* Check constructors. *)
 let attr_term var attr = Check.Attr { Check.var; attr }
@@ -365,35 +314,311 @@ let read_tables s =
   t
 
 (* ------------------------------------------------------------------ *)
+(* Chunk-local interning                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Int-keyed tables for the interned counters below. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Dense ids for the keys of one chunk, in first-seen order. *)
+type 'k ids = { index : ('k, int) Hashtbl.t; mutable keys : 'k array }
+
+let new_ids () = { index = Hashtbl.create 256; keys = [||] }
+
+let id_of ids k =
+  match Hashtbl.find_opt ids.index k with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length ids.index in
+      if id = Array.length ids.keys then
+        ids.keys <- Array.append ids.keys (Array.make (max 64 id) k);
+      ids.keys.(id) <- k;
+      Hashtbl.add ids.index k id;
+      id
+
+(* Two ids as one int key. *)
+let id_bits = 30
+let id_mask = (1 lsl id_bits) - 1
+
+let pack i j =
+  if i lor j > id_mask then invalid_arg "Miner: more than 2^30 interned keys in one chunk";
+  (i lsl id_bits) lor j
+
+let unpack k = (k lsr id_bits, k land id_mask)
+
+let bump counts k =
+  match Int_tbl.find_opt counts k with
+  | Some c -> incr c
+  | None -> Int_tbl.add counts k (ref 1)
+
+(* The hottest counters of one chunk, on int keys: every fact pair of
+   a resource and every enum pair of an edge would otherwise hash a
+   tuple of strings and values, twice. Ids are local to the chunk;
+   [publish] writes each count back under its string key, so the
+   [tables] a chunk returns are the same whatever ids it used. *)
+type interned = {
+  facts : (string * fact) ids;  (* (type, fact) of the intra families *)
+  single : int ref Int_tbl.t;  (* fact id *)
+  pair : int ref Int_tbl.t;  (* [pack] fact id, fact id *)
+  conns : conn_key ids;
+  values : (string * Value.t) ids;  (* (path, value) *)
+  conds : int ids;  (* [pack] conn id, value id: a [cond2] key *)
+  cond2 : int ref Int_tbl.t;  (* cond id *)
+  both2 : int ref Int_tbl.t;  (* [pack] cond id, value id *)
+  dstval : int ref Int_tbl.t;  (* [pack] conn id, value id *)
+  srcval : int ref Int_tbl.t;  (* [pack] conn id, value id *)
+}
+
+let new_interned () =
+  {
+    facts = new_ids ();
+    single = Int_tbl.create 1024;
+    pair = Int_tbl.create 4096;
+    conns = new_ids ();
+    values = new_ids ();
+    conds = new_ids ();
+    cond2 = Int_tbl.create 512;
+    both2 = Int_tbl.create 2048;
+    dstval = Int_tbl.create 512;
+    srcval = Int_tbl.create 512;
+  }
+
+let publish (it : interned) (t : tables) =
+  let fact id = it.facts.keys.(id) and value id = it.values.keys.(id) in
+  let conn_value k =
+    let c, v = unpack k in
+    let p, x = value v in
+    (it.conns.keys.(c), p, x)
+  in
+  let cond id = conn_value it.conds.keys.(id) in
+  let out into counts key = Int_tbl.iter (fun k n -> Hashtbl.replace into (key k) !n) counts in
+  out t.single it.single fact;
+  out t.pair it.pair (fun k ->
+      let i, j = unpack k in
+      let ty, f1 = fact i and _, f2 = fact j in
+      (ty, f1, f2));
+  out t.cond2 it.cond2 cond;
+  out t.both2 it.both2 (fun k ->
+      let c, v = unpack k in
+      let conn, pa, va = cond c and pb, vb = value v in
+      (conn, pa, va, pb, vb));
+  out t.dstval it.dstval conn_value;
+  out t.srcval it.srcval conn_value
+
+(* ------------------------------------------------------------------ *)
+(* Per-resource views                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* What a count needs to know about one (type, attribute path). [flat]:
+   no prefix of the path is a repeated-block collection (those belong
+   to the indexed family). [enums]: the KB's enum values (unused
+   without the KB). [presence_ok]: the path may carry a presence fact.
+   [name_like]: the KB gives it [Name_format]. *)
+type path_info = { flat : bool; enums : Value.t list; presence_ok : bool; name_like : bool }
+
+(* Per type: its path verdicts (memoised), its KB CIDR attributes and
+   the KB-optional top-level attributes whose nulls CONN-DST-NULL
+   counts. *)
+type type_info = {
+  schema : Schema.t option;
+  paths : (string, path_info) Hashtbl.t;
+  cidr_attrs : string list;
+  optional : string list;
+}
+
+(* Everything one chunk's count reads besides the programs. The memos
+   depend on the provider, the config and the KB, so a context lives
+   for one chunk of one [count_tables] call and is never shared. *)
+type ctx = {
+  provider : Provider.t;
+  cfg : config;
+  kb : Kb.t;
+  reserved_names : (string * string, int) Hashtbl.t;
+  types : (string, type_info) Hashtbl.t;
+  it : interned;
+}
+
+let type_info ctx rtype =
+  match Hashtbl.find_opt ctx.types rtype with
+  | Some ti -> ti
+  | None ->
+      let ti =
+        {
+          schema = ctx.provider.Provider.find_schema rtype;
+          paths = Hashtbl.create 32;
+          cidr_attrs = Kb.cidr_attrs ctx.kb rtype;
+          optional =
+            List.filter_map
+              (fun (info : Kb.attr_info) ->
+                if
+                  info.Kb.requirement = Some Schema.Optional
+                  && not (String.contains info.Kb.attr '.')
+                then Some info.Kb.attr
+                else None)
+              (Kb.attrs_of_type ctx.kb rtype);
+        }
+      in
+      Hashtbl.replace ctx.types rtype ti;
+      ti
+
+let path_info ctx rtype ti path =
+  match Hashtbl.find_opt ti.paths path with
+  | Some pi -> pi
+  | None ->
+      let flat =
+        match ti.schema with
+        | None -> true
+        | Some s ->
+            let rec check prefix = function
+              | [] -> true
+              | seg :: rest -> (
+                  let p = if prefix = "" then seg else prefix ^ "." ^ seg in
+                  match Schema.find_attr s p with
+                  | Some { Schema.atype = Schema.T_list (Schema.T_block _); _ } -> false
+                  | _ -> check p rest)
+            in
+            check "" (String.split_on_char '.' path)
+      in
+      let info = Kb.attr_info ctx.kb ~rtype ~attr:path in
+      let pi =
+        {
+          flat;
+          enums = (if ctx.cfg.use_kb then Kb.enum_values ctx.kb ~rtype ~attr:path else []);
+          presence_ok =
+            (not ctx.cfg.use_kb)
+            || (match info with
+               | Some { Kb.requirement = Some Schema.Optional | None; _ } -> true
+               | _ -> false);
+          name_like =
+            (match info with Some { Kb.format = Schema.Name_format; _ } -> true | _ -> false);
+        }
+      in
+      Hashtbl.replace ti.paths path pi;
+      pi
+
+(* A value usable on the right of an [==] in a mined check. *)
+let enum_ok ctx pi v = is_scalar v && ((not ctx.cfg.use_kb) || List.mem v pi.enums)
+
+type scalar = { path : string; value : Value.t; name_like : bool }
+
+(* The three CIDR readings the families use, parsed once: every CIDR
+   the attribute holds (containment), its value when a plain string
+   (sibling overlap), and its value or first list element (copath
+   overlap). *)
+type cidrs = { all : Cidr.t list; str : Cidr.t option; head : Cidr.t option }
+
+(* One resource's facts, derived once per program; every family's loop
+   reads them. *)
+type view = {
+  res : Resource.t;
+  facts : fact array;  (* intra facts, grouped by path *)
+  fact_ids : int array;  (* their interned (type, fact) ids *)
+  fact_groups : int array;  (* equal iff the facts share a path *)
+  numeric : (string * int) list;  (* flat paths holding exactly one int *)
+  scalars : scalar list;  (* every path whose first value is scalar *)
+  enums : (string * Value.t) list;  (* flat paths with an enum-ok first value *)
+  enum_ids : int list;  (* their interned (path, value) ids *)
+  reserved : string option;  (* the name, when the KB reserves it for the type *)
+  cidrs : (string * cidrs) list;  (* per KB CIDR attribute, in [Kb.cidr_attrs] order *)
+  nulls : string list;  (* KB-optional attributes that are null here *)
+  reach : Resource.id list;  (* [Graph.reachable_from] *)
+}
+
+let cidrs_of r attr =
+  let all =
+    List.concat_map
+      (function
+        | Value.Str s -> Option.to_list (Cidr.of_string s)
+        | Value.List items ->
+            List.filter_map (function Value.Str s -> Cidr.of_string s | _ -> None) items
+        | _ -> [])
+      (Resource.get_all r attr)
+  in
+  match Resource.get r attr with
+  | Value.Str s ->
+      let c = Cidr.of_string s in
+      { all; str = c; head = c }
+  | Value.List (Value.Str s :: _) -> { all; str = None; head = Cidr.of_string s }
+  | _ -> { all; str = None; head = None }
+
+let view ctx graph r =
+  let rtype = r.Resource.rtype in
+  let ti = type_info ctx rtype in
+  (* each path read once: its verdicts, first value and fanned-out values *)
+  let paths =
+    List.map
+      (fun p -> (p, path_info ctx rtype ti p, Resource.get r p, Resource.get_all r p))
+      (Resource.attr_paths r)
+  in
+  let flat = List.filter (fun (_, pi, _, _) -> pi.flat) paths in
+  let grouped =
+    List.mapi
+      (fun g (path, pi, _, values) ->
+        let val_facts =
+          List.filter_map
+            (fun v -> if enum_ok ctx pi v then Some (F_val (path, v)) else None)
+            values
+        in
+        let present = if values <> [] && pi.presence_ok then [ F_present path ] else [] in
+        let dedup xs =
+          List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs
+        in
+        List.map (fun f -> (g, f)) (dedup (val_facts @ present)))
+      flat
+    |> List.concat |> Array.of_list
+  in
+  let facts = Array.map snd grouped in
+  let enums =
+    List.filter_map
+      (fun (path, pi, v, _) -> if enum_ok ctx pi v then Some (path, v) else None)
+      flat
+  in
+  let top a = Option.value ~default:Value.Null (Resource.attr r a) in
+  {
+    res = r;
+    facts;
+    fact_ids = Array.map (fun f -> id_of ctx.it.facts (rtype, f)) facts;
+    fact_groups = Array.map fst grouped;
+    numeric =
+      List.filter_map
+        (fun (path, _, _, values) ->
+          match values with [ Value.Int i ] -> Some (path, i) | _ -> None)
+        flat;
+    scalars =
+      List.filter_map
+        (fun (path, (pi : path_info), value, _) ->
+          if is_scalar value then Some { path; value; name_like = pi.name_like } else None)
+        paths;
+    enums;
+    enum_ids = List.map (id_of ctx.it.values) enums;
+    reserved =
+      (match top "name" with
+      | Value.Str s when Hashtbl.mem ctx.reserved_names (rtype, s) -> Some s
+      | _ -> None);
+    cidrs = List.map (fun attr -> (attr, cidrs_of r attr)) ti.cidr_attrs;
+    nulls = List.filter (fun a -> Value.is_null (top a)) ti.optional;
+    reach = Graph.reachable_from graph (Resource.id r);
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Counting                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Intra-resource families: fact frequencies, fact co-occurrence and
    numeric ranges per resource type. *)
-let count_intra provider cfg kb t r =
-  let ty = r.Resource.rtype in
+let count_intra it t v =
+  let ty = v.res.Resource.rtype in
   incr_tbl t.n_by_type ty;
-  let facts = facts_of_resource provider cfg kb r in
-  List.iter (fun f -> incr_tbl t.single (ty, f)) facts;
-  List.iter
-    (fun f1 ->
-      List.iter
-        (fun f2 ->
-          let attr_of = function F_val (a, _) | F_present a -> a in
-          if not (String.equal (attr_of f1) (attr_of f2)) then
-            incr_tbl t.pair (ty, f1, f2))
-        facts)
-    facts;
+  let ids = v.fact_ids and groups = v.fact_groups in
+  let n = Array.length ids in
+  for i = 0 to n - 1 do
+    bump it.single ids.(i);
+    for j = 0 to n - 1 do
+      if groups.(i) <> groups.(j) then bump it.pair (pack ids.(i) ids.(j))
+    done
+  done;
   (* numeric observations conditioned on each fact (and on the
      numeric attribute's own presence) *)
-  let numeric_attrs =
-    List.filter_map
-      (fun path ->
-        match Resource.get_all r path with
-        | [ Value.Int i ] -> Some (path, i)
-        | _ -> None)
-      (flat_paths provider r)
-  in
   List.iter
     (fun (npath, i) ->
       let update cond_fact =
@@ -404,13 +629,13 @@ let count_intra provider cfg kb t r =
         Hashtbl.replace t.num_range key (min lo i, max hi i, c + 1)
       in
       update (F_present npath);
-      List.iter
+      Array.iter
         (fun f ->
           match f with
           | F_val (a, _) when not (String.equal a npath) -> update f
           | F_val _ | F_present _ -> ())
-        facts)
-    numeric_attrs
+        v.facts)
+    v.numeric
 
 (* Collection path -> element field lists, for every attribute holding a
    non-empty list of blocks. *)
@@ -477,33 +702,18 @@ let count_indexed t r =
         elems)
     (collections r)
 
-let scalar_paths r =
-  List.filter (fun p -> is_scalar (Resource.get r p)) (Resource.attr_paths r)
-
-(* Inter-resource families over one program's reference graph.
-   [reserved_names] is read-only during counting, so it is shared across
-   chunks rather than merged. *)
-let count_inter provider cfg kb reserved_names t prog =
-  let enum_facts r =
-    let ty = r.Resource.rtype in
-    List.filter_map
-      (fun path ->
-        let v = Resource.get r path in
-        if is_scalar v && (not cfg.use_kb || List.mem v (Kb.enum_values kb ~rtype:ty ~attr:path))
-        then Some (path, v)
-        else None)
-      (flat_paths provider r)
-  in
-  (* per-resource facts, derived once per program rather than per edge *)
-  let derived = Hashtbl.create 16 in
+(* Inter-resource families over one program's reference graph and its
+   resources' views. *)
+let count_inter it t graph views =
+  (* id -> view; the first resource of an id wins, as in [Program.find] *)
+  let by_id = Hashtbl.create 16 in
   List.iter
-    (fun r -> Hashtbl.replace derived (Resource.id r) (scalar_paths r, enum_facts r))
-    (Program.resources prog);
-  let scalars r = fst (Hashtbl.find derived (Resource.id r)) in
-  let enums r = snd (Hashtbl.find derived (Resource.id r)) in
-  let graph = Graph.build prog in
+    (fun v ->
+      let id = Resource.id v.res in
+      if not (Hashtbl.mem by_id id) then Hashtbl.add by_id id v)
+    views;
+  let find id = Hashtbl.find_opt by_id id in
   let edges = Graph.edges graph in
-  let find id = Program.find prog id in
   List.iter
     (fun (e : Graph.edge) ->
       match (find e.Graph.src, find e.Graph.dst) with
@@ -517,68 +727,42 @@ let count_inter provider cfg kb reserved_names t prog =
           incr_tbl t.edgecount k;
           (* equality join between a and b attributes *)
           let b_by_value = Hashtbl.create 16 in
-          List.iter (fun p -> Hashtbl.add b_by_value (Resource.get b p) p) (scalars b);
+          List.iter (fun s -> Hashtbl.add b_by_value s.value s.path) b.scalars;
           List.iter
-            (fun pa ->
-              let va = Resource.get a pa in
+            (fun sa ->
               List.iter
-                (fun pb -> incr_tbl t.paireq (k, pa, pb))
-                (Hashtbl.find_all b_by_value va))
-            (scalars a);
+                (fun pb -> incr_tbl t.paireq (k, sa.path, pb))
+                (Hashtbl.find_all b_by_value sa.value))
+            a.scalars;
+          let kid = id_of it.conns k in
           (* dst/src enum values *)
-          let enum_a = enums a and enum_b = enums b in
-          List.iter (fun (p, v) -> incr_tbl t.dstval (k, p, v)) enum_b;
-          List.iter (fun (p, v) -> incr_tbl t.srcval (k, p, v)) enum_a;
+          List.iter (fun v -> bump it.dstval (pack kid v)) b.enum_ids;
+          List.iter (fun v -> bump it.srcval (pack kid v)) a.enum_ids;
           (* reserved dst names *)
-          (match Resource.get b "name" with
-          | Value.Str s when Hashtbl.mem reserved_names (b.Resource.rtype, s) ->
-              incr_tbl t.dstval (k, "name", Value.Str s)
-          | _ -> ());
+          Option.iter
+            (fun s -> bump it.dstval (pack kid (id_of it.values ("name", Value.Str s))))
+            b.reserved;
           (* dst null-ness of optional attrs known to the KB *)
-          List.iter
-            (fun (info : Kb.attr_info) ->
-              if
-                info.Kb.requirement = Some Schema.Optional
-                && Value.is_null (Resource.get b info.Kb.attr)
-                && (not (String.contains info.Kb.attr '.'))
-              then incr_tbl t.dstnull (k, info.Kb.attr))
-            (Kb.attrs_of_type kb b.Resource.rtype);
+          List.iter (fun attr -> incr_tbl t.dstnull (k, attr)) b.nulls;
           (* conditional: src enum -> dst enum *)
           List.iter
-            (fun (pa, va) ->
-              incr_tbl t.cond2 (k, pa, va);
-              List.iter (fun (pb, vb) -> incr_tbl t.both2 (k, pa, va, pb, vb)) enum_b)
-            enum_a;
+            (fun va ->
+              let cond = id_of it.conds (pack kid va) in
+              bump it.cond2 cond;
+              List.iter (fun vb -> bump it.both2 (pack cond vb)) b.enum_ids)
+            a.enum_ids;
           (* containment between CIDR attributes *)
           List.iter
-            (fun ca ->
-              let va = Resource.get_all a ca in
+            (fun (ca, (ca_c : cidrs)) ->
               List.iter
-                (fun cb ->
-                  let vb = Resource.get_all b cb in
-                  if va <> [] && vb <> [] then begin
-                    let cidrs vs =
-                      List.concat_map
-                        (fun v ->
-                          match v with
-                          | Value.Str s -> Option.to_list (Cidr.of_string s)
-                          | Value.List items ->
-                              List.filter_map
-                                (function
-                                  | Value.Str s -> Cidr.of_string s | _ -> None)
-                                items
-                          | _ -> [])
-                        vs
-                    in
-                    let ca_c = cidrs va and cb_c = cidrs vb in
-                    if ca_c <> [] && cb_c <> [] then
-                      tally t.containc (k, ca, cb)
-                        (List.for_all
-                           (fun x -> List.exists (fun y -> Cidr.contains y x) cb_c)
-                           ca_c)
-                  end)
-                (Kb.cidr_attrs kb b.Resource.rtype))
-            (Kb.cidr_attrs kb a.Resource.rtype);
+                (fun (cb, (cb_c : cidrs)) ->
+                  if ca_c.all <> [] && cb_c.all <> [] then
+                    tally t.containc (k, ca, cb)
+                      (List.for_all
+                         (fun x -> List.exists (fun y -> Cidr.contains y x) cb_c.all)
+                         ca_c.all))
+                b.cidrs)
+            a.cidrs;
           (* aggregation facts per edge *)
           let same_ty = Graph.Type e.Graph.src.Resource.rtype in
           let od = Graph.outdegree graph e.Graph.dst same_ty in
@@ -607,43 +791,37 @@ let count_inter provider cfg kb reserved_names t prog =
     edges;
   Hashtbl.iter
     (fun ((_dst : Resource.id), (k : conn_key)) srcs ->
-      let src_ty, _, _, _ = k in
-      let resources = List.filter_map find srcs in
+      let siblings = List.filter_map find srcs in
       List.iteri
         (fun i a ->
           List.iteri
             (fun j b ->
               if i < j then begin
                 incr_tbl t.sibcount k;
-                (* CIDR disjointness *)
-                List.iter
-                  (fun cattr ->
-                    match
-                      ( (Resource.get a cattr : Value.t),
-                        (Resource.get b cattr : Value.t) )
-                    with
-                    | Value.Str sa, Value.Str sb -> (
-                        match (Cidr.of_string sa, Cidr.of_string sb) with
-                        | Some c1, Some c2 ->
-                            tally t.sib_nooverlap (k, cattr) (not (Cidr.overlap c1 c2))
-                        | _ -> ())
+                (* CIDR disjointness; siblings share a type, so their
+                   CIDR attributes line up *)
+                List.iter2
+                  (fun (cattr, (c1 : cidrs)) (_, (c2 : cidrs)) ->
+                    match (c1.str, c2.str) with
+                    | Some c1, Some c2 ->
+                        tally t.sib_nooverlap (k, cattr) (not (Cidr.overlap c1 c2))
                     | _ -> ())
-                  (Kb.cidr_attrs kb src_ty);
+                  a.cidrs b.cidrs;
                 (* attribute distinctness *)
                 List.iter
-                  (fun p ->
-                    let va = Resource.get a p and vb = Resource.get b p in
-                    if is_scalar va && is_scalar vb then
-                      tally t.sib_ne (k, p) (not (Value.equal va vb)))
-                  (scalars a)
+                  (fun sa ->
+                    let vb = Resource.get b.res sa.path in
+                    if is_scalar vb then
+                      tally t.sib_ne (k, sa.path) (not (Value.equal sa.value vb)))
+                  a.scalars
               end)
-            resources)
-        resources)
+            siblings)
+        siblings)
     sib_groups;
   (* association analysis: resources with two outgoing reference kinds *)
   List.iter
     (fun c ->
-      let outs = Graph.edges_from graph (Resource.id c) in
+      let outs = Graph.edges_from graph (Resource.id c.res) in
       List.iter
         (fun (e1 : Graph.edge) ->
           List.iter
@@ -652,155 +830,116 @@ let count_inter provider cfg kb reserved_names t prog =
                 not (String.equal e1.Graph.src_attr e2.Graph.src_attr)
                 && not (Resource.equal_id e1.Graph.dst e2.Graph.dst)
               then begin
-                let k1 =
-                  ( c.Resource.rtype,
-                    e1.Graph.src_attr,
-                    e1.Graph.dst.Resource.rtype,
-                    e1.Graph.dst_attr )
-                and k2 =
-                  ( c.Resource.rtype,
-                    e2.Graph.src_attr,
-                    e2.Graph.dst.Resource.rtype,
-                    e2.Graph.dst_attr )
-                in
+                let ty = c.res.Resource.rtype in
+                let k1 = (ty, e1.Graph.src_attr, e1.Graph.dst.Resource.rtype, e1.Graph.dst_attr)
+                and k2 = (ty, e2.Graph.src_attr, e2.Graph.dst.Resource.rtype, e2.Graph.dst_attr) in
                 incr_tbl t.assoc_count (k1, k2);
                 match (find e1.Graph.dst, find e2.Graph.dst) with
                 | Some a, Some b ->
                     (* compare attributes that share a path or are
                        name-formatted on both sides *)
                     List.iter
-                      (fun pa ->
+                      (fun sa ->
                         List.iter
-                          (fun pb ->
-                            let comparable =
-                              String.equal pa pb
-                              ||
-                              let name_like ty p =
-                                match Kb.attr_info kb ~rtype:ty ~attr:p with
-                                | Some { Kb.format = Schema.Name_format; _ } -> true
-                                | _ -> false
-                              in
-                              name_like a.Resource.rtype pa
-                              && name_like b.Resource.rtype pb
-                            in
-                            if comparable then begin
-                              let va = Resource.get a pa and vb = Resource.get b pb in
-                              if is_scalar va && is_scalar vb then
-                                tally t.assoc_eq (k1, k2, pa, pb) (Value.equal va vb)
-                            end)
-                          (scalars b))
-                      (scalars a)
+                          (fun sb ->
+                            if String.equal sa.path sb.path || (sa.name_like && sb.name_like)
+                            then
+                              tally t.assoc_eq (k1, k2, sa.path, sb.path)
+                                (Value.equal sa.value sb.value))
+                          b.scalars)
+                      a.scalars
                 | _ -> ()
               end)
             outs)
         outs)
-    (Program.resources prog);
+    views;
   (* path-based attribute agreement: reachable pairs with matching
      scalar attributes (e.g. NIC and VPC two hops apart agreeing on
      location) *)
   List.iter
-    (fun r1 ->
-      let id1 = Resource.id r1 in
+    (fun v1 ->
+      let ty1 = v1.res.Resource.rtype in
       List.iter
         (fun (id2 : Resource.id) ->
-          if not (String.equal id1.Resource.rtype id2.Resource.rtype) then
+          if not (String.equal ty1 id2.Resource.rtype) then
             match find id2 with
             | None -> ()
-            | Some r2 ->
+            | Some v2 ->
                 (* compare attributes sharing a dotted path; the shared
                    name keeps the family small and meaningful *)
                 List.iter
-                  (fun pa ->
-                    let va = Resource.get r1 pa in
-                    let vb = Resource.get r2 pa in
-                    if is_scalar va && is_scalar vb then
+                  (fun sa ->
+                    let vb = Resource.get v2.res sa.path in
+                    if is_scalar vb then
                       tally t.patheq
-                        (id1.Resource.rtype, id2.Resource.rtype, pa, pa)
-                        (Value.equal va vb))
-                  (scalars r1))
-        (Graph.reachable_from graph id1))
-    (Program.resources prog);
+                        (ty1, id2.Resource.rtype, sa.path, sa.path)
+                        (Value.equal sa.value vb))
+                  v1.scalars)
+        v1.reach)
+    views;
   (* copath overlap: resources reaching two same-type CIDR-bearing nodes *)
   List.iter
-    (fun r ->
-      let reach = Graph.reachable_from graph (Resource.id r) in
+    (fun v ->
       List.iteri
-        (fun i (v1 : Resource.id) ->
+        (fun i (id1 : Resource.id) ->
           List.iteri
-            (fun j (v2 : Resource.id) ->
-              if i < j && String.equal v1.Resource.rtype v2.Resource.rtype then
-                match (find v1, find v2) with
-                | Some r1, Some r2 ->
-                    List.iter
-                      (fun cattr ->
-                        let c1 =
-                          match Resource.get r1 cattr with
-                          | Value.Str s -> Cidr.of_string s
-                          | Value.List (Value.Str s :: _) -> Cidr.of_string s
-                          | _ -> None
-                        and c2 =
-                          match Resource.get r2 cattr with
-                          | Value.Str s -> Cidr.of_string s
-                          | Value.List (Value.Str s :: _) -> Cidr.of_string s
-                          | _ -> None
-                        in
-                        match (c1, c2) with
+            (fun j (id2 : Resource.id) ->
+              if i < j && String.equal id1.Resource.rtype id2.Resource.rtype then
+                match (find id1, find id2) with
+                | Some v1, Some v2 ->
+                    List.iter2
+                      (fun (cattr, (c1 : cidrs)) (_, (c2 : cidrs)) ->
+                        match (c1.head, c2.head) with
                         | Some c1, Some c2 ->
                             tally t.copath_pairs
-                              (r.Resource.rtype, v1.Resource.rtype, cattr)
+                              (v.res.Resource.rtype, id1.Resource.rtype, cattr)
                               (not (Cidr.overlap c1 c2))
                         | _ -> ())
-                      (Kb.cidr_attrs kb v1.Resource.rtype)
+                      v1.cidrs v2.cidrs
                 | _ -> ())
-            reach)
-        reach)
-    (Program.resources prog);
+            v.reach)
+        v.reach)
+    views;
   (* degree maxima conditioned on enum attributes *)
   List.iter
-    (fun r ->
-      let id = Resource.id r in
-      let peer_types_out =
-        List.map (fun (e : Graph.edge) -> e.Graph.dst.Resource.rtype) (Graph.edges_from graph id)
-      and peer_types_in =
-        List.map (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype) (Graph.edges_to graph id)
+    (fun v ->
+      let ty = v.res.Resource.rtype and id = Resource.id v.res in
+      let degrees dir degree peers =
+        List.map
+          (fun tau -> (tau, dir, degree graph id (Graph.Type tau)))
+          (List.sort_uniq String.compare peers)
       in
-      let dedup = List.sort_uniq String.compare in
-      let observe key d =
-        let hi, c = Option.value ~default:(d, 0) (Hashtbl.find_opt t.deg_max key) in
-        Hashtbl.replace t.deg_max key (max hi d, c + 1)
+      let observed =
+        degrees `In Graph.indegree
+          (List.map (fun (e : Graph.edge) -> e.Graph.dst.Resource.rtype) (Graph.edges_from graph id))
+        @ degrees `Out Graph.outdegree
+            (List.map (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype) (Graph.edges_to graph id))
       in
       List.iter
-        (fun (p, v) ->
+        (fun (p, value) ->
           List.iter
-            (fun tau ->
-              observe (r.Resource.rtype, p, v, tau, `In)
-                (Graph.indegree graph id (Graph.Type tau)))
-            (dedup peer_types_out);
-          List.iter
-            (fun tau ->
-              observe (r.Resource.rtype, p, v, tau, `Out)
-                (Graph.outdegree graph id (Graph.Type tau)))
-            (dedup peer_types_in))
-        (enums r))
-    (Program.resources prog);
+            (fun (tau, dir, d) ->
+              let key = (ty, p, value, tau, dir) in
+              let hi, c = Option.value ~default:(d, 0) (Hashtbl.find_opt t.deg_max key) in
+              Hashtbl.replace t.deg_max key (max hi d, c + 1))
+            observed)
+        v.enums)
+    views;
   (* reserved names exclusivity *)
   List.iter
-    (fun r ->
-      match Resource.get r "name" with
-      | Value.Str s when Hashtbl.mem reserved_names (r.Resource.rtype, s) ->
-          let id = Resource.id r in
+    (fun v ->
+      Option.iter
+        (fun s ->
+          let ty = v.res.Resource.rtype and id = Resource.id v.res in
           let referrers =
-            List.map
-              (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype)
-              (Graph.edges_to graph id)
+            List.map (fun (e : Graph.edge) -> e.Graph.src.Resource.rtype) (Graph.edges_to graph id)
           in
           List.iter
             (fun tau ->
-              tally t.name_excl (r.Resource.rtype, s, tau)
-                (Graph.outdegree graph id (Graph.Not_type tau) = 0))
-            (List.sort_uniq String.compare referrers)
-      | _ -> ())
-    (Program.resources prog)
+              tally t.name_excl (ty, s, tau) (Graph.outdegree graph id (Graph.Not_type tau) = 0))
+            (List.sort_uniq String.compare referrers))
+        v.reserved)
+    views
 
 (* Reserved-name candidates are a pure function of the finalized KB —
    fixed before any inter counting starts, and shared read-only across
@@ -821,21 +960,28 @@ let reserved_names_of kb =
     (Kb.types kb);
   reserved_names
 
-(* One pass per chunk counts every family into one [tables]; the chunks'
-   tables merge in chunk order. *)
+(* One pass per chunk counts every family into one [tables]: each
+   program's views are derived once, the [interned] counters are
+   published under their string keys when the chunk is done, and the
+   chunks' tables merge in chunk order. *)
 let count_tables ~provider ?jobs config kb programs =
   let reserved_names = reserved_names_of kb in
   let count chunk =
     let t = create () in
+    let it = new_interned () in
+    let ctx = { provider; cfg = config; kb; reserved_names; types = Hashtbl.create 64; it } in
     List.iter
       (fun prog ->
+        let graph = Graph.build prog in
+        let views = List.map (view ctx graph) (Program.resources prog) in
         List.iter
-          (fun r ->
-            count_intra provider config kb t r;
-            count_indexed t r)
-          (Program.resources prog);
-        count_inter provider config kb reserved_names t prog)
+          (fun v ->
+            count_intra it t v;
+            count_indexed t v.res)
+          views;
+        count_inter it t graph views)
       chunk;
+    publish it t;
     t
   in
   match Parallel.map ?jobs count (Parallel.chunks ?jobs programs) with

@@ -90,7 +90,13 @@ val count_tables :
     reserved names from it), so a stream runs its KB fold to completion
     before the first [count_tables] call. Within the shard, the programs
     are split into chunks across up to [jobs] domains; one pass per
-    chunk counts every family. *)
+    chunk counts every family. Each resource's facts (paths, values,
+    parsed CIDRs, null optional attributes, reachable set) are derived
+    once per program. The hottest counters ([single], [pair], [cond2],
+    [both2], [dstval], [srcval]) count on chunk-local interned int keys
+    and are published under their string keys when the chunk is done,
+    so the result, and its {!write_tables} bytes, do not depend on the
+    chunking. *)
 
 val merge_tables : tables -> tables -> tables
 (** [merge_tables dst src] folds [src] into [dst] (mutating [dst]) and

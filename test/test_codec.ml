@@ -169,24 +169,59 @@ let test_candidate_roundtrip () =
    (60 projects, seed 7, materialized). Checkpoints written by an older
    build must still decode to the same tables, so any change to either
    digest must come with a [Codec.version] bump, which turns stale
-   entries into cache misses. *)
+   entries into cache misses. The miner tables are also pinned without
+   the KB (the Figure 7a ablation) and for the AWS provider, each on
+   its own provider's corpus. *)
+let materialized provider =
+  Miner.materialize ~provider
+    (List.map
+       (fun p -> p.Generator.program)
+       (Generator.generate_range ~provider ~seed:7 ~lo:0 ~hi:60 ()))
+
+let digest write v = Digest.to_hex (Digest.string (bytes_of write v))
+
+let tables_digest ?jobs provider config =
+  let programs = materialized provider in
+  let kb = Kb.finalize ~provider (Kb.stats_of_projects programs) in
+  digest Miner.write_tables (Miner.count_tables ~provider ?jobs config kb programs)
+
+let no_kb = { Miner.default_config with Miner.use_kb = false }
+let aws = Zodiac_aws.Aws.provider
+
 let test_checkpoint_format_pin () =
-  let programs =
-    Miner.materialize ~provider
-      (List.map
-         (fun p -> p.Generator.program)
-         (Generator.generate_range ~provider ~seed:7 ~lo:0 ~hi:60 ()))
-  in
-  let digest write v = Digest.to_hex (Digest.string (bytes_of write v)) in
-  let stats = Kb.stats_of_projects programs in
-  let kb = Kb.finalize ~provider stats in
-  let tables = Miner.count_tables ~provider Miner.default_config kb programs in
+  let stats = Kb.stats_of_projects (materialized provider) in
   Alcotest.(check int) "codec version" 2 Codec.version;
   Alcotest.(check string)
     "kb stats bytes" "b18404a9e5769bd5917c1ef111279fc7" (digest Kb.write_stats stats);
   Alcotest.(check string)
     "miner tables bytes" "b6285f1cbcbe04dd5294619a29a5a353"
-    (digest Miner.write_tables tables)
+    (tables_digest provider Miner.default_config);
+  Alcotest.(check string)
+    "miner tables bytes, use_kb = false" "454ffb7df62ef747e400cdc2938840a0"
+    (tables_digest provider no_kb);
+  Alcotest.(check string)
+    "miner tables bytes, aws" "73524d04afbbdd615ac8091d2b9a841c"
+    (tables_digest aws Miner.default_config)
+
+(* Each parallel chunk counts into its own tables (with its own interned
+   keys); the bytes must not show how the shard was chunked. [jobs] is
+   clamped to the host's domain count, so on a 2-core host jobs 3 runs
+   two chunks like jobs 2. *)
+let test_tables_jobs_invariant () =
+  List.iter
+    (fun (name, provider, config) ->
+      let one = tables_digest ~jobs:1 provider config in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: jobs %d = jobs 1" name jobs)
+            one (tables_digest ~jobs provider config))
+        [ 2; 3 ])
+    [
+      ("azure", provider, Miner.default_config);
+      ("azure, use_kb = false", provider, no_kb);
+      ("aws", aws, Miner.default_config);
+    ]
 
 (* ------------- envelope invalidation ---------------------------------- *)
 
@@ -339,6 +374,8 @@ let () =
             test_candidate_roundtrip;
           Alcotest.test_case "checkpoint format pin" `Quick
             test_checkpoint_format_pin;
+          Alcotest.test_case "tables bytes jobs-invariant" `Quick
+            test_tables_jobs_invariant;
         ] );
       ( "envelope",
         [ Alcotest.test_case "seal, corrupt, stale version" `Quick test_envelope ] );

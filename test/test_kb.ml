@@ -107,6 +107,54 @@ let test_conn_kind_counts_ordered () =
 
 let test_kb_size () = Alcotest.(check bool) "hundreds of entries" true (Kb.size big_kb > 400)
 
+(* The per-type index against its definition: a type's entries sorted
+   by attribute, and their [Cidr_format] subset. [Kb.t] does not list
+   its entries, so "all of them" is checked by count: each type's list
+   holds only that type's entries, each once, and the lists of all
+   types add up to [Kb.size]. *)
+let check_type_index kb =
+  let indexed =
+    List.fold_left
+      (fun acc ty ->
+        let attrs = Kb.attrs_of_type kb ty in
+        List.iter
+          (fun (info : Kb.attr_info) ->
+            Alcotest.(check string) "entry of its type" ty info.Kb.rtype;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s.%s is the KB entry" ty info.Kb.attr)
+              true
+              (match Kb.attr_info kb ~rtype:ty ~attr:info.Kb.attr with
+              | Some entry -> entry == info
+              | None -> false))
+          attrs;
+        let paths = List.map (fun (i : Kb.attr_info) -> i.Kb.attr) attrs in
+        Alcotest.(check (list string))
+          (ty ^ " sorted by attribute, no repeats")
+          (List.sort_uniq String.compare paths) paths;
+        Alcotest.(check (list string))
+          (ty ^ " cidr attrs")
+          (List.filter_map
+             (fun (i : Kb.attr_info) ->
+               if i.Kb.format = Schema.Cidr_format then Some i.Kb.attr else None)
+             attrs)
+          (Kb.cidr_attrs kb ty);
+        acc + List.length attrs)
+      0 (Kb.types kb)
+  in
+  Alcotest.(check int) "every entry indexed" (Kb.size kb) indexed;
+  Alcotest.(check int) "unknown type: no attrs" 0
+    (List.length (Kb.attrs_of_type kb "NO_SUCH_TYPE"));
+  Alcotest.(check (list string)) "unknown type: no cidr attrs" []
+    (Kb.cidr_attrs kb "NO_SUCH_TYPE")
+
+let test_type_index () =
+  check_type_index kb;
+  check_type_index big_kb;
+  let aws = Zodiac_aws.Aws.provider in
+  let projects = Generator.conforming ~provider:aws ~seed:5 ~count:60 () in
+  check_type_index
+    (Kb.build ~provider:aws ~projects:(List.map (fun p -> p.Generator.program) projects) ())
+
 let () =
   Alcotest.run "kb"
     [
@@ -126,5 +174,6 @@ let () =
           Alcotest.test_case "reserved names" `Quick test_reserved_name_observed;
           Alcotest.test_case "conn kinds ordered" `Quick test_conn_kind_counts_ordered;
           Alcotest.test_case "size" `Quick test_kb_size;
+          Alcotest.test_case "per-type index" `Quick test_type_index;
         ] );
     ]
