@@ -3,6 +3,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
 module Schema = Zodiac_iac.Schema
+module Path = Zodiac_iac.Path
 module Eval = Zodiac_spec.Eval
 module Check = Zodiac_spec.Check
 module Provider = Zodiac_provider.Provider
@@ -47,53 +48,31 @@ let name_conflict provider r deployed_resources =
 
 (* ------- schema conformance (plugin-phase engine checks) ----------- *)
 
-let rec check_required_attrs prefix (attrs : Schema.attr list) (value_of : string -> Value.t) errors =
+(* Required attributes of the block value [v] at [prefix]; a list is
+   read at its first element, as [Path.get] does. *)
+let rec check_required_attrs prefix (attrs : Schema.attr list) v errors =
   List.fold_left
     (fun errors (a : Schema.attr) ->
       let path = if prefix = "" then a.Schema.aname else prefix ^ "." ^ a.Schema.aname in
-      let v = value_of path in
-      match a.Schema.req with
-      | Schema.Required when a.Schema.default = None -> (
-          match v with
-          | Value.Null ->
-              if prefix = "" then
-                Printf.sprintf "required attribute %s is missing" path :: errors
-              else errors (* nested requireds only checked within present blocks *)
-          | _ -> descend path a v errors)
-      | Schema.Required | Schema.Optional | Schema.Computed -> (
-          match v with Value.Null -> errors | _ -> descend path a v errors))
+      match (Path.get (Path.field a.Schema.aname) v, a.Schema.req) with
+      | Value.Null, Schema.Required when a.Schema.default = None && prefix = "" ->
+          Printf.sprintf "required attribute %s is missing" path :: errors
+      | Value.Null, _ -> errors (* nested requireds only checked within present blocks *)
+      | child, _ -> descend path a child errors)
     errors attrs
 
 and descend path (a : Schema.attr) v errors =
   (* When a block attribute is present, check its required children. *)
   match (a.Schema.atype, v) with
   | (Schema.T_block inner | Schema.T_list (Schema.T_block inner)), (Value.Block _ | Value.List _) ->
-      let value_of child_path =
-        (* child_path includes our prefix; strip to relative lookup *)
-        let rel = String.sub child_path (String.length path + 1)
-                    (String.length child_path - String.length path - 1) in
-        let rec get v segs =
-          match (v, segs) with
-          | _, [] -> v
-          | Value.Block fields, seg :: rest -> (
-              match List.assoc_opt seg fields with
-              | Some inner -> get inner rest
-              | None -> Value.Null)
-          | Value.List (x :: _), segs -> get x segs
-          | _, _ -> Value.Null
-        in
-        get v (String.split_on_char '.' rel)
-      in
-      let missing = check_required_attrs path inner value_of [] in
+      let missing = check_required_attrs path inner v [] in
       (* Required children inside present blocks do count. *)
       List.fold_left
         (fun errors (child : Schema.attr) ->
-          let cpath = path ^ "." ^ child.Schema.aname in
-          if child.Schema.req = Schema.Required && child.Schema.default = None then
-            match value_of cpath with
-            | Value.Null ->
-                Printf.sprintf "required attribute %s is missing" cpath :: errors
-            | _ -> errors
+          if
+            child.Schema.req = Schema.Required && child.Schema.default = None
+            && Value.is_null (Path.get (Path.field child.Schema.aname) v)
+          then Printf.sprintf "required attribute %s.%s is missing" path child.Schema.aname :: errors
           else errors)
         (missing @ errors) inner
   | _ -> errors
@@ -133,9 +112,7 @@ let schema_errors provider r =
       []
   | Some schema ->
       let missing =
-        check_required_attrs "" schema.Schema.attrs
-          (fun path -> Resource.get r path)
-          []
+        check_required_attrs "" schema.Schema.attrs (Value.Block r.Resource.attrs) []
       in
       (* Computed attributes must not be user-assigned at top level. *)
       missing @ leaf_value_errors provider schema r

@@ -20,87 +20,19 @@ let compare_id (a : id) (b : id) =
 
 let attr r name = List.assoc_opt name r.attrs
 
-let split_path path = String.split_on_char '.' path
+let get r path = Path.get (Path.of_string path) (Value.Block r.attrs)
 
-(* Walk a dotted path; [fanout] controls whether lists expand to all
-   elements or only their head. *)
-let rec walk ~fanout segments value =
-  match segments with
-  | [] -> [ value ]
-  | seg :: rest -> (
-      match value with
-      | Value.Block fields -> (
-          match List.assoc_opt seg fields with
-          | Some v -> walk ~fanout rest v
-          | None -> [])
-      | Value.List items ->
-          let items = if fanout then items else match items with [] -> [] | x :: _ -> [ x ] in
-          List.concat_map (walk ~fanout (seg :: rest)) items
-      | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> [])
-
-let lookup ~fanout r path =
-  match split_path path with
-  | [] -> []
-  | seg :: rest -> (
-      match attr r seg with
-      | None -> []
-      | Some v -> walk ~fanout rest v)
-
-let get r path =
-  match lookup ~fanout:false r path with [] -> Value.Null | v :: _ -> v
-
-let get_all r path = lookup ~fanout:true r path
-
-let rec update_value segments v value =
-  match segments with
-  | [] -> v
-  | seg :: rest -> (
-      match value with
-      | Value.Block fields ->
-          let found = ref false in
-          let fields =
-            List.map
-              (fun (k, old) ->
-                if String.equal k seg then begin
-                  found := true;
-                  (k, update_value rest v old)
-                end
-                else (k, old))
-              fields
-          in
-          let fields =
-            if !found then fields else fields @ [ (seg, update_value rest v Value.Null) ]
-          in
-          Value.Block fields
-      | Value.List (x :: xs) -> Value.List (update_value (seg :: rest) v x :: xs)
-      | Value.List [] | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _
-      | Value.Ref _ ->
-          update_value rest v (Value.Block []))
-
-let set r path v =
-  match split_path path with
-  | [] -> r
-  | [ seg ] when Value.is_null v ->
-      { r with attrs = List.filter (fun (k, _) -> not (String.equal k seg)) r.attrs }
-  | seg :: rest ->
-      let found = ref false in
-      let attrs =
-        List.map
-          (fun (k, old) ->
-            if String.equal k seg then begin
-              found := true;
-              (k, update_value rest v old)
-            end
-            else (k, old))
-          r.attrs
-      in
-      let attrs =
-        if !found then attrs else attrs @ [ (seg, update_value rest v Value.Null) ]
-      in
-      { r with attrs }
+let get_all r path = Path.get_all (Path.of_string path) (Value.Block r.attrs)
 
 let remove_attr r name =
   { r with attrs = List.filter (fun (k, _) -> not (String.equal k name)) r.attrs }
+
+let set_path r path v =
+  match path with
+  | [ { Path.field; index = None } ] when Value.is_null v -> remove_attr r field
+  | _ -> ( match Path.set path v (Value.Block r.attrs) with Value.Block attrs -> { r with attrs } | _ -> r)
+
+let set r path v = set_path r (Path.of_string path) v
 
 let references r =
   let acc = ref [] in
@@ -124,20 +56,7 @@ let rename_refs ~(old_id : id) ~(new_id : id) r =
   in
   { r with attrs = List.map (fun (k, v) -> (k, Value.map_refs rewrite v)) r.attrs }
 
-let attr_paths r =
-  let acc = ref [] in
-  let add path = if not (List.mem path !acc) then acc := path :: !acc in
-  let rec walk path value =
-    match value with
-    | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> add path
-    | Value.List items ->
-        if items = [] then add path else List.iter (walk path) items
-    | Value.Block fields ->
-        if fields = [] then add path
-        else List.iter (fun (k, v) -> walk (path ^ "." ^ k) v) fields
-  in
-  List.iter (fun (k, v) -> walk k v) r.attrs;
-  List.rev !acc
+let attr_paths r = List.map (fun (l : Path.leaf) -> l.path) (Path.leaves r.attrs)
 
 let write b r =
   let module Codec = Zodiac_util.Codec in

@@ -1,10 +1,9 @@
 (** A single IaC resource block.
 
     Resources are identified by (type, local name) — mirroring Terraform's
-    [resource "azurerm_subnet" "a" { ... }]. Attribute access supports
-    dotted paths through nested blocks; traversing a list fans out over
-    its elements (so ["rule.dir"] yields the direction of every security
-    rule), matching the paper's [SG.rule\[i\].dir] notation. *)
+    [resource "azurerm_subnet" "a" { ... }]. Attribute access takes the
+    paths of {!Path}, read with its walker over the resource's
+    attributes as one block. *)
 
 type id = { rtype : string; rname : string }
 (** Stable identity of a resource within a program. *)
@@ -25,19 +24,17 @@ val attr : t -> string -> Value.t option
 (** Top-level attribute lookup (no path traversal). *)
 
 val get : t -> string -> Value.t
-(** Dotted-path lookup returning the first match, or [Null] when the path
-    is absent. A list on the path is entered at its first element. *)
+(** [Path.get] of the parsed path; [Null] when absent. *)
 
 val get_all : t -> string -> Value.t list
-(** Dotted-path lookup that fans out across list elements; returns every
-    value reached. Empty when the path is absent. *)
+(** [Path.get_all] of the parsed path. *)
+
+val set_path : t -> Path.t -> Value.t -> t
+(** [Path.set] on the attributes, except that setting [Null] on a
+    one-segment unindexed path removes the attribute. *)
 
 val set : t -> string -> Value.t -> t
-(** [set r path v] returns a copy with the dotted [path] replaced (or the
-    top-level attribute added when the path has one segment and is
-    absent). List fan-out is not performed: a list on the path updates
-    its first element. Setting [Null] on a one-segment path removes the
-    attribute. *)
+(** {!set_path} of the parsed path. *)
 
 val remove_attr : t -> string -> t
 (** Remove a top-level attribute if present. *)
@@ -50,8 +47,7 @@ val rename_refs : old_id:id -> new_id:id -> t -> t
 (** Rewrite all references to [old_id] so they point at [new_id]. *)
 
 val attr_paths : t -> string list
-(** All dotted paths to leaf values present in the resource (lists fan
-    out; each path is reported once). *)
+(** The paths of [Path.leaves] over the attributes. *)
 
 val write : Zodiac_util.Codec.sink -> t -> unit
 (** Binary codec for the warm-start cache; exact inverse of {!read}. *)

@@ -39,21 +39,20 @@ let attr_v ?(req = Optional) ?(format = Free_string) ?(refs_to = []) ?default an
 let make ?(slow_create = false) ?(description = "") type_name attrs =
   { type_name; attrs; slow_create; description }
 
-let rec find_in_attrs attrs segments =
-  match segments with
-  | [] -> None
-  | seg :: rest -> (
-      match List.find_opt (fun a -> String.equal a.aname seg) attrs with
-      | None -> None
-      | Some a -> (
-          if rest = [] then Some a
-          else
-            match a.atype with
-            | T_block inner -> find_in_attrs inner rest
-            | T_list (T_block inner) -> find_in_attrs inner rest
-            | T_string | T_int | T_bool | T_list _ -> None))
-
-let find_attr t path = find_in_attrs t.attrs (String.split_on_char '.' path)
+let find_attr t (path : Path.t) =
+  let rec find attrs = function
+    | [] -> None
+    | (seg : Path.segment) :: rest -> (
+        match List.find_opt (fun a -> String.equal a.aname seg.field) attrs with
+        | None -> None
+        | Some a -> (
+            if rest = [] then Some a
+            else
+              match a.atype with
+              | T_block inner | T_list (T_block inner) -> find inner rest
+              | T_string | T_int | T_bool | T_list _ -> None))
+  in
+  find t.attrs path
 
 let required_attrs t = List.filter (fun a -> a.req = Required) t.attrs
 
@@ -84,6 +83,6 @@ let leaf_paths t =
   List.rev !acc
 
 let enum_values t path =
-  match find_attr t path with
+  match find_attr t (Path.of_string path) with
   | Some { format = Enum values; _ } -> Some values
   | Some _ | None -> None

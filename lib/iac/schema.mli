@@ -59,8 +59,9 @@ val attr_v :
 val make :
   ?slow_create:bool -> ?description:string -> string -> attr list -> t
 
-val find_attr : t -> string -> attr option
-(** Dotted-path lookup descending through [T_block] and [T_list]. *)
+val find_attr : t -> Path.t -> attr option
+(** Path lookup descending through [T_block] and [T_list]; indices are
+    ignored. *)
 
 val required_attrs : t -> attr list
 (** Top-level required attributes. *)

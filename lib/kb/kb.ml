@@ -3,6 +3,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
 module Schema = Zodiac_iac.Schema
+module Path = Zodiac_iac.Path
 module Provider = Zodiac_provider.Provider
 module Cidr = Zodiac_util.Cidr
 module Parallel = Zodiac_util.Parallel
@@ -141,10 +142,10 @@ let build_shard projects =
     let rtype = r.Resource.rtype in
     bump s.s_populations rtype 1;
     List.iter
-      (fun path ->
-        bump s.s_presence (rtype, path) 1;
-        List.iter (observe_value rtype path) (Resource.get_all r path))
-      (Resource.attr_paths r)
+      (fun (l : Path.leaf) ->
+        bump s.s_presence (rtype, l.path) 1;
+        List.iter (observe_value rtype l.path) l.all)
+      (Path.leaves r.Resource.attrs)
   in
   List.iter
     (fun prog ->

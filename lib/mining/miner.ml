@@ -3,6 +3,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
 module Schema = Zodiac_iac.Schema
+module Path = Zodiac_iac.Path
 module Check = Zodiac_spec.Check
 module Kb = Zodiac_kb.Kb
 module Defaults = Zodiac_cloud.Defaults
@@ -469,15 +470,16 @@ let path_info ctx rtype ti path =
         match ti.schema with
         | None -> true
         | Some s ->
+            (* no prefix of the path names a list of blocks *)
             let rec check prefix = function
               | [] -> true
               | seg :: rest -> (
-                  let p = if prefix = "" then seg else prefix ^ "." ^ seg in
+                  let p = prefix @ [ seg ] in
                   match Schema.find_attr s p with
                   | Some { Schema.atype = Schema.T_list (Schema.T_block _); _ } -> false
                   | _ -> check p rest)
             in
-            check "" (String.split_on_char '.' path)
+            check [] (Path.of_string path)
       in
       let info = Kb.attr_info ctx.kb ~rtype ~attr:path in
       let pi =
@@ -547,8 +549,8 @@ let view ctx graph r =
   (* each path read once: its verdicts, first value and fanned-out values *)
   let paths =
     List.map
-      (fun p -> (p, path_info ctx rtype ti p, Resource.get r p, Resource.get_all r p))
-      (Resource.attr_paths r)
+      (fun (l : Path.leaf) -> (l.path, path_info ctx rtype ti l.path, l.head, l.all))
+      (Path.leaves r.Resource.attrs)
   in
   let flat = List.filter (fun (_, pi, _, _) -> pi.flat) paths in
   let grouped =
@@ -603,6 +605,11 @@ let view ctx graph r =
 (* ------------------------------------------------------------------ *)
 (* Counting                                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* What [Path.get] reads at [path] when that is a scalar: a scalar is a
+   leaf, so the view's [scalars] hold every such reading. *)
+let scalar_at v path =
+  List.find_map (fun s -> if String.equal s.path path then Some s.value else None) v.scalars
 
 (* Intra-resource families: fact frequencies, fact co-occurrence and
    numeric ranges per resource type. *)
@@ -810,9 +817,9 @@ let count_inter it t graph views =
                 (* attribute distinctness *)
                 List.iter
                   (fun sa ->
-                    let vb = Resource.get b.res sa.path in
-                    if is_scalar vb then
-                      tally t.sib_ne (k, sa.path) (not (Value.equal sa.value vb)))
+                    match scalar_at b sa.path with
+                    | Some vb -> tally t.sib_ne (k, sa.path) (not (Value.equal sa.value vb))
+                    | None -> ())
                   a.scalars
               end)
             siblings)
@@ -869,11 +876,12 @@ let count_inter it t graph views =
                    name keeps the family small and meaningful *)
                 List.iter
                   (fun sa ->
-                    let vb = Resource.get v2.res sa.path in
-                    if is_scalar vb then
-                      tally t.patheq
-                        (ty1, id2.Resource.rtype, sa.path, sa.path)
-                        (Value.equal sa.value vb))
+                    match scalar_at v2 sa.path with
+                    | Some vb ->
+                        tally t.patheq
+                          (ty1, id2.Resource.rtype, sa.path, sa.path)
+                          (Value.equal sa.value vb)
+                    | None -> ())
                   v1.scalars)
         v1.reach)
     views;

@@ -158,7 +158,7 @@ let defaults t ~rtype ~attr =
   match t.find_schema rtype with
   | None -> None
   | Some schema -> (
-      match Schema.find_attr schema attr with
+      match Schema.find_attr schema (Zodiac_iac.Path.of_string attr) with
       | Some { Schema.default = Some d; _ } -> Some d
       | Some _ | None -> None)
 

@@ -1,5 +1,6 @@
 module Value = Zodiac_iac.Value
 module Graph = Zodiac_iac.Graph
+module Path = Zodiac_iac.Path
 
 type binding = { var : string; btype : string }
 
@@ -326,43 +327,11 @@ let binding_type c var =
     (fun (b : binding) -> if String.equal b.var var then Some b.btype else None)
     c.bindings
 
-(* Index variables are single letters inside brackets. *)
-let index_vars_of_path path =
-  let acc = ref [] in
-  let n = String.length path in
-  let i = ref 0 in
-  while !i < n do
-    if path.[!i] = '[' && !i + 2 < n && path.[!i + 2] = ']' then begin
-      let v = String.make 1 path.[!i + 1] in
-      if not (List.mem v !acc) then acc := v :: !acc;
-      i := !i + 3
-    end
-    else incr i
-  done;
-  List.rev !acc
-
 let index_vars c =
-  let endpoints = attrs_of_expr c.cond @ attrs_of_expr c.stmt in
-  List.fold_left
-    (fun acc e ->
-      List.fold_left
-        (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
-        acc
-        (index_vars_of_path e.attr))
-    [] endpoints
+  Path.index_vars
+    (List.concat_map (fun e -> Path.of_string e.attr) (attrs_of_expr c.cond @ attrs_of_expr c.stmt))
 
-let strip_indices path =
-  let buf = Buffer.create (String.length path) in
-  let n = String.length path in
-  let i = ref 0 in
-  while !i < n do
-    if path.[!i] = '[' && !i + 2 < n && path.[!i + 2] = ']' then i := !i + 3
-    else begin
-      Buffer.add_char buf path.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+let strip_indices path = Path.to_string (Path.strip (Path.of_string path))
 
 let equal a b =
   a.bindings = b.bindings && a.cond = b.cond && a.stmt = b.stmt

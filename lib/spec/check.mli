@@ -5,15 +5,16 @@
     declared types in an IaC graph, if [cond] holds then [stmt] must
     hold.
 
-    Attribute paths may carry index variables ([rule\[i\].priority]);
-    these are implicitly universally quantified over the elements of the
-    traversed lists, which is how intra-resource checks over repeated
-    blocks (security rules, routes) are expressed. *)
+    Attribute paths follow {!Zodiac_iac.Path}'s grammar; their index
+    variables ([rule\[i\].priority]) are implicitly universally
+    quantified over the elements of the indexed collections, which is
+    how intra-resource checks over repeated blocks (security rules,
+    routes) are expressed. *)
 
 type binding = { var : string; btype : string }
 
 type endpoint = { var : string; attr : string }
-(** [r.attr] — [attr] is a dotted path, possibly with index variables. *)
+(** [r.attr] — [attr] is a {!Zodiac_iac.Path} in its text form. *)
 
 type cmp_op = Eq | Ne | Le | Ge | Lt | Gt
 
@@ -71,10 +72,10 @@ val attrs_of_expr : expr -> endpoint list
 (** Every attribute endpoint mentioned in the expression. *)
 
 val index_vars : t -> string list
-(** Index variables (e.g. ["i"; "j"]) appearing in attribute paths. *)
+(** {!Zodiac_iac.Path.index_vars} over every endpoint, in order. *)
 
 val strip_indices : string -> string
-(** Remove ["\[i\]"] markers from an attribute path. *)
+(** {!Zodiac_iac.Path.strip} on a path's text. *)
 
 val write : Zodiac_util.Codec.sink -> t -> unit
 (** Binary codec for the warm-start cache. The cid is stored verbatim,

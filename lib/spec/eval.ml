@@ -2,6 +2,7 @@ module Value = Zodiac_iac.Value
 module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
+module Path = Zodiac_iac.Path
 module Cidr = Zodiac_util.Cidr
 
 type assignment = (string * Resource.id) list
@@ -17,91 +18,6 @@ type stats = {
 
 let no_defaults ~rtype:_ ~attr:_ = None
 
-(* --- attribute path resolution with index variables ---------------- *)
-
-type segment = { field : string; index : string option }
-
-let parse_path path =
-  List.map
-    (fun seg ->
-      match String.index_opt seg '[' with
-      | Some i when String.length seg > i + 2 && seg.[String.length seg - 1] = ']' ->
-          {
-            field = String.sub seg 0 i;
-            index = Some (String.sub seg (i + 1) (String.length seg - i - 2));
-          }
-      | _ -> { field = seg; index = None })
-    (String.split_on_char '.' path)
-
-let as_list = function
-  | Value.List items -> items
-  | Value.Block _ as b -> [ b ]
-  | Value.Null -> []
-  | v -> [ v ]
-
-(* Resolve a parsed path on a resource under an index environment.
-   Unindexed traversal into a list picks the first element (matching
-   Resource.get); indexed traversal selects the element named by the
-   index variable. Returns Null when the path is absent. *)
-let resolve_path resource segments ienv =
-  let rec walk value segments =
-    match segments with
-    | [] -> value
-    | { field; index } :: rest -> (
-        let enter v =
-          match v with
-          | Value.Block fields -> (
-              match List.assoc_opt field fields with
-              | Some inner -> Some inner
-              | None -> None)
-          | _ -> None
-        in
-        let v =
-          match value with
-          | Value.List (x :: _) -> enter x
-          | other -> enter other
-        in
-        match v with
-        | None -> Value.Null
-        | Some inner -> (
-            match index with
-            | None -> walk inner rest
-            | Some ivar -> (
-                let items = as_list inner in
-                match List.assoc_opt ivar ienv with
-                | Some i when i < List.length items -> walk (List.nth items i) rest
-                | Some _ | None -> Value.Null)))
-  in
-  match segments with
-  | [] -> Value.Null
-  | { field; index } :: rest -> (
-      match Resource.attr resource field with
-      | None -> Value.Null
-      | Some v -> (
-          match index with
-          | None -> walk v rest
-          | Some ivar -> (
-              let items = as_list v in
-              match List.assoc_opt ivar ienv with
-              | Some i when i < List.length items -> walk (List.nth items i) rest
-              | Some _ | None -> Value.Null)))
-
-(* Length of the collection an index variable ranges over, within one
-   endpoint, under the partial index environment (for earlier vars). *)
-let collection_length resource path ivar ienv =
-  let segments = parse_path path in
-  let rec split acc = function
-    | [] -> None
-    | ({ index = Some v; _ } as seg) :: _rest when String.equal v ivar ->
-        Some (List.rev ({ seg with index = None } :: acc))
-    | seg :: rest -> split (seg :: acc) rest
-  in
-  match split [] segments with
-  | None -> None
-  | Some prefix ->
-      let v = resolve_path resource prefix ienv in
-      Some (List.length (as_list v))
-
 (* --- term and expression evaluation -------------------------------- *)
 
 let lookup_resource graph env var =
@@ -116,12 +32,11 @@ let term_value ?(defaults = no_defaults) graph env ienv term =
       match lookup_resource graph env var with
       | None -> Value.Null
       | Some r -> (
-          match resolve_path r (parse_path attr) ienv with
+          let path = Path.of_string attr in
+          match Path.get ~env:ienv path (Value.Block r.Resource.attrs) with
           | Value.Null ->
-              let stripped = Check.strip_indices attr in
-              (match defaults ~rtype:r.Resource.rtype ~attr:stripped with
-              | Some d -> d
-              | None -> Value.Null)
+              let stripped = Path.to_string (Path.strip path) in
+              Option.value ~default:Value.Null (defaults ~rtype:r.Resource.rtype ~attr:stripped)
           | v -> v))
   | Check.Indeg (var, ty) -> (
       match List.assoc_opt var env with
@@ -230,55 +145,64 @@ let assignments graph (bindings : Check.binding list) =
 (* Index environments for one assignment: the product of the domains of
    each index variable, where a variable's domain is the largest
    collection it indexes across all endpoints mentioning it. *)
-let index_envs graph check env =
-  let ivars = Check.index_vars check in
-  if ivars = [] then [ [] ]
-  else
-    let endpoints = Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt in
-    let domain ienv ivar =
-      List.fold_left
-        (fun acc (e : Check.endpoint) ->
-          match lookup_resource graph env e.var with
-          | None -> acc
-          | Some r -> (
-              match collection_length r e.attr ivar ienv with
-              | Some n -> max acc n
-              | None -> acc))
-        0 endpoints
-    in
-    (* Distinct index variables range over pairwise-distinct positions:
-       [rule[i]] vs [rule[j]] never aliases the same element. *)
-    let rec expand ienvs = function
-      | [] -> ienvs
-      | ivar :: rest ->
-          let ienvs =
-            List.concat_map
-              (fun ienv ->
-                let n = domain ienv ivar in
-                if n = 0 then []
-                else
-                  List.filter_map
-                    (fun i ->
-                      if List.exists (fun (_, j) -> j = i) ienv then None
-                      else Some (ienv @ [ (ivar, i) ]))
-                    (List.init n Fun.id))
-              ienvs
-          in
-          expand ienvs rest
-    in
-    expand [ [] ] ivars
+let index_envs graph check =
+  match Check.index_vars check with
+  | [] -> fun _env -> [ [] ]
+  | ivars ->
+      (* parsed once per check, not once per assignment *)
+      let endpoints =
+        List.map
+          (fun (e : Check.endpoint) -> (e.var, Path.of_string e.attr))
+          (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
+      in
+      fun env ->
+        let domain ienv ivar =
+          List.fold_left
+            (fun acc (var, path) ->
+              match lookup_resource graph env var with
+              | None -> acc
+              | Some r -> (
+                  match Path.index_range ~env:ienv path ivar (Value.Block r.Resource.attrs) with
+                  | Some n -> max acc n
+                  | None -> acc))
+            0 endpoints
+        in
+        (* Distinct index variables range over pairwise-distinct positions:
+           [rule[i]] vs [rule[j]] never aliases the same element. *)
+        let rec expand ienvs = function
+          | [] -> ienvs
+          | ivar :: rest ->
+              let ienvs =
+                List.concat_map
+                  (fun ienv ->
+                    let n = domain ienv ivar in
+                    if n = 0 then []
+                    else
+                      List.filter_map
+                        (fun i ->
+                          if List.exists (fun (_, j) -> j = i) ienv then None
+                          else Some (ienv @ [ (ivar, i) ]))
+                        (List.init n Fun.id))
+                  ienvs
+              in
+              expand ienvs rest
+        in
+        expand [ [] ] ivars
 
 let fold_instances ?(defaults = no_defaults) graph check f init =
-  List.fold_left
-    (fun acc env ->
+  match assignments graph check.Check.bindings with
+  | [] -> init
+  | envs ->
+      let index_envs = index_envs graph check in
       List.fold_left
-        (fun acc ienv ->
-          let cond = eval_expr ~defaults graph env ienv check.Check.cond in
-          let stmt = eval_expr ~defaults graph env ienv check.Check.stmt in
-          f acc env cond stmt)
-        acc (index_envs graph check env))
-    init
-    (assignments graph check.Check.bindings)
+        (fun acc env ->
+          List.fold_left
+            (fun acc ienv ->
+              let cond = eval_expr ~defaults graph env ienv check.Check.cond in
+              let stmt = eval_expr ~defaults graph env ienv check.Check.stmt in
+              f acc env cond stmt)
+            acc (index_envs env))
+        init envs
 
 let stats ?(defaults = no_defaults) graph check =
   fold_instances ~defaults graph check

@@ -31,8 +31,9 @@ val term_value :
   (string * int) list ->
   Check.term ->
   Zodiac_iac.Value.t
-(** Evaluate a term under an assignment and index environment. Missing
-    attributes evaluate to [Null]. *)
+(** Evaluate a term under an assignment and index environment, reading
+    attributes with {!Zodiac_iac.Path.get}. A missing attribute takes
+    the default of its index-stripped path, else [Null]. *)
 
 val eval_expr :
   ?defaults:defaults ->

@@ -1,5 +1,6 @@
 module Value = Zodiac_iac.Value
 module Graph = Zodiac_iac.Graph
+module Path = Zodiac_iac.Path
 
 type token =
   | Word of string  (* identifier, possibly with dots/brackets *)
@@ -83,16 +84,16 @@ let expect_sym st s =
 let expect_word st =
   match next st with Word w -> w | _ -> fail "expected identifier"
 
-(* Split "r1.ip_config.subnet_id" into variable and attribute path. *)
+(* Split "r1.ip_config.subnet_id" into variable and attribute path;
+   [None] for a bare identifier. *)
 let split_endpoint word =
-  match String.index_opt word '.' with
-  | Some i ->
-      Some
-        {
-          Check.var = String.sub word 0 i;
-          attr = String.sub word (i + 1) (String.length word - i - 1);
-        }
-  | None -> None
+  match Path.parse word with
+  | Error e -> fail "endpoint %s: %s" word e
+  | Ok [ _ ] -> None
+  | Ok ({ Path.field = var; index = None } :: _) ->
+      let n = String.length var + 1 in
+      Some { Check.var; attr = String.sub word n (String.length word - n) }
+  | Ok _ -> fail "endpoint %s: a variable takes no index" word
 
 let parse_endpoint st =
   let w = expect_word st in

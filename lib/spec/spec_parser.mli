@@ -15,7 +15,10 @@
     term     := 'null' | 'true' | 'false' | INT | '\'' STRING '\''
               | ('indegree'|'outdegree') '(' var ',' '!'? TYPE ')'
               | var '.' attrpath
-    v} *)
+    v}
+    [attrpath] is {!Zodiac_iac.Path}'s grammar, read strictly: a
+    malformed index ([rule\[ab\]], [rule\[0\]], [rule\[\]]) is an
+    error that names the endpoint. *)
 
 val parse : string -> (Check.t, string) result
 

@@ -3,6 +3,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
 module Schema = Zodiac_iac.Schema
+module Path = Zodiac_iac.Path
 module Check = Zodiac_spec.Check
 module Eval = Zodiac_spec.Eval
 module Kb = Zodiac_kb.Kb
@@ -26,64 +27,18 @@ type result = {
 (* Mutable slots                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A slot addresses one mutable position: a dotted attribute path, or a
-   sub-attribute of one element of a repeated-block collection. *)
-type slot =
-  | Flat of Resource.id * string
-  | Elem of Resource.id * string * int * string
+(* A slot addresses one mutable position: an attribute path of one
+   resource, its index variables bound to element positions. *)
+type slot = { rid : Resource.id; path : Path.t }
 
-let slot_resource = function Flat (rid, _) | Elem (rid, _, _, _) -> rid
+let slot_name s = Printf.sprintf "%s.%s" (Resource.id_to_string s.rid) (Path.to_string s.path)
 
-let slot_name = function
-  | Flat (rid, path) -> Printf.sprintf "%s.%s" (Resource.id_to_string rid) path
-  | Elem (rid, coll, i, sub) ->
-      Printf.sprintf "%s.%s[%d].%s" (Resource.id_to_string rid) coll i sub
+let read_slot prog s =
+  match Program.find prog s.rid with
+  | Some r -> Path.get s.path (Value.Block r.Resource.attrs)
+  | None -> Value.Null
 
-let read_slot prog slot =
-  match slot with
-  | Flat (rid, path) -> (
-      match Program.find prog rid with
-      | Some r -> Resource.get r path
-      | None -> Value.Null)
-  | Elem (rid, coll, i, sub) -> (
-      match Program.find prog rid with
-      | None -> Value.Null
-      | Some r -> (
-          match Resource.attr r coll with
-          | Some (Value.List items) when i < List.length items -> (
-              match List.nth items i with
-              | Value.Block fields ->
-                  Option.value ~default:Value.Null (List.assoc_opt sub fields)
-              | _ -> Value.Null)
-          | _ -> Value.Null))
-
-let write_slot prog slot v =
-  match slot with
-  | Flat (rid, path) -> Program.update prog rid (fun r -> Resource.set r path v)
-  | Elem (rid, coll, i, sub) ->
-      Program.update prog rid (fun r ->
-          match Resource.attr r coll with
-          | Some (Value.List items) when i < List.length items ->
-              let items =
-                List.mapi
-                  (fun j item ->
-                    if j <> i then item
-                    else
-                      match item with
-                      | Value.Block fields ->
-                          let fields =
-                            if List.mem_assoc sub fields then
-                              List.map
-                                (fun (k, old) -> if String.equal k sub then (k, v) else (k, old))
-                                fields
-                            else fields @ [ (sub, v) ]
-                          in
-                          Value.Block fields
-                      | other -> other)
-                  items
-              in
-              Resource.set r coll (Value.List items)
-          | _ -> r)
+let write_slot prog s v = Program.update prog s.rid (fun r -> Resource.set_path r s.path v)
 
 (* ------------------------------------------------------------------ *)
 (* Domains                                                             *)
@@ -139,13 +94,8 @@ let int_constants_for checks rtype attr =
 (* Candidate values for a slot, original first. *)
 let slot_domain provider kb checks prog slot =
   let original = read_slot prog slot in
-  let rid = slot_resource slot in
-  let rtype = rid.Resource.rtype in
-  let attr =
-    match slot with
-    | Flat (_, path) -> path
-    | Elem (_, coll, _, sub) -> coll ^ "." ^ sub
-  in
+  let rtype = slot.rid.Resource.rtype in
+  let attr = Path.to_string (Path.strip slot.path) in
   let info = Kb.attr_info kb ~rtype ~attr in
   let optional =
     match info with
@@ -541,36 +491,29 @@ let plan_additions ~provider ~kb ~donors (tp : Testcase.tp) (target : Check.t) =
 (* ------------------------------------------------------------------ *)
 
 
-(* slots referenced by a check within a program *)
+(* Slots referenced by a check within a program: per endpoint and
+   resource of the bound type, one per element position its index
+   variables range over. *)
 let slots_of_check prog (check : Check.t) =
-  let endpoints = Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt in
   List.concat_map
     (fun (e : Check.endpoint) ->
-      match Check.binding_type check e.Check.var with
-      | None -> []
-      | Some ty ->
-          let stripped = Check.strip_indices e.Check.attr in
+      let path = Path.of_string e.Check.attr in
+      let slots r =
+        let value = Value.Block r.Resource.attrs in
+        let extend envs x =
           List.concat_map
-            (fun r ->
-              if not (String.equal r.Resource.rtype ty) then []
-              else
-                let rid = Resource.id r in
-                (* indexed endpoint: one slot per element *)
-                if String.contains e.Check.attr '[' then
-                  match String.index_opt stripped '.' with
-                  | Some i ->
-                      let coll = String.sub stripped 0 i in
-                      let sub =
-                        String.sub stripped (i + 1) (String.length stripped - i - 1)
-                      in
-                      (match Resource.attr r coll with
-                      | Some (Value.List items) ->
-                          List.mapi (fun idx _ -> Elem (rid, coll, idx, sub)) items
-                      | _ -> [])
-                  | None -> []
-                else [ Flat (rid, stripped) ])
-            (Program.resources prog))
-    endpoints
+            (fun env ->
+              let n = Option.value ~default:0 (Path.index_range ~env path x value) in
+              List.init n (fun i -> env @ [ (x, i) ]))
+            envs
+        in
+        List.fold_left extend [ [] ] (Path.index_vars path)
+        |> List.map (fun env -> { rid = Resource.id r; path = Path.bind env path })
+      in
+      match Check.binding_type check e.Check.var with
+      | Some ty -> List.concat_map slots (Program.by_type prog ty)
+      | None -> [])
+    (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
 
 let relevant_check prog (check : Check.t) =
   let types = Program.types prog in
@@ -632,7 +575,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       let slots =
         List.filter
           (fun s ->
-            provider.Provider.find_schema (slot_resource s).Resource.rtype
+            provider.Provider.find_schema s.rid.Resource.rtype
             <> None)
           slots
       in
@@ -665,7 +608,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
             (fun (slot, var) ->
               let original = read_slot base slot in
               let is_added =
-                List.exists (Resource.equal_id (slot_resource slot)) added
+                List.exists (Resource.equal_id slot.rid) added
               in
               Csp.set_value_cost problem var (fun v ->
                   if Value.equal v original then 0
@@ -750,7 +693,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
               List.fold_left
                 (fun acc (slot, original) ->
                   let is_added =
-                    List.exists (Resource.equal_id (slot_resource slot)) added
+                    List.exists (Resource.equal_id slot.rid) added
                   in
                   if is_added then acc
                   else if Value.equal (read_slot final slot) original then acc

@@ -40,6 +40,14 @@ type result = {
   topo_changes : int;  (** virtual resources added *)
 }
 
+type slot = { rid : Zodiac_iac.Resource.id; path : Zodiac_iac.Path.t }
+(** One solver variable: a path of one resource, its index variables
+    bound to positions (one slot per element an endpoint ranges over). *)
+
+val slots_of_check : Zodiac_iac.Program.t -> Zodiac_spec.Check.t -> slot list
+val read_slot : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t
+val write_slot : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t -> Zodiac_iac.Program.t
+
 val negative :
   ?options:options ->
   provider:Zodiac_provider.Provider.t ->

@@ -84,7 +84,7 @@ let test_refs_to_targets_exist () =
                     (Printf.sprintf "%s.%s -> %s.%s target attr exists"
                        schema.Schema.type_name path target_type target_attr)
                     true
-                    (Schema.find_attr target target_attr <> None))
+                    (Schema.find_attr target (Zodiac_iac.Path.of_string target_attr) <> None))
             a.Schema.refs_to)
         (Schema.leaf_paths schema))
     Catalog.schemas

@@ -101,12 +101,36 @@ let test_checkset_malformed () =
   (match Checkset.of_json (Json.Obj [ ("checks", Json.Null) ]) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing list accepted");
-  match
+  (match
     Checkset.of_json
       (Json.Obj [ ("checks", Json.List [ Json.Obj [ ("check", Json.String "garbage") ] ]) ])
   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage check accepted"
+  | Ok _ -> Alcotest.fail "garbage check accepted");
+  (* a check set file with a malformed index is refused, not scanned *)
+  let path = Filename.temp_file "zodiac_checks" ".json" in
+  let oc = open_out path in
+  output_string oc
+    (Json.to_string
+       (Json.Obj
+          [
+            ( "checks",
+              Json.List
+                [
+                  Json.Obj
+                    [
+                      ( "check",
+                        Json.String
+                          "let r:SG in r.name == r.name => r.rule[ab].priority >= 60" );
+                    ];
+                ] );
+          ]));
+  close_out oc;
+  let loaded = Checkset.load path in
+  Sys.remove path;
+  match loaded with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "rule[ab] accepted"
 
 let test_checkset_load_missing_file () =
   match Checkset.load "/nonexistent/zodiac.json" with

@@ -6,6 +6,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
 module Schema = Zodiac_iac.Schema
+module Path = Zodiac_iac.Path
 
 let v_str s = Value.Str s
 
@@ -270,10 +271,10 @@ let schema =
     ]
 
 let test_schema_lookup () =
-  Alcotest.(check bool) "top" true (Schema.find_attr schema "name" <> None);
-  Alcotest.(check bool) "nested" true (Schema.find_attr schema "blk.inner" <> None);
-  Alcotest.(check bool) "list nested" true (Schema.find_attr schema "items.x" <> None);
-  Alcotest.(check bool) "missing" true (Schema.find_attr schema "nope" = None)
+  Alcotest.(check bool) "top" true (Schema.find_attr schema (Path.of_string "name") <> None);
+  Alcotest.(check bool) "nested" true (Schema.find_attr schema (Path.of_string "blk.inner") <> None);
+  Alcotest.(check bool) "list nested" true (Schema.find_attr schema (Path.of_string "items.x") <> None);
+  Alcotest.(check bool) "missing" true (Schema.find_attr schema (Path.of_string "nope") = None)
 
 let test_schema_counts () =
   Alcotest.(check int) "attr count incl nested" 6 (Schema.attr_count schema);
@@ -288,6 +289,214 @@ let test_schema_enum () =
   Alcotest.(check (option (list string))) "enum" (Some [ "a"; "b" ])
     (Schema.enum_values schema "mode");
   Alcotest.(check bool) "no enum" true (Schema.enum_values schema "name" = None)
+
+(* ---------------- Path --------------------------------------------- *)
+
+(* The dotted-path walker before [Path] existed, kept verbatim as the
+   reference for [Resource.get]/[get_all]/[set]/[attr_paths]. *)
+module Reference = struct
+  let split_path path = String.split_on_char '.' path
+
+  let rec walk ~fanout segments value =
+    match segments with
+    | [] -> [ value ]
+    | seg :: rest -> (
+        match value with
+        | Value.Block fields -> (
+            match List.assoc_opt seg fields with
+            | Some v -> walk ~fanout rest v
+            | None -> [])
+        | Value.List items ->
+            let items = if fanout then items else match items with [] -> [] | x :: _ -> [ x ] in
+            List.concat_map (walk ~fanout (seg :: rest)) items
+        | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> [])
+
+  let lookup ~fanout (r : Resource.t) path =
+    match split_path path with
+    | [] -> []
+    | seg :: rest -> (
+        match Resource.attr r seg with
+        | None -> []
+        | Some v -> walk ~fanout rest v)
+
+  let get r path = match lookup ~fanout:false r path with [] -> Value.Null | v :: _ -> v
+  let get_all r path = lookup ~fanout:true r path
+
+  let rec update_value segments v value =
+    match segments with
+    | [] -> v
+    | seg :: rest -> (
+        match value with
+        | Value.Block fields ->
+            let found = ref false in
+            let fields =
+              List.map
+                (fun (k, old) ->
+                  if String.equal k seg then begin
+                    found := true;
+                    (k, update_value rest v old)
+                  end
+                  else (k, old))
+                fields
+            in
+            let fields =
+              if !found then fields else fields @ [ (seg, update_value rest v Value.Null) ]
+            in
+            Value.Block fields
+        | Value.List (x :: xs) -> Value.List (update_value (seg :: rest) v x :: xs)
+        | Value.List [] | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ ->
+            update_value rest v (Value.Block []))
+
+  let set (r : Resource.t) path v =
+    match split_path path with
+    | [] -> r
+    | [ seg ] when Value.is_null v ->
+        { r with attrs = List.filter (fun (k, _) -> not (String.equal k seg)) r.attrs }
+    | seg :: rest ->
+        let found = ref false in
+        let attrs =
+          List.map
+            (fun (k, old) ->
+              if String.equal k seg then begin
+                found := true;
+                (k, update_value rest v old)
+              end
+              else (k, old))
+            r.attrs
+        in
+        let attrs =
+          if !found then attrs else attrs @ [ (seg, update_value rest v Value.Null) ]
+        in
+        { r with attrs }
+
+  let attr_paths (r : Resource.t) =
+    let acc = ref [] in
+    let add path = if not (List.mem path !acc) then acc := path :: !acc in
+    let rec walk path value =
+      match value with
+      | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _ -> add path
+      | Value.List items -> if items = [] then add path else List.iter (walk path) items
+      | Value.Block fields ->
+          if fields = [] then add path
+          else List.iter (fun (k, v) -> walk (path ^ "." ^ k) v) fields
+    in
+    List.iter (fun (k, v) -> walk k v) r.attrs;
+    List.rev !acc
+end
+
+(* Random resources: nested blocks, lists of blocks, lists of lists,
+   repeated keys, from a small key alphabet so paths collide. *)
+let keys = [ "a"; "b"; "rule"; "x" ]
+
+let gen_value =
+  let open QCheck.Gen in
+  let key = oneofl keys in
+  let scalar =
+    oneof
+      [
+        return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Int i) (int_bound 3);
+        map (fun s -> Value.Str s) (oneofl [ "p"; "q" ]);
+        return (Value.reference "T" "n" "id");
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (2, map (fun l -> Value.List l) (list_size (int_bound 3) (self (n - 1))));
+               (3, map (fun l -> Value.Block l) (list_size (int_bound 3) (pair key (self (n - 1)))));
+             ])
+
+let gen_resource =
+  QCheck.Gen.(
+    map (Resource.make "T" "r") (list_size (int_bound 4) (pair (oneofl keys) gen_value)))
+
+let gen_path =
+  QCheck.Gen.(map (String.concat ".") (list_size (int_range 1 4) (oneofl (keys @ [ "zz" ]))))
+
+let print_case (r, paths, v) =
+  Format.asprintf "%a@ paths: %s@ set: %s" Resource.pp r (String.concat ", " paths)
+    (Value.to_string v)
+
+let walker_agrees_with_reference =
+  QCheck.Test.make ~name:"walker agrees with the dotted-path reference" ~count:500
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(triple gen_resource (list_size (int_bound 4) gen_path) gen_value))
+    (fun (r, extra, v) ->
+      let paths = Reference.attr_paths r @ extra in
+      Resource.attr_paths r = Reference.attr_paths r
+      && List.for_all
+           (fun p ->
+             Value.equal (Resource.get r p) (Reference.get r p)
+             && Resource.get_all r p = Reference.get_all r p
+             && (Resource.set r p v).attrs = (Reference.set r p v).attrs)
+           paths
+      && List.for_all
+           (fun (l : Path.leaf) ->
+             Value.equal l.head (Reference.get r l.path) && l.all = Reference.get_all r l.path)
+           (Path.leaves r.attrs))
+
+let of_string_roundtrips =
+  QCheck.Test.make ~name:"to_string (of_string s) = s" ~count:1000
+    (QCheck.make ~print:Fun.id
+       QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'i'; '0'; '.'; '['; ']'; '_' ]) (int_bound 12)))
+    (fun s -> Path.to_string (Path.of_string s) = s)
+
+(* Every endpoint text in the checks Zodiac ships reads back verbatim. *)
+let test_path_roundtrip () =
+  let roundtrips s =
+    Alcotest.(check string) "to_string (of_string s)" s (Path.to_string (Path.of_string s));
+    match Path.parse s with
+    | Ok p -> Alcotest.(check string) "to_string (parse s)" s (Path.to_string p)
+    | Error e -> Alcotest.failf "%s: %s" s e
+  in
+  let words text =
+    String.split_on_char ' ' text
+    |> List.map (String.map (function '(' | ')' | ',' | '!' -> ' ' | c -> c))
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.filter (fun w -> String.contains w '.')
+  in
+  List.iter
+    (fun (t : Zodiac_mining.Templates.t) ->
+      List.iter roundtrips (words t.shape @ words t.example))
+    Zodiac_mining.Templates.all;
+  List.iter
+    (fun (provider : Zodiac_provider.Provider.t) ->
+      List.iter
+        (fun (rule : Zodiac_provider.Provider.rule) ->
+          let c = rule.check in
+          List.iter
+            (fun (e : Zodiac_spec.Check.endpoint) -> roundtrips e.attr)
+            (Zodiac_spec.Check.attrs_of_expr c.cond @ Zodiac_spec.Check.attrs_of_expr c.stmt))
+        (provider.ground_truth ()))
+    [ Zodiac_azure.Azure.provider; Zodiac_aws.Aws.provider ]
+
+let test_path_grammar () =
+  let p = Path.of_string "rule[i].ports[j].from" in
+  Alcotest.(check (list string)) "index vars" [ "i"; "j" ] (Path.index_vars p);
+  Alcotest.(check string) "strip" "rule.ports.from" (Path.to_string (Path.strip p));
+  Alcotest.(check string) "bind" "rule[1].ports[j].from"
+    (Path.to_string (Path.bind [ ("i", 1) ] p));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) bad true (Result.is_error (Path.parse bad));
+      Alcotest.(check string) "lenient roundtrip" bad (Path.to_string (Path.of_string bad)))
+    [ "rule[ab].x"; "rule[0].x"; "rule[i"; "rule[].x"; "[i].x"; "a..b"; "rule[I]" ];
+  let rules = Value.List [ Value.Block [ ("p", Value.Int 1) ]; Value.Block [ ("p", Value.Int 2) ] ] in
+  let v = Value.Block [ ("rule", rules) ] in
+  let p = Path.of_string "rule[i].p" in
+  Alcotest.(check bool) "indexed get" true (Path.get ~env:[ ("i", 1) ] p v = Value.Int 2);
+  Alcotest.(check bool) "unbound index reads nothing" true (Path.get p v = Value.Null);
+  Alcotest.(check (option int)) "range" (Some 2) (Path.index_range p "i" v);
+  Alcotest.(check (option int)) "no such index" None (Path.index_range p "j" v);
+  Alcotest.(check bool) "indexed set touches one element" true
+    (Path.get_all (Path.of_string "rule.p") (Path.set (Path.bind [ ("i", 1) ] p) (Value.Int 9) v)
+    = [ Value.Int 1; Value.Int 9 ])
 
 let () =
   Alcotest.run "iac"
@@ -336,5 +545,12 @@ let () =
           Alcotest.test_case "counts" `Quick test_schema_counts;
           Alcotest.test_case "leaf paths" `Quick test_schema_leaf_paths;
           Alcotest.test_case "enum values" `Quick test_schema_enum;
+        ] );
+      ( "path",
+        [
+          Alcotest.test_case "grammar" `Quick test_path_grammar;
+          Alcotest.test_case "shipped endpoints round-trip" `Quick test_path_roundtrip;
+          QCheck_alcotest.to_alcotest of_string_roundtrips;
+          QCheck_alcotest.to_alcotest walker_agrees_with_reference;
         ] );
     ]

@@ -40,6 +40,14 @@ let test_checkset_pins () =
   Alcotest.(check string) "default, 350 projects"
     "515c51a04ecd6cc746ff25f8162696095ad69155596d75dfee642e99ad802da8"
     (checkset_sha256 (Lazy.force artifacts));
+  List.iter
+    (fun (c : Check.t) ->
+      List.iter
+        (fun (e : Check.endpoint) ->
+          Alcotest.(check string) "endpoint round-trips" e.Check.attr
+            (Zodiac_iac.Path.to_string (Zodiac_iac.Path.of_string e.Check.attr)))
+        (Check.attrs_of_expr c.Check.cond @ Check.attrs_of_expr c.Check.stmt))
+    (Lazy.force artifacts).Pipeline.final_checks;
   Alcotest.(check string) "no O3, 150 projects"
     "f579f98154484143cc4e4f04801281094e6d68f2a92e45b51203d4095cbfe32d"
     (checkset_sha256

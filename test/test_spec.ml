@@ -52,7 +52,18 @@ let test_parse_errors () =
       "let r:VM in r.x == 1 => ";
       "let r in r.x == 1 => r.y == 2";
       "let r:VM in conn(r.x) => r.y == 1";
-    ]
+    ];
+  (* one index grammar: a bracket holds one lowercase letter right after
+     a field, and the error names the endpoint *)
+  List.iter
+    (fun ep ->
+      let src = Printf.sprintf "let r:SG in r.name == r.name => %s >= 60" ep in
+      match Parser.parse src with
+      | Error e ->
+          let prefix = "endpoint " ^ ep in
+          Alcotest.(check string) src prefix (String.sub e 0 (min (String.length e) (String.length prefix)))
+      | Ok _ -> Alcotest.failf "expected error for %S" src)
+    [ "r.rule[ab].priority"; "r.rule[0].priority"; "r.rule[i"; "r.rule[].priority"; "r.rule[I].priority" ]
 
 let test_stable_ids () =
   let c1 = parse "let r:SA in r.tier == 'Premium' => r.replica != 'GZRS'" in
@@ -121,7 +132,21 @@ let test_eval_defaults () =
   Alcotest.(check bool) "without defaults fails" false
     (Eval.holds (graph_of [ gw ]) check);
   Alcotest.(check bool) "with defaults holds" true
-    (Eval.holds ~defaults (graph_of [ gw ]) check)
+    (Eval.holds ~defaults (graph_of [ gw ]) check);
+  (* a missing indexed value falls back to the default of the stripped
+     path *)
+  let sg =
+    Resource.make "SG" "s"
+      [ ("rule", Value.List [ Value.Block [ ("name", Value.Str "r0") ] ]) ]
+  in
+  let check = parse "let r:SG in r.rule[i].name != null => r.rule[i].priority == 100" in
+  let defaults ~rtype ~attr =
+    if rtype = "SG" && attr = "rule.priority" then Some (Value.Int 100) else None
+  in
+  Alcotest.(check bool) "indexed without defaults fails" false
+    (Eval.holds (graph_of [ sg ]) check);
+  Alcotest.(check bool) "indexed with defaults holds" true
+    (Eval.holds ~defaults (graph_of [ sg ]) check)
 
 let vpc name = Resource.make "VPC" name [ ("name", Value.Str name); ("location", Value.Str "eastus") ]
 
@@ -222,7 +247,16 @@ let test_eval_indexed () =
   Alcotest.(check bool) "different directions may share" true
     (Eval.holds (graph_of [ sg [ ("Inbound", 100); ("Outbound", 100) ] ]) check);
   Alcotest.(check bool) "single rule vacuous" true
-    (Eval.holds (graph_of [ sg [ ("Inbound", 100) ] ]) check)
+    (Eval.holds (graph_of [ sg [ ("Inbound", 100) ] ]) check);
+  (* unindexed traversal into a list reads its first element, in Eval
+     as in Resource.get *)
+  let first = parse "let r:SG in r.rule.dir == 'Inbound' => r.rule.priority == 100" in
+  let rules = [ ("Inbound", 100); ("Inbound", 200) ] in
+  Alcotest.(check bool) "Resource.get reads the head" true
+    (Resource.get (sg rules) "rule.priority" = Value.Int 100);
+  Alcotest.(check bool) "Eval reads the head" true (Eval.holds (graph_of [ sg rules ]) first);
+  Alcotest.(check bool) "Eval reads only the head" false
+    (Eval.holds (graph_of [ sg (List.rev rules) ]) first)
 
 let test_eval_contain () =
   let v =

@@ -181,6 +181,33 @@ let test_mutation_ablation_more_violations () =
         (List.length res.Mutation.violated_soft <= 2)
   | None -> Alcotest.fail "mutation failed"
 
+(* An indexed slot is bound to one element: writing rule[1].priority
+   leaves the other rules alone. *)
+let test_mutation_indexed_slot () =
+  let rule name pri = Value.Block [ ("name", Value.Str name); ("priority", Value.Int pri) ] in
+  let sg =
+    Resource.make "SG" "sg" [ ("rule", Value.List [ rule "a" 100; rule "b" 200; rule "c" 300 ]) ]
+  in
+  let prog = Program.of_resources [ sg ] in
+  let check = parse "let r:SG in r.rule[i].name != null => r.rule[i].priority >= 100" in
+  let slots = Mutation.slots_of_check prog check in
+  Alcotest.(check int) "one slot per element and endpoint" 6 (List.length slots);
+  let slot =
+    List.find
+      (fun (s : Mutation.slot) ->
+        Zodiac_iac.Path.to_string s.Mutation.path = "rule[1].priority")
+      slots
+  in
+  Alcotest.(check bool) "reads element 1" true (Mutation.read_slot prog slot = Value.Int 200);
+  let prog = Mutation.write_slot prog slot (Value.Int 7) in
+  let priorities =
+    match Program.find prog (Resource.id sg) with
+    | Some r -> Resource.get_all r "rule.priority"
+    | None -> []
+  in
+  Alcotest.(check bool) "writes only element 1" true
+    (priorities = [ Value.Int 100; Value.Int 7; Value.Int 300 ])
+
 (* ---------------- scheduler ------------------------------------------ *)
 
 let test_scheduler_validates_and_falsifies () =
@@ -315,6 +342,7 @@ let () =
         ] );
       ( "mutation",
         [
+          Alcotest.test_case "indexed slot" `Quick test_mutation_indexed_slot;
           Alcotest.test_case "violates target" `Slow test_mutation_violates_target;
           Alcotest.test_case "false check deploys" `Slow test_mutation_false_check_deploys;
           Alcotest.test_case "respects hard" `Slow test_mutation_respects_hard;
