@@ -39,26 +39,26 @@ open Harness
 (* Negative test cases for the validated checks, reused by E2 and E4;
    several positive test cases per check widen the sample the way the
    paper's ~500 randomly generated cases do. *)
+let cid c = (Eval.check c).Check.cid
+
 let negative_cases :
     (Check.t * Mutation.result) list Lazy.t =
   lazy
     (let a = Lazy.force artifacts in
      let kb = a.Pipeline.kb in
      let corpus = a.Pipeline.corpus in
+     let finals = List.map Eval.compile a.Pipeline.final_checks in
      List.concat_map
        (fun check ->
          List.filter_map
            (fun tp ->
              Option.map
-               (fun res -> (check, res))
+               (fun res -> (Eval.check check, res))
                (Mutation.negative ~provider ~kb ~donors:corpus ~target:check
-                  ~hard:
-                    (List.filter
-                       (fun (c : Check.t) -> c.Check.cid <> check.Check.cid)
-                       a.Pipeline.final_checks)
+                  ~hard:(List.filter (fun c -> cid c <> cid check) finals)
                   ~soft:[] tp))
            (Testcase.find ~provider ~limit:3 ~corpus check))
-       a.Pipeline.final_checks)
+       finals)
 
 (* Whole-program variants of the same negative cases, used by E4 so the
    baseline checkers see full repositories (the paper samples programs,
@@ -71,6 +71,7 @@ let negative_cases_unpruned :
     (let a = Lazy.force artifacts in
      let kb = a.Pipeline.kb in
      let corpus = a.Pipeline.corpus in
+     let finals = List.map Eval.compile a.Pipeline.final_checks in
      List.filter_map
        (fun check ->
          match Testcase.find ~provider ~limit:1 ~corpus check with
@@ -82,14 +83,11 @@ let negative_cases_unpruned :
                    List.fold_left Program.add tp.Testcase.original
                      (Program.resources res.Mutation.program)
                  in
-                 (check, { res with Mutation.program = grafted }))
+                 (Eval.check check, { res with Mutation.program = grafted }))
                (Mutation.negative ~provider ~kb ~donors:corpus ~target:check
-                  ~hard:
-                    (List.filter
-                       (fun (c : Check.t) -> c.Check.cid <> check.Check.cid)
-                       a.Pipeline.final_checks)
+                  ~hard:(List.filter (fun c -> cid c <> cid check) finals)
                   ~soft:[] tp))
-       a.Pipeline.final_checks)
+       finals)
 
 (* ------------------------------------------------------------------ *)
 (* E1 — §5.1 headline: the mining/validation funnel and Table 2        *)
@@ -408,13 +406,11 @@ let e7 () =
   let a = Lazy.force artifacts in
   let kb = a.Pipeline.kb in
   let corpus = a.Pipeline.corpus in
-  let validated = a.Pipeline.final_checks in
-  let candidates = a.Pipeline.candidates in
+  let validated = List.map Eval.compile a.Pipeline.final_checks in
   let falsified_candidates =
     List.filter
-      (fun (c : Check.t) ->
-        not (List.exists (fun (v : Check.t) -> v.Check.cid = c.Check.cid) validated))
-      candidates
+      (fun c -> not (List.exists (fun v -> cid v = cid c) validated))
+      (List.map Eval.compile a.Pipeline.candidates)
   in
   let sample = List.filteri (fun i _ -> i < 60) validated in
   let defaults = Arm.defaults provider in
@@ -432,17 +428,15 @@ let e7 () =
         | tp :: _ -> (
             let hard, soft =
               if options.Mutation.consider_others then
-                ( List.filter (fun (v : Check.t) -> v.Check.cid <> check.Check.cid) validated,
-                  List.filter
-                    (fun (c : Check.t) -> c.Check.cid <> check.Check.cid)
-                    falsified_candidates )
+                ( List.filter (fun v -> cid v <> cid check) validated,
+                  List.filter (fun c -> cid c <> cid check) falsified_candidates )
               else ([], [])
             in
             match Mutation.negative ~provider ~options ~kb ~donors:corpus ~target:check ~hard ~soft tp with
             | Some res ->
                 let tv =
                   count_violations res.Mutation.program
-                    (List.filter (fun (v : Check.t) -> v.Check.cid <> check.Check.cid) validated)
+                    (List.filter (fun v -> cid v <> cid check) validated)
                 in
                 let fv = count_violations res.Mutation.program falsified_candidates in
                 acc := (tv, fv, res.Mutation.attr_changes, res.Mutation.topo_changes) :: !acc
@@ -562,7 +556,7 @@ let e9 () =
             a.Pipeline.candidates
         in
         let tps =
-          List.concat_map (fun c -> Testcase.find ~provider ~limit:2 ~corpus c) checks
+          List.concat_map (fun c -> Testcase.find ~provider ~limit:2 ~corpus (Eval.compile c)) checks
         in
         match tps with
         | [] -> None

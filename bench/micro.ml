@@ -35,8 +35,9 @@ let sample_corpus =
      List.map (fun p -> p.Generator.program) projects)
 
 let location_check =
-  Zodiac_spec.Spec_parser.parse_exn
-    "let r1:NIC, r2:VPC in path(r1 -> r2) => r1.location == r2.location"
+  Eval.compile
+    (Zodiac_spec.Spec_parser.parse_exn
+       "let r1:NIC, r2:VPC in path(r1 -> r2) => r1.location == r2.location")
 
 let test_hcl_parse =
   Test.make ~name:"hcl: parse+compile quickstart"

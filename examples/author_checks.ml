@@ -36,6 +36,7 @@ let () =
   List.iter
     (fun check ->
       Printf.printf "hypothesis: %s\n" (Printer.to_string check);
+      let check = Eval.compile check in
       match Testcase.find ~provider ~corpus check with
       | [] -> print_endline "  no positive witness in the corpus\n"
       | tp :: _ -> (
@@ -74,7 +75,7 @@ let () =
       ]
   in
   let violations =
-    Eval.violations ~defaults:(Arm.defaults provider) (Graph.build bad) check
+    Eval.violations ~defaults:(Arm.defaults provider) (Graph.build bad) (Eval.compile check)
   in
   Printf.printf "linting a standalone program: %d violation(s) of %s\n"
     (List.length violations) (Printer.to_string check)

@@ -62,7 +62,7 @@ let () =
       "let r1:VM, r2:NIC in conn(r1.nic_ids -> r2.id) => r1.location == r2.location"
   in
   let violations =
-    Eval.violations ~defaults:(Arm.defaults provider) (Graph.build broken) check
+    Eval.violations ~defaults:(Arm.defaults provider) (Graph.build broken) (Eval.compile check)
   in
   Printf.printf
     "\nsemantic check '%s'\n  flags %d violation(s) at compile time — no cloud required.\n"

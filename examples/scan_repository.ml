@@ -27,7 +27,7 @@ let () =
           (fun (rule : Provider.rule) ->
             List.map
               (fun assignment -> (rule, assignment))
-              (Eval.violations ~defaults:(Arm.defaults provider) graph rule.Provider.check))
+              (Eval.violations ~defaults:(Arm.defaults provider) graph rule.Provider.compiled))
           (provider.Zodiac_provider.Provider.ground_truth ())
       in
       if findings <> [] then begin

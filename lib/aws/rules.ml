@@ -11,6 +11,7 @@ type phase = Provider.phase = Plugin | Pre_sync | Create | Polling | Post_sync
 type t = Provider.rule = {
   rule_id : string;
   check : Check.t;
+  compiled : Zodiac_spec.Eval.compiled;
   phase : phase;
   message : string;
 }

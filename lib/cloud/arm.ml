@@ -126,25 +126,19 @@ let rules_by_phase rules phase = List.filter (fun r -> r.Provider.phase = phase)
    (e.g. a NIC intruding on a gateway subnet violates a check binding
    only the gateway and the subnet). *)
 let violations_involving ~defaults ~graph ~graph_before rule (id : Resource.id) =
-  let types =
-    List.map (fun (b : Check.binding) -> b.Check.btype) rule.Provider.check.Check.bindings
-  in
-  let prog_types = Program.types (Graph.program graph) in
-  if not (List.for_all (fun ty -> List.mem ty prog_types) types) then []
-  else
-    match Eval.violations ~defaults graph rule.Provider.check with
-    | [] -> []
-    | violations ->
-        let direct =
-          List.filter
-            (fun assignment ->
-              List.exists (fun (_, rid) -> Resource.equal_id rid id) assignment)
-            violations
-        in
-        if direct <> [] then direct
-        else
-          let before = Eval.violations ~defaults graph_before rule.Provider.check in
-          List.filter (fun a -> not (List.mem a before)) violations
+  match Eval.violations ~defaults graph rule.Provider.compiled with
+  | [] -> []
+  | violations ->
+      let direct =
+        List.filter
+          (fun assignment ->
+            List.exists (fun (_, rid) -> Resource.equal_id rid id) assignment)
+          violations
+      in
+      if direct <> [] then direct
+      else
+        let before = Eval.violations ~defaults graph_before rule.Provider.compiled in
+        List.filter (fun a -> not (List.mem a before)) violations
 
 let first_violation ~defaults ~graph ~graph_before rules_in_phase (id : Resource.id) =
   List.find_map
@@ -203,7 +197,7 @@ let deploy ~provider ?rules ?(quota = Quota.unlimited) prog =
                     message = rule.Provider.message;
                     culprits;
                   })
-                (Eval.violations ~defaults full_graph rule.Provider.check))
+                (Eval.violations ~defaults full_graph rule.Provider.compiled))
             postsync_rules
         in
         {

@@ -529,14 +529,15 @@ type violation_report = {
 
 let scan ~provider ~checks ~corpus =
   let defaults = Arm.defaults provider in
+  let compiled = List.map Eval.compile checks in
   List.concat_map
     (fun (project, prog) ->
       let graph = Graph.build prog in
       List.concat_map
-        (fun check ->
+        (fun c ->
           List.map
             (fun assignment ->
-              { project; check; resources = List.map snd assignment })
-            (Eval.violations ~defaults graph check))
-        checks)
+              { project; check = Eval.check c; resources = List.map snd assignment })
+            (Eval.violations ~defaults graph c))
+        compiled)
     corpus

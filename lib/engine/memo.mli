@@ -5,7 +5,14 @@
     {!Zodiac_cloud.Arm.outcome}s — transient faults are never cached).
     Capacity-bounded with least-recently-used eviction, and
     instrumented with hit/miss/eviction counters for the engine stats
-    record. *)
+    record.
+
+    Recency is a doubly linked list threaded through the entries, most
+    recently used first: a hit or an insert moves its entry to the
+    front and an eviction drops the last, each in O(1) however full
+    the memo is. A hit allocates nothing. {!mem} and misses leave the
+    order alone. Not thread-safe: callers that share a memo across
+    domains lock around it, as the daemon's scan cache does. *)
 
 type 'a t
 

@@ -18,6 +18,8 @@ type t = {
   all_edges : edge list;
   out_adj : edge list Id_map.t;  (* keyed by src *)
   in_adj : edge list Id_map.t;  (* keyed by dst *)
+  types : (string, Resource.t list) Hashtbl.t option Atomic.t;
+      (* [by_type]'s index, built on first use *)
 }
 
 let build prog =
@@ -43,9 +45,27 @@ let build prog =
     List.fold_left (fun m e -> add_to e.src e m) Id_map.empty all_edges
   in
   let in_adj = List.fold_left (fun m e -> add_to e.dst e m) Id_map.empty all_edges in
-  { prog; all_edges; out_adj; in_adj }
+  { prog; all_edges; out_adj; in_adj; types = Atomic.make None }
 
 let program t = t.prog
+
+(* Domains racing on the first call each build an equal index; one is
+   kept. The index is read-only once published. *)
+let by_type t rtype =
+  let index =
+    match Atomic.get t.types with
+    | Some index -> index
+    | None ->
+        let index = Hashtbl.create 16 in
+        List.iter
+          (fun (r : Resource.t) ->
+            let others = Option.value ~default:[] (Hashtbl.find_opt index r.Resource.rtype) in
+            Hashtbl.replace index r.Resource.rtype (r :: others))
+          (List.rev (Program.resources t.prog));
+        Atomic.set t.types (Some index);
+        index
+  in
+  match Hashtbl.find index rtype with rs -> rs | exception Not_found -> []
 
 let edges t = t.all_edges
 

@@ -29,6 +29,12 @@ val build : Program.t -> t
 (** Derive the graph; dangling references produce no edge. *)
 
 val program : t -> Program.t
+
+val by_type : t -> string -> Resource.t list
+(** [Program.by_type] of the graph's program, through an index built on
+    the first call (domain-safe) so that evaluating many checks on one
+    graph reads each type's resources without scanning the program. *)
+
 val edges : t -> edge list
 val nodes : t -> Resource.id list
 

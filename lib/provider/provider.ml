@@ -14,6 +14,7 @@ module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Check = Zodiac_spec.Check
 module Spec_parser = Zodiac_spec.Spec_parser
+module Eval = Zodiac_spec.Eval
 module Prng = Zodiac_util.Prng
 
 (* ---- deployment phases and rules ----------------------------------
@@ -35,6 +36,7 @@ type phase =
 type rule = {
   rule_id : string;
   check : Check.t;
+  compiled : Eval.compiled;  (** [check], compiled once with its rule set *)
   phase : phase;
   message : string;  (** cloud error message shown on violation *)
 }
@@ -50,7 +52,7 @@ let phase_to_string = function
    on a malformed spec. *)
 let rule rule_id phase message src =
   match Spec_parser.parse src with
-  | Ok check -> { rule_id; check; phase; message }
+  | Ok check -> { rule_id; check; compiled = Eval.compile check; phase; message }
   | Error e -> invalid_arg (Printf.sprintf "Rules: bad rule %s: %s" rule_id e)
 
 (* Lookup by [rule_id]. *)

@@ -4,7 +4,7 @@ module Diagnose = Zodiac_spec.Diagnose
 module Graph = Zodiac_iac.Graph
 module Provider = Zodiac_provider.Provider
 
-type check_entry = { id : string; message : string; check : Check.t }
+type check_entry = { id : string; message : string; check : Check.t; compiled : Eval.compiled }
 
 let ground_truth_entries provider =
   List.map
@@ -13,6 +13,7 @@ let ground_truth_entries provider =
         id = rule.Provider.rule_id;
         message = rule.Provider.message;
         check = rule.Provider.check;
+        compiled = rule.Provider.compiled;
       })
     (provider.Provider.ground_truth ())
 
@@ -23,6 +24,7 @@ let checkset_entries checks =
         id = c.Check.cid;
         message = Zodiac_spec.Spec_printer.to_string c;
         check = c;
+        compiled = Eval.compile c;
       })
     checks
 
@@ -45,7 +47,7 @@ let findings_of_graph ?checkpoint ~provider ~checks ~file ~line_of graph =
       List.map
         (fun assignment ->
           let diagnosis =
-            Diagnose.violation ~defaults graph entry.check assignment
+            Diagnose.violation ~defaults graph entry.compiled assignment
           in
           {
             Sarif.rule_id = entry.id;
@@ -55,7 +57,7 @@ let findings_of_graph ?checkpoint ~provider ~checks ~file ~line_of graph =
             file;
             line = line_of assignment;
           })
-        (Eval.violations ~defaults graph entry.check))
+        (Eval.violations ~defaults graph entry.compiled))
     checks
 
 let scan_source ?checkpoint ~provider ~checks ~file src =

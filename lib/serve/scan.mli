@@ -8,17 +8,19 @@ type check_entry = {
   id : string;
   message : string;
   check : Zodiac_spec.Check.t;
+  compiled : Zodiac_spec.Eval.compiled;  (** [check], compiled when the entries are made *)
 }
 (** One check to evaluate: stable id, human message, spec. *)
 
 val ground_truth_entries :
   Zodiac_provider.Provider.t -> check_entry list
 (** The provider's simulated-cloud ground-truth rule set (the [scan]
-    default). *)
+    default), sharing the rules' compiled checks. *)
 
 val checkset_entries : Zodiac_spec.Check.t list -> check_entry list
 (** Entries for a validated check set loaded from [zodiac validate -o]
-    output; the message is the check's printed spec. *)
+    output; the message is the check's printed spec. Compiles every
+    check. *)
 
 val load_checks :
   Zodiac_provider.Provider.t ->

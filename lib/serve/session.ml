@@ -64,20 +64,29 @@ type t = {
   stop : bool Atomic.t;
 }
 
+(* In ground-truth mode the default provider's entries are its member
+   of [gt_checks], not a second copy. *)
+let load_checks (config : config) =
+  match config.checks_file with
+  | Some _ as file ->
+      Result.map (fun checks -> (checks, [])) (Scan.load_checks config.provider file)
+  | None ->
+      let gt_checks =
+        List.map (fun p -> (p.Provider.name, Scan.ground_truth_entries p)) Providers.all
+      in
+      let checks =
+        match List.assoc_opt config.provider.Provider.name gt_checks with
+        | Some entries -> entries
+        | None -> Scan.ground_truth_entries config.provider
+      in
+      Ok (checks, gt_checks)
+
 let create (config : config) =
-  match Scan.load_checks config.provider config.checks_file with
+  match load_checks config with
   | Error e -> Error e
-  | Ok checks ->
+  | Ok (checks, gt_checks) ->
       let cache =
         Option.map (fun dir -> Cache.create ~dir ()) config.cache_dir
-      in
-      let gt_checks =
-        match config.checks_file with
-        | Some _ -> []
-        | None ->
-            List.map
-              (fun p -> (p.Provider.name, Scan.ground_truth_entries p))
-              Providers.all
       in
       Ok
         {
@@ -474,6 +483,18 @@ let do_stats t =
     | None -> Json.Null
     | Some kb -> Json.Int kb
   in
+  (* The runtime's own figures, to tell heap growth from other resident
+     memory: words of major heap now and at most, and collections. *)
+  let gc =
+    let s = Gc.quick_stat () in
+    Json.Obj
+      [
+        ("heap_words", Json.Int s.Gc.heap_words);
+        ("top_heap_words", Json.Int s.Gc.top_heap_words);
+        ("minor_collections", Json.Int s.Gc.minor_collections);
+        ("major_collections", Json.Int s.Gc.major_collections);
+      ]
+  in
   Ok
     (Json.Obj
        [
@@ -488,6 +509,7 @@ let do_stats t =
          ("checks_loaded", Json.Int (List.length t.checks));
          ("jobs", Json.Int t.config.jobs);
          ("peak_rss_kb", peak_rss);
+         ("gc", gc);
          ("latency_us", latency);
          ("scan_cache", scan_cache);
          ("engine", engine);

@@ -9,21 +9,15 @@ type t = {
   explanation : string;
 }
 
-(* Render a term together with its actual value under the assignment. *)
-let term_with_value ?defaults graph env ienv term =
-  let value = Eval.term_value ?defaults graph env ienv term in
+(* Render a term together with its actual value in the instance. *)
+let term_with_value inst term =
+  let value = Value.to_string (Eval.value inst term) in
+  let spec = function Graph.Type t -> t | Graph.Not_type t -> "!" ^ t in
   match term with
-  | Check.Const _ -> Value.to_string value
-  | Check.Attr { Check.var; attr } ->
-      Printf.sprintf "%s.%s = %s" var attr (Value.to_string value)
-  | Check.Indeg (var, ty) ->
-      Printf.sprintf "indegree(%s, %s) = %s" var
-        (match ty with Graph.Type t -> t | Graph.Not_type t -> "!" ^ t)
-        (Value.to_string value)
-  | Check.Outdeg (var, ty) ->
-      Printf.sprintf "outdegree(%s, %s) = %s" var
-        (match ty with Graph.Type t -> t | Graph.Not_type t -> "!" ^ t)
-        (Value.to_string value)
+  | Eval.Const _ -> value
+  | Eval.Attr { endpoint = { Check.var; attr }; _ } -> Printf.sprintf "%s.%s = %s" var attr value
+  | Eval.Indeg d -> Printf.sprintf "indegree(%s, %s) = %s" d.var (spec d.spec) value
+  | Eval.Outdeg d -> Printf.sprintf "outdegree(%s, %s) = %s" d.var (spec d.spec) value
 
 let cmp_expectation = function
   | Check.Eq -> "expected them to be equal"
@@ -34,49 +28,48 @@ let cmp_expectation = function
   | Check.Gt -> "expected the first to be above the second"
 
 (* Explain the (sub)expression that actually fails. *)
-let rec explain ?defaults graph env ienv expr =
-  let eval e = Eval.eval_expr ?defaults graph env ienv e in
-  let tv t = term_with_value ?defaults graph env ienv t in
+let rec explain inst expr =
+  let tv = term_with_value inst in
   match expr with
-  | Check.And es -> (
-      match List.find_opt (fun e -> not (eval e)) es with
-      | Some failing -> explain ?defaults graph env ienv failing
+  | Eval.And es -> (
+      match List.find_opt (fun e -> not (Eval.eval inst e)) es with
+      | Some failing -> explain inst failing
       | None -> "all conjuncts hold")
-  | Check.Not inner ->
+  | Eval.Not inner ->
       Printf.sprintf "%s — but it must not"
         (match inner with
-        | Check.Func (Check.Overlap, t1, t2) ->
-            Printf.sprintf "%s overlaps %s" (tv t1) (tv t2)
-        | _ -> Printf.sprintf "%s holds" (Spec_printer.expr_to_string inner))
-  | Check.Cmp (op, t1, t2) ->
+        | Eval.Func (Check.Overlap, t1, t2) -> Printf.sprintf "%s overlaps %s" (tv t1) (tv t2)
+        | _ -> Printf.sprintf "%s holds" (Spec_printer.expr_to_string (Eval.source inner)))
+  | Eval.Cmp (op, t1, t2) ->
       Printf.sprintf "%s; %s — %s" (tv t1) (tv t2) (cmp_expectation op)
-  | Check.Func (Check.Overlap, t1, t2) ->
+  | Eval.Func (Check.Overlap, t1, t2) ->
       Printf.sprintf "%s and %s do not overlap — expected overlap" (tv t1) (tv t2)
-  | Check.Func (Check.Contain, t1, t2) ->
+  | Eval.Func (Check.Contain, t1, t2) ->
       Printf.sprintf "%s does not contain %s" (tv t1) (tv t2)
-  | Check.Func (Check.Length, t1, t2) ->
+  | Eval.Func (Check.Length, t1, t2) ->
       Printf.sprintf "%s does not have length %s" (tv t1) (tv t2)
-  | Check.Conn (a, b) ->
-      Printf.sprintf "no connection %s.%s -> %s.%s" a.Check.var a.Check.attr b.Check.var
-        b.Check.attr
-  | Check.Path (a, b) -> Printf.sprintf "no path from %s to %s" a b
-  | Check.Coconn _ | Check.Copath _ ->
+  | Eval.Conn (a, b) ->
+      Printf.sprintf "no connection %s.%s -> %s.%s" a.endpoint.Check.var a.endpoint.Check.attr
+        b.endpoint.Check.var b.endpoint.Check.attr
+  | Eval.Path (a, b) -> Printf.sprintf "no path from %s to %s" a.var b.var
+  | Eval.Coconn _ | Eval.Copath _ ->
       Printf.sprintf "the topology pattern %s is absent"
-        (Spec_printer.expr_to_string expr)
+        (Spec_printer.expr_to_string (Eval.source expr))
 
-let violation ?defaults graph check assignment =
+let violation ?defaults graph compiled assignment =
   let bindings =
     List.map (fun (var, id) -> (var, Resource.id_to_string id)) assignment
   in
-  let explanation =
-    match Eval.violating_index_env ?defaults graph check assignment with
-    | Some ienv -> explain ?defaults graph assignment ienv check.Check.stmt
-    | None -> explain ?defaults graph assignment [] check.Check.stmt
+  let ienv =
+    Option.value ~default:[] (Eval.violating_index_env ?defaults graph compiled assignment)
   in
-  { check; assignment; bindings; explanation }
+  let explanation =
+    explain (Eval.instance ?defaults graph compiled assignment ienv) (Eval.stmt compiled)
+  in
+  { check = Eval.check compiled; assignment; bindings; explanation }
 
-let all ?defaults graph check =
-  List.map (violation ?defaults graph check) (Eval.violations ?defaults graph check)
+let all ?defaults graph compiled =
+  List.map (violation ?defaults graph compiled) (Eval.violations ?defaults graph compiled)
 
 let to_string t =
   String.concat "\n"

@@ -4,7 +4,8 @@
     part of the statement failed with the actual values involved —
     e.g. ["r1 = VM.web: location = \"westus\"; r2 = NIC.nic0: location
     = \"eastus\" — expected them to be equal"]. Used by the CLI's scan
-    output and the examples. *)
+    output and the examples. Values come from the compiled check, the
+    evaluator that found the violation. *)
 
 type t = {
   check : Check.t;
@@ -16,14 +17,14 @@ type t = {
 val violation :
   ?defaults:Eval.defaults ->
   Zodiac_iac.Graph.t ->
-  Check.t ->
+  Eval.compiled ->
   Eval.assignment ->
   t
 (** Diagnose one violating assignment (as returned by
     {!Eval.violations}). *)
 
 val all :
-  ?defaults:Eval.defaults -> Zodiac_iac.Graph.t -> Check.t -> t list
+  ?defaults:Eval.defaults -> Zodiac_iac.Graph.t -> Eval.compiled -> t list
 (** Diagnose every violation of a check on a graph. *)
 
 val to_string : t -> string

@@ -18,34 +18,168 @@ type stats = {
 
 let no_defaults ~rtype:_ ~attr:_ = None
 
-(* --- term and expression evaluation -------------------------------- *)
+(* --- compiled form ------------------------------------------------- *)
 
-let lookup_resource graph env var =
-  match List.assoc_opt var env with
-  | None -> None
-  | Some id -> Program.find (Graph.program graph) id
+(* A slot is a binding's position in the check; [-1] marks a variable
+   no binding declares, which reads [Null] and connects nowhere. *)
+type term =
+  | Const of Value.t
+  | Attr of { endpoint : Check.endpoint; slot : int; path : Path.t; stripped : string }
+  | Indeg of { var : string; slot : int; spec : Graph.type_spec }
+  | Outdeg of { var : string; slot : int; spec : Graph.type_spec }
 
-let term_value ?(defaults = no_defaults) graph env ienv term =
-  match term with
-  | Check.Const v -> v
-  | Check.Attr { var; attr } -> (
-      match lookup_resource graph env var with
-      | None -> Value.Null
-      | Some r -> (
-          let path = Path.of_string attr in
-          match Path.get ~env:ienv path (Value.Block r.Resource.attrs) with
-          | Value.Null ->
-              let stripped = Path.to_string (Path.strip path) in
-              Option.value ~default:Value.Null (defaults ~rtype:r.Resource.rtype ~attr:stripped)
-          | v -> v))
-  | Check.Indeg (var, ty) -> (
-      match List.assoc_opt var env with
-      | None -> Value.Null
-      | Some id -> Value.Int (Graph.indegree graph id ty))
-  | Check.Outdeg (var, ty) -> (
-      match List.assoc_opt var env with
-      | None -> Value.Null
-      | Some id -> Value.Int (Graph.outdegree graph id ty))
+type conn_end = { endpoint : Check.endpoint; slot : int; stripped : string }
+
+type node = { var : string; slot : int }
+
+type expr =
+  | Conn of conn_end * conn_end
+  | Path of node * node
+  | Coconn of (conn_end * conn_end) * (conn_end * conn_end)
+  | Copath of (node * node) * (node * node)
+  | Cmp of Check.cmp_op * term * term
+  | Func of Check.func * term * term
+  | Not of expr
+  | And of expr list
+
+type form = {
+  vars : string array;  (* slot -> bound variable *)
+  btypes : string array;  (* slot -> bound type *)
+  same_type : int list array;  (* slot -> earlier slots of its type *)
+  ivars : (string * (int * Path.t) list) list;
+      (* index variables in order, each with the endpoints it indexes *)
+  cond : expr;
+  stmt : expr;
+}
+
+(* The form is built on first use and published through an atomic, so a
+   check set loaded at start-up costs nothing until a check is evaluated
+   (a daemon loads every provider's rules; most requests touch one
+   provider). Domains that race on the first use each build the same
+   form, and one of them is kept. *)
+type compiled = { check : Check.t; form : form option Atomic.t }
+
+let compile check = { check; form = Atomic.make None }
+
+let build (check : Check.t) =
+  let bindings = Array.of_list check.Check.bindings in
+  let vars = Array.map (fun (b : Check.binding) -> b.Check.var) bindings in
+  let btypes = Array.map (fun (b : Check.binding) -> b.Check.btype) bindings in
+  let slot var =
+    let rec find i = if i = Array.length vars then -1 else if vars.(i) = var then i else find (i + 1) in
+    find 0
+  in
+  let term = function
+    | Check.Const v -> Const v
+    | Check.Attr endpoint ->
+        let path = Path.of_string endpoint.Check.attr in
+        Attr { endpoint; slot = slot endpoint.Check.var; path; stripped = Path.to_string (Path.strip path) }
+    | Check.Indeg (var, spec) -> Indeg { var; slot = slot var; spec }
+    | Check.Outdeg (var, spec) -> Outdeg { var; slot = slot var; spec }
+  in
+  let conn_end (endpoint : Check.endpoint) =
+    { endpoint; slot = slot endpoint.Check.var; stripped = Check.strip_indices endpoint.Check.attr }
+  in
+  let node var = { var; slot = slot var } in
+  let rec expr = function
+    | Check.Conn (a, b) -> Conn (conn_end a, conn_end b)
+    | Check.Path (a, b) -> Path (node a, node b)
+    | Check.Coconn ((a, b), (c, d)) -> Coconn ((conn_end a, conn_end b), (conn_end c, conn_end d))
+    | Check.Copath ((a, b), (c, d)) -> Copath ((node a, node b), (node c, node d))
+    | Check.Cmp (op, t1, t2) -> Cmp (op, term t1, term t2)
+    | Check.Func (f, t1, t2) -> Func (f, term t1, term t2)
+    | Check.Not e -> Not (expr e)
+    | Check.And es -> And (List.map expr es)
+  in
+  let endpoints =
+    List.map
+      (fun (e : Check.endpoint) -> (slot e.Check.var, Path.of_string e.Check.attr))
+      (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
+  in
+  let ivars =
+    List.map
+      (fun x -> (x, List.filter (fun (_, p) -> List.mem x (Path.index_vars p)) endpoints))
+      (Check.index_vars check)
+  in
+  let same_type =
+    Array.mapi
+      (fun k ty -> List.filter (fun j -> btypes.(j) = ty) (List.init k Fun.id))
+      btypes
+  in
+  { vars; btypes; same_type; ivars; cond = expr check.Check.cond; stmt = expr check.Check.stmt }
+
+let form c =
+  match Atomic.get c.form with
+  | Some f -> f
+  | None ->
+      let f = build c.check in
+      Atomic.set c.form (Some f);
+      f
+
+let check c = c.check
+let stmt c = (form c).stmt
+
+let rec source = function
+  | Conn (a, b) -> Check.Conn (a.endpoint, b.endpoint)
+  | Path (a, b) -> Check.Path (a.var, b.var)
+  | Coconn ((a, b), (c, d)) -> Check.Coconn ((a.endpoint, b.endpoint), (c.endpoint, d.endpoint))
+  | Copath ((a, b), (c, d)) -> Check.Copath ((a.var, b.var), (c.var, d.var))
+  | Cmp (op, t1, t2) -> Check.Cmp (op, term_source t1, term_source t2)
+  | Func (f, t1, t2) -> Check.Func (f, term_source t1, term_source t2)
+  | Not e -> Check.Not (source e)
+  | And es -> Check.And (List.map source es)
+
+and term_source = function
+  | Const v -> Check.Const v
+  | Attr a -> Check.Attr a.endpoint
+  | Indeg d -> Check.Indeg (d.var, d.spec)
+  | Outdeg d -> Check.Outdeg (d.var, d.spec)
+
+(* --- instances ----------------------------------------------------- *)
+
+(* One instance: a resource per slot and an index environment. The
+   enumeration below rebinds one instance in place, so a search
+   allocates no record per candidate. *)
+type instance = {
+  graph : Graph.t;
+  defaults : defaults;
+  res : Resource.t array;
+  ids : Resource.id array;
+  blocks : Value.t array;  (* [Value.Block res.attrs], the walker's input *)
+  mutable ienv : Path.env;
+}
+
+let no_resource = Resource.make "" "" []
+
+let empty_instance ~defaults graph f =
+  let n = Array.length f.vars in
+  {
+    graph;
+    defaults;
+    res = Array.make n no_resource;
+    ids = Array.make n (Resource.id no_resource);
+    blocks = Array.make n Value.Null;
+    ienv = [];
+  }
+
+let bind inst k (r : Resource.t) =
+  inst.res.(k) <- r;
+  inst.ids.(k) <- Resource.id r;
+  inst.blocks.(k) <- Value.Block r.Resource.attrs
+
+let value inst = function
+  | Const v -> v
+  | Attr a when a.slot < 0 -> Value.Null
+  | Attr a -> (
+      match Path.get ~env:inst.ienv a.path inst.blocks.(a.slot) with
+      | Value.Null ->
+          Option.value ~default:Value.Null
+            (inst.defaults ~rtype:inst.res.(a.slot).Resource.rtype ~attr:a.stripped)
+      | v -> v)
+  | Indeg d when d.slot < 0 -> Value.Null
+  | Indeg d -> Value.Int (Graph.indegree inst.graph inst.ids.(d.slot) d.spec)
+  | Outdeg d when d.slot < 0 -> Value.Null
+  | Outdeg d -> Value.Int (Graph.outdegree inst.graph inst.ids.(d.slot) d.spec)
 
 let cidrs_of_value v =
   match v with
@@ -94,171 +228,151 @@ let eval_func f v1 v2 =
       in
       match (len, value_int v2) with Some a, Some b -> a = b | _ -> false)
 
-let endpoint_conn graph env (a : Check.endpoint) (b : Check.endpoint) =
-  match (List.assoc_opt a.var env, List.assoc_opt b.var env) with
-  | Some src, Some dst ->
-      Graph.conn graph ~src ~src_attr:(Check.strip_indices a.attr) ~dst
-        ~dst_attr:(Check.strip_indices b.attr)
-  | _ -> false
+let conn inst (a : conn_end) (b : conn_end) =
+  a.slot >= 0 && b.slot >= 0
+  && Graph.conn inst.graph ~src:inst.ids.(a.slot) ~src_attr:a.stripped ~dst:inst.ids.(b.slot)
+       ~dst_attr:b.stripped
 
-let node_path graph env a b =
-  match (List.assoc_opt a env, List.assoc_opt b env) with
-  | Some x, Some y -> Graph.path graph x y
-  | _ -> false
+let reach inst (a : node) (b : node) =
+  a.slot >= 0 && b.slot >= 0 && Graph.path inst.graph inst.ids.(a.slot) inst.ids.(b.slot)
 
-let rec eval_expr ?(defaults = no_defaults) graph env ienv expr =
-  match expr with
-  | Check.Conn (a, b) -> endpoint_conn graph env a b
-  | Check.Path (a, b) -> node_path graph env a b
-  | Check.Coconn ((a, b), (c, d)) ->
-      endpoint_conn graph env a b && endpoint_conn graph env c d
-  | Check.Copath ((a, b), (c, d)) -> node_path graph env a b && node_path graph env c d
-  | Check.Cmp (op, t1, t2) ->
-      compare_values op
-        (term_value ~defaults graph env ienv t1)
-        (term_value ~defaults graph env ienv t2)
-  | Check.Func (f, t1, t2) ->
-      eval_func f
-        (term_value ~defaults graph env ienv t1)
-        (term_value ~defaults graph env ienv t2)
-  | Check.Not e -> not (eval_expr ~defaults graph env ienv e)
-  | Check.And es -> List.for_all (eval_expr ~defaults graph env ienv) es
+let rec eval inst = function
+  | Conn (a, b) -> conn inst a b
+  | Path (a, b) -> reach inst a b
+  | Coconn ((a, b), (c, d)) -> conn inst a b && conn inst c d
+  | Copath ((a, b), (c, d)) -> reach inst a b && reach inst c d
+  | Cmp (op, t1, t2) -> compare_values op (value inst t1) (value inst t2)
+  | Func (f, t1, t2) -> eval_func f (value inst t1) (value inst t2)
+  | Not e -> not (eval inst e)
+  | And es -> List.for_all (eval inst) es
 
-(* --- instance enumeration ------------------------------------------ *)
+(* --- enumeration --------------------------------------------------- *)
 
-(* All injective assignments of bindings to resources of matching type. *)
-let assignments graph (bindings : Check.binding list) =
-  let prog = Graph.program graph in
-  let rec extend env = function
-    | [] -> [ List.rev env ]
-    | (b : Check.binding) :: rest ->
-        let candidates = Program.by_type prog b.btype in
-        List.concat_map
-          (fun r ->
+(* Bind every injective assignment of the slots to resources of their
+   types, in binding order and program order, calling [visit] on each;
+   [true] from [visit] stops the search, and is returned. *)
+let assignments f inst visit =
+  let n = Array.length f.btypes in
+  let rec slot k =
+    if k = n then visit inst
+    else
+      let rec next = function
+        | [] -> false
+        | r :: rest ->
             let id = Resource.id r in
-            if List.exists (fun (_, id') -> Resource.equal_id id id') env then []
-            else extend ((b.var, id) :: env) rest)
-          candidates
-  in
-  extend [] bindings
-
-(* Index environments for one assignment: the product of the domains of
-   each index variable, where a variable's domain is the largest
-   collection it indexes across all endpoints mentioning it. *)
-let index_envs graph check =
-  match Check.index_vars check with
-  | [] -> fun _env -> [ [] ]
-  | ivars ->
-      (* parsed once per check, not once per assignment *)
-      let endpoints =
-        List.map
-          (fun (e : Check.endpoint) -> (e.var, Path.of_string e.attr))
-          (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
+            ((not (List.exists (fun j -> Resource.equal_id inst.ids.(j) id) f.same_type.(k)))
+            && (bind inst k r;
+                slot (k + 1)))
+            || next rest
       in
-      fun env ->
-        let domain ienv ivar =
-          List.fold_left
-            (fun acc (var, path) ->
-              match lookup_resource graph env var with
-              | None -> acc
-              | Some r -> (
-                  match Path.index_range ~env:ienv path ivar (Value.Block r.Resource.attrs) with
-                  | Some n -> max acc n
-                  | None -> acc))
-            0 endpoints
+      next (Graph.by_type inst.graph f.btypes.(k))
+  in
+  slot 0
+
+(* Every index environment of the bound instance, in order: the product
+   of each index variable's domain, the largest collection it indexes
+   across the check's endpoints. Distinct index variables take
+   pairwise-distinct positions: [rule[i]] and [rule[j]] never alias. *)
+let index_envs f inst visit =
+  let domain ienv endpoints x =
+    List.fold_left
+      (fun acc (slot, path) ->
+        if slot < 0 then acc
+        else
+          match Path.index_range ~env:ienv path x inst.blocks.(slot) with
+          | Some n -> max acc n
+          | None -> acc)
+      0 endpoints
+  in
+  let rec expand ienv = function
+    | [] ->
+        inst.ienv <- ienv;
+        visit inst
+    | (x, endpoints) :: rest ->
+        let n = domain ienv endpoints x in
+        let rec next i =
+          i < n
+          && ((not (List.exists (fun (_, j) -> j = i) ienv)) && expand (ienv @ [ (x, i) ]) rest
+             || next (i + 1))
         in
-        (* Distinct index variables range over pairwise-distinct positions:
-           [rule[i]] vs [rule[j]] never aliases the same element. *)
-        let rec expand ienvs = function
-          | [] -> ienvs
-          | ivar :: rest ->
-              let ienvs =
-                List.concat_map
-                  (fun ienv ->
-                    let n = domain ienv ivar in
-                    if n = 0 then []
-                    else
-                      List.filter_map
-                        (fun i ->
-                          if List.exists (fun (_, j) -> j = i) ienv then None
-                          else Some (ienv @ [ (ivar, i) ]))
-                        (List.init n Fun.id))
-                  ienvs
-              in
-              expand ienvs rest
-        in
-        expand [ [] ] ivars
+        next 0
+  in
+  expand [] f.ivars
 
-let fold_instances ?(defaults = no_defaults) graph check f init =
-  match assignments graph check.Check.bindings with
-  | [] -> init
-  | envs ->
-      let index_envs = index_envs graph check in
-      List.fold_left
-        (fun acc env ->
-          List.fold_left
-            (fun acc ienv ->
-              let cond = eval_expr ~defaults graph env ienv check.Check.cond in
-              let stmt = eval_expr ~defaults graph env ienv check.Check.stmt in
-              f acc env cond stmt)
-            acc (index_envs env))
-        init envs
+let violated f inst = eval inst f.cond && not (eval inst f.stmt)
+let witnessed f inst = eval inst f.cond && eval inst f.stmt
 
-let stats ?(defaults = no_defaults) graph check =
-  fold_instances ~defaults graph check
-    (fun acc _env cond stmt ->
-      {
-        instances = acc.instances + 1;
-        cond_true = (acc.cond_true + if cond then 1 else 0);
-        stmt_true = (acc.stmt_true + if stmt then 1 else 0);
-        both_true = (acc.both_true + if cond && stmt then 1 else 0);
-      })
-    { instances = 0; cond_true = 0; stmt_true = 0; both_true = 0 }
+let assignment_of f inst = Array.to_list (Array.mapi (fun k var -> (var, inst.ids.(k))) f.vars)
 
-let holds ?(defaults = no_defaults) graph check =
-  fold_instances ~defaults graph check
-    (fun acc _env cond stmt -> acc && ((not cond) || stmt))
-    true
+(* Search the assignments of [c] on [graph]: [visit] sees each one bound
+   and returns [true] to stop. *)
+let search ~defaults graph c visit =
+  let f = form c in
+  (* most checks bind a type the program lacks: no instance to set up *)
+  if Array.for_all (fun ty -> Graph.by_type graph ty <> []) f.btypes then
+    ignore (assignments f (empty_instance ~defaults graph f) (visit f))
 
-let occurrences ?(defaults = no_defaults) graph check =
-  (stats ~defaults graph check).cond_true
+let stats ?(defaults = no_defaults) graph c =
+  let instances = ref 0 and cond_true = ref 0 and stmt_true = ref 0 and both_true = ref 0 in
+  search ~defaults graph c (fun f inst ->
+      index_envs f inst (fun inst ->
+          let cond = eval inst f.cond and stmt = eval inst f.stmt in
+          incr instances;
+          if cond then incr cond_true;
+          if stmt then incr stmt_true;
+          if cond && stmt then incr both_true;
+          false));
+  { instances = !instances; cond_true = !cond_true; stmt_true = !stmt_true; both_true = !both_true }
 
-let dedup_assignments envs =
-  List.fold_left (fun acc env -> if List.mem env acc then acc else env :: acc) [] envs
-  |> List.rev
+let holds ?(defaults = no_defaults) graph c =
+  let violation = ref false in
+  search ~defaults graph c (fun f inst ->
+      violation := index_envs f inst (violated f);
+      !violation);
+  not !violation
 
-let violations ?(defaults = no_defaults) graph check =
-  fold_instances ~defaults graph check
-    (fun acc env cond stmt -> if cond && not stmt then env :: acc else acc)
-    []
-  |> dedup_assignments
+let occurrences ?(defaults = no_defaults) graph c = (stats ~defaults graph c).cond_true
 
-let witnesses ?(defaults = no_defaults) graph check =
-  fold_instances ~defaults graph check
-    (fun acc env cond stmt -> if cond && stmt then env :: acc else acc)
-    []
-  |> dedup_assignments
+(* Assignments with some instance satisfying [pred], the last found
+   first. *)
+let collect ~defaults graph c pred =
+  let found = ref [] in
+  search ~defaults graph c (fun f inst ->
+      if index_envs f inst (pred f) then found := assignment_of f inst :: !found;
+      false);
+  !found
 
-exception Found of assignment
+let violations ?(defaults = no_defaults) graph c = collect ~defaults graph c violated
+let witnesses ?(defaults = no_defaults) graph c = collect ~defaults graph c witnessed
 
-let first_matching ~defaults graph check pred =
-  match
-    fold_instances ~defaults graph check
-      (fun () env cond stmt -> if pred cond stmt then raise (Found env))
-      ()
-  with
-  | () -> None
-  | exception Found env -> Some env
+let first ~defaults graph c pred =
+  let found = ref None in
+  search ~defaults graph c (fun f inst ->
+      index_envs f inst (pred f)
+      &&
+      (found := Some (assignment_of f inst);
+       true));
+  !found
 
-let first_witness ?(defaults = no_defaults) graph check =
-  first_matching ~defaults graph check (fun cond stmt -> cond && stmt)
+let first_witness ?(defaults = no_defaults) graph c = first ~defaults graph c witnessed
+let first_violation ?(defaults = no_defaults) graph c = first ~defaults graph c violated
 
-let first_violation ?(defaults = no_defaults) graph check =
-  first_matching ~defaults graph check (fun cond stmt -> cond && not stmt)
+let bound ~defaults graph f assignment ienv =
+  let inst = empty_instance ~defaults graph f in
+  let prog = Graph.program graph in
+  Array.iteri
+    (fun k var ->
+      match Option.bind (List.assoc_opt var assignment) (Program.find prog) with
+      | Some r -> bind inst k r
+      | None -> invalid_arg ("Eval.instance: no resource bound to " ^ var))
+    f.vars;
+  inst.ienv <- ienv;
+  inst
 
-let violating_index_env ?(defaults = no_defaults) graph check env =
-  List.find_opt
-    (fun ienv ->
-      eval_expr ~defaults graph env ienv check.Check.cond
-      && not (eval_expr ~defaults graph env ienv check.Check.stmt))
-    (index_envs graph check env)
+let instance ?(defaults = no_defaults) graph c assignment ienv =
+  bound ~defaults graph (form c) assignment ienv
+
+let violating_index_env ?(defaults = no_defaults) graph c assignment =
+  let f = form c in
+  let inst = bound ~defaults graph f assignment [] in
+  if index_envs f inst (violated f) then Some inst.ienv else None

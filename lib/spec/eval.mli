@@ -6,10 +6,30 @@
     Distinct index variables take pairwise-distinct positions, so
     [rule\[i\]] and [rule\[j\]] never alias the same element. The check
     holds on a graph iff no instance satisfies the condition while
-    falsifying the statement. *)
+    falsifying the statement.
+
+    Checks are evaluated in compiled form. The compiled form parses
+    each endpoint's path and strips its indices once, resolves every
+    variable to its binding's slot and reads the check's index
+    variables once; evaluation binds resources to slots directly and
+    stops at the first hit where the answer allows it. {!compile}
+    itself only wraps the check: the form is built on the first
+    evaluation and kept, so loading a check set costs nothing for the
+    checks no program reaches. Compile where a check set is loaded (a
+    provider's rules, a scan's entries, the scheduler's candidates) and
+    reuse the result for every program, request and deployment:
+    building the form costs about as much as one evaluation, so a
+    check compiled per evaluation gives the saving back.
+
+    A compiled check may be evaluated at once by every
+    {!Zodiac_util.Parallel} domain and every daemon handler without a
+    lock: its form is immutable once built and is published through an
+    [Atomic] (domains that race on the first use build equal forms, and
+    one is kept), and every evaluation keeps its state in values of its
+    own. *)
 
 type assignment = (string * Zodiac_iac.Resource.id) list
-(** Bound variable -> resource. *)
+(** Bound variable -> resource, in binding order. *)
 
 type defaults = rtype:string -> attr:string -> Zodiac_iac.Value.t option
 (** Provider-side default lookup applied when an attribute is absent
@@ -24,57 +44,105 @@ type stats = {
 
 val no_defaults : defaults
 
-val term_value :
-  ?defaults:defaults ->
-  Zodiac_iac.Graph.t ->
-  assignment ->
-  (string * int) list ->
-  Check.term ->
-  Zodiac_iac.Value.t
-(** Evaluate a term under an assignment and index environment, reading
-    attributes with {!Zodiac_iac.Path.get}. A missing attribute takes
-    the default of its index-stripped path, else [Null]. *)
+type compiled
 
-val eval_expr :
-  ?defaults:defaults ->
-  Zodiac_iac.Graph.t ->
-  assignment ->
-  (string * int) list ->
-  Check.expr ->
-  bool
+val compile : Check.t -> compiled
+(** Cheap: the form is built on the first evaluation (see above). *)
 
-val stats : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> stats
+val check : compiled -> Check.t
+(** The check it was compiled from. *)
 
-val holds : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> bool
-(** No violating instance exists. Vacuously true when the condition
-    never fires. *)
+val stats : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> stats
 
-val occurrences : ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> int
+val holds : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> bool
+(** No violating instance exists; stops at the first violation.
+    Vacuously true when the condition never fires. *)
+
+val occurrences : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> int
 
 val violations :
-  ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> assignment list
+  ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> assignment list
 (** Assignments (resource part only) with some instance where the
-    condition holds and the statement fails; duplicates removed. *)
+    condition holds and the statement fails, each once, the last
+    enumerated first. *)
 
 val witnesses :
-  ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> assignment list
+  ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> assignment list
 (** Assignments with some instance where condition and statement both
-    hold — the raw material for positive test cases. *)
+    hold — the raw material for positive test cases. Ordered as
+    {!violations}. *)
 
 val first_witness :
-  ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> assignment option
-(** Like {!witnesses} but stops at the first hit (corpus scans). *)
+  ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> assignment option
+(** The first witnessing assignment enumerated; stops there. *)
 
 val first_violation :
-  ?defaults:defaults -> Zodiac_iac.Graph.t -> Check.t -> assignment option
-(** Like {!violations} but stops at the first hit. *)
+  ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> assignment option
+(** The first violating assignment enumerated; stops there. *)
 
 val violating_index_env :
   ?defaults:defaults ->
   Zodiac_iac.Graph.t ->
-  Check.t ->
+  compiled ->
   assignment ->
-  (string * int) list option
-(** For a known violating assignment, an index environment under which
-    the condition holds and the statement fails ([Some []] for checks
-    without index variables). Used for diagnosis. *)
+  Zodiac_iac.Path.env option
+(** For an assignment {!violations} returned on the same graph, the
+    first index environment under which the condition holds and the
+    statement fails ([Some \[\]] for a violated check without index
+    variables). *)
+
+(** {2 Compiled expressions}
+
+    The compiled statement, for explaining a violation ({!Diagnose})
+    through the same evaluator. Each node mirrors the {!Check.expr} or
+    {!Check.term} it came from; a [slot] is the position of the
+    variable's binding, [-1] when no binding declares it. *)
+
+type term = private
+  | Const of Zodiac_iac.Value.t
+  | Attr of {
+      endpoint : Check.endpoint;
+      slot : int;
+      path : Zodiac_iac.Path.t;
+      stripped : string;  (** the path without indices: the defaults key *)
+    }
+  | Indeg of { var : string; slot : int; spec : Zodiac_iac.Graph.type_spec }
+  | Outdeg of { var : string; slot : int; spec : Zodiac_iac.Graph.type_spec }
+
+type conn_end = private { endpoint : Check.endpoint; slot : int; stripped : string }
+type node = private { var : string; slot : int }
+
+type expr = private
+  | Conn of conn_end * conn_end
+  | Path of node * node
+  | Coconn of (conn_end * conn_end) * (conn_end * conn_end)
+  | Copath of (node * node) * (node * node)
+  | Cmp of Check.cmp_op * term * term
+  | Func of Check.func * term * term
+  | Not of expr
+  | And of expr list
+
+val stmt : compiled -> expr
+
+val source : expr -> Check.expr
+(** The expression it was compiled from. *)
+
+type instance
+(** Resources bound to a compiled check's slots, and an index
+    environment. *)
+
+val instance :
+  ?defaults:defaults ->
+  Zodiac_iac.Graph.t ->
+  compiled ->
+  assignment ->
+  Zodiac_iac.Path.env ->
+  instance
+(** @raise Invalid_argument when the assignment leaves a binding
+    without a resource of the graph. *)
+
+val eval : instance -> expr -> bool
+
+val value : instance -> term -> Zodiac_iac.Value.t
+(** A missing attribute takes the default of its index-stripped path,
+    else [Null]. *)

@@ -515,11 +515,11 @@ let slots_of_check prog (check : Check.t) =
       | None -> [])
     (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
 
-let relevant_check prog (check : Check.t) =
+let relevant_check prog compiled =
   let types = Program.types prog in
   List.for_all
     (fun (b : Check.binding) -> List.mem b.Check.btype types)
-    check.Check.bindings
+    (Eval.check compiled).Check.bindings
 
 let dedup_slots slots =
   List.fold_left (fun acc s -> if List.mem s acc then acc else acc @ [ s ]) [] slots
@@ -528,7 +528,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
     ~soft tp =
   let defaults = Arm.defaults provider in
   reset_fresh ();
-  match plan_additions ~provider ~kb ~donors tp target with
+  match plan_additions ~provider ~kb ~donors tp (Eval.check target) with
   | None -> None
   | Some { new_program = base; added } -> (
       let hard = List.filter (relevant_check base) hard in
@@ -541,10 +541,10 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
         List.sort_uniq String.compare
           (List.map (fun (id : Resource.id) -> id.Resource.rtype) added)
       in
-      let binds_added (c : Check.t) =
+      let binds_added c =
         List.exists
           (fun (b : Check.binding) -> List.mem b.Check.btype added_types)
-          c.Check.bindings
+          (Eval.check c).Check.bindings
       in
       let soft =
         List.stable_sort
@@ -567,7 +567,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       (* The mutation search space always spans the attributes the known
          checks talk about; the consider_others ablation only drops the
          corresponding constraints, leaving the solver free to wander. *)
-      let all_checks = (target :: hard) @ soft in
+      let all_checks = List.map Eval.check ((target :: hard) @ soft) in
       let slots = dedup_slots (List.concat_map (slots_of_check base) all_checks) in
       let hard = if options.consider_others then hard else [] in
       let soft = if options.consider_others then soft else [] in
@@ -582,7 +582,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       if slots = [] then None
       else begin
         let problem = Csp.create () in
-        let target_slots = dedup_slots (slots_of_check base target) in
+        let target_slots = dedup_slots (slots_of_check base (Eval.check target)) in
         let vars =
           List.map
             (fun slot ->
@@ -628,7 +628,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
            constraint materializes just those slots over the base
            program; unassigned slots keep their original values. *)
         let scoped_slots check =
-          let check_slots = dedup_slots (slots_of_check base check) in
+          let check_slots = dedup_slots (slots_of_check base (Eval.check check)) in
           List.filter_map
             (fun slot ->
               Option.map (fun var -> (slot, var)) (List.assoc_opt slot vars))
@@ -668,10 +668,10 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
         in
         add_constraint ~hard:true "target-violated" target ~negate:true;
         List.iter
-          (fun h -> add_constraint ~hard:true ("hard:" ^ h.Check.cid) h ~negate:false)
+          (fun h -> add_constraint ~hard:true ("hard:" ^ (Eval.check h).Check.cid) h ~negate:false)
           hard;
         List.iter
-          (fun s -> add_constraint ~hard:false ("soft:" ^ s.Check.cid) s ~negate:false)
+          (fun s -> add_constraint ~hard:false ("soft:" ^ (Eval.check s).Check.cid) s ~negate:false)
           soft;
         match Csp.solve ~node_budget:6_000 ~good_enough:6 problem with
         | None -> None
@@ -686,7 +686,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
               List.filter_map
                 (fun s ->
                   if Eval.holds ~defaults final_graph s then None
-                  else Some s.Check.cid)
+                  else Some (Eval.check s).Check.cid)
                 soft
             in
             let attr_changes =

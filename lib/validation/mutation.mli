@@ -53,8 +53,8 @@ val negative :
   provider:Zodiac_provider.Provider.t ->
   kb:Zodiac_kb.Kb.t ->
   donors:(string * Zodiac_iac.Program.t) list ->
-  target:Zodiac_spec.Check.t ->
-  hard:Zodiac_spec.Check.t list ->
-  soft:Zodiac_spec.Check.t list ->
+  target:Zodiac_spec.Eval.compiled ->
+  hard:Zodiac_spec.Eval.compiled list ->
+  soft:Zodiac_spec.Eval.compiled list ->
   Testcase.tp ->
   result option

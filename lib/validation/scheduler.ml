@@ -72,33 +72,37 @@ let type_ranks kb =
   done;
   rank
 
-let check_rank rank (c : Check.t) =
-  List.fold_left (fun acc (b : Check.binding) -> max acc (rank b.Check.btype)) 0 c.Check.bindings
+let cid c = (Eval.check c).Check.cid
+
+let check_rank rank c =
+  List.fold_left
+    (fun acc (b : Check.binding) -> max acc (rank b.Check.btype))
+    0 (Eval.check c).Check.bindings
 
 (* --- main loop ------------------------------------------------------ *)
 
 type state = {
-  mutable rc : Check.t list;
-  mutable rv : Check.t list;
-  mutable falsified : (Check.t * verdict) list;
+  mutable rc : Eval.compiled list;
+  mutable rv : Eval.compiled list;
+  mutable falsified : (Eval.compiled * verdict) list;
   mutable deployments : int;
   tp_cache : (string, Testcase.tp list) Hashtbl.t;
   index : Testcase.index;
 }
 
-let find_tps st ~provider ~limit (c : Check.t) =
-  match Hashtbl.find_opt st.tp_cache c.Check.cid with
+let find_tps st ~provider ~limit c =
+  match Hashtbl.find_opt st.tp_cache (cid c) with
   | Some tps -> tps
   | None ->
       let tps = Testcase.find_indexed ~limit ~provider ~index:st.index c in
-      Hashtbl.replace st.tp_cache c.Check.cid tps;
+      Hashtbl.replace st.tp_cache (cid c) tps;
       tps
 
-let remove_from_rc st cid =
-  st.rc <- List.filter (fun (c : Check.t) -> not (String.equal c.Check.cid cid)) st.rc
+let remove_from_rc st id =
+  st.rc <- List.filter (fun c -> not (String.equal (cid c) id)) st.rc
 
-let in_rc st (c : Check.t) =
-  List.exists (fun (c' : Check.t) -> String.equal c'.Check.cid c.Check.cid) st.rc
+let in_rc st c =
+  List.exists (fun c' -> String.equal (cid c') (cid c)) st.rc
 
 (* Warm the t_p cache for [checks]: the misses are computed in parallel
    (index search is pure) and committed sequentially, after which
@@ -106,16 +110,16 @@ let in_rc st (c : Check.t) =
 let ensure_tps ?jobs st ~provider ~limit checks =
   let missing =
     List.filter
-      (fun (c : Check.t) -> not (Hashtbl.mem st.tp_cache c.Check.cid))
+      (fun c -> not (Hashtbl.mem st.tp_cache (cid c)))
       checks
   in
   let found =
     Parallel.map ?jobs
-      (fun (c : Check.t) -> Testcase.find_indexed ~limit ~provider ~index:st.index c)
+      (fun c -> Testcase.find_indexed ~limit ~provider ~index:st.index c)
       missing
   in
   List.iter2
-    (fun (c : Check.t) tps -> Hashtbl.replace st.tp_cache c.Check.cid tps)
+    (fun c tps -> Hashtbl.replace st.tp_cache (cid c) tps)
     missing found
 
 (* Union-find style grouping of mutually-inseparable checks. [rc] is
@@ -126,19 +130,19 @@ let ensure_tps ?jobs st ~provider ~limit checks =
 let compute_groups ?jobs st ~provider ~tp_limit ~negative ~rc ~plans =
   let rns : (string, string list) Hashtbl.t = Hashtbl.create 64 in
   List.iter2
-    (fun (c : Check.t) plan ->
+    (fun c plan ->
       let rn =
         match plan with
         | None -> []
-        | Some res -> c.Check.cid :: res.Mutation.violated_soft
+        | Some res -> cid c :: res.Mutation.violated_soft
       in
-      Hashtbl.replace rns c.Check.cid rn)
+      Hashtbl.replace rns (cid c) rn)
     rc plans;
-  let mutual (c1 : Check.t) (c2 : Check.t) =
-    let rn_for (c : Check.t) =
-      Option.value ~default:[] (Hashtbl.find_opt rns c.Check.cid)
+  let mutual c1 c2 =
+    let rn_for c =
+      Option.value ~default:[] (Hashtbl.find_opt rns (cid c))
     in
-    List.mem c2.Check.cid (rn_for c1) && List.mem c1.Check.cid (rn_for c2)
+    List.mem (cid c2) (rn_for c1) && List.mem (cid c1) (rn_for c2)
   in
   (* build candidate groups by transitive closure of mutuality *)
   let groups = ref [] in
@@ -157,8 +161,8 @@ let compute_groups ?jobs st ~provider ~tp_limit ~negative ~rc ~plans =
       if not !joined then
         let mates =
           List.filter
-            (fun (c' : Check.t) ->
-              (not (String.equal c'.Check.cid c.Check.cid)) && mutual c c')
+            (fun c' ->
+              (not (String.equal (cid c') (cid c))) && mutual c c')
             rc
         in
         if mates <> [] then groups := (c :: mates) :: !groups)
@@ -169,10 +173,10 @@ let compute_groups ?jobs st ~provider ~tp_limit ~negative ~rc ~plans =
     Parallel.map ?jobs
       (fun group ->
         List.filter
-          (fun (c : Check.t) ->
+          (fun c ->
             let others =
               List.filter
-                (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
+                (fun c' -> not (String.equal (cid c') (cid c)))
                 group
             in
             let separable =
@@ -210,7 +214,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
   in
   let st =
     {
-      rc = candidates;
+      rc = List.map Eval.compile candidates;
       rv = [];
       falsified = [];
       deployments = 0;
@@ -254,13 +258,13 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     ensure_tps ?jobs st ~provider ~limit:config.tp_limit rc0;
     let plans =
       Parallel.map ?jobs
-        (fun (c : Check.t) ->
+        (fun c ->
           match find_tps st ~provider ~limit:config.tp_limit c with
           | [] -> No_instance
           | tps -> (
               let soft =
                 List.filter
-                  (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
+                  (fun c' -> not (String.equal (cid c') (cid c)))
                   rc0
               in
               (* only the first t_p that yields a mutant is used *)
@@ -285,17 +289,17 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
       | [] -> assert false
     in
     List.iter2
-      (fun (c : Check.t) plan ->
+      (fun c plan ->
         match plan with
         | No_instance ->
             if in_rc st c then begin
-              remove_from_rc st c.Check.cid;
+              remove_from_rc st (cid c);
               st.falsified <- (c, Falsified `No_instance) :: st.falsified;
               incr fp_no_instance
             end
         | Unsat ->
             if in_rc st c then begin
-              remove_from_rc st c.Check.cid;
+              remove_from_rc st (cid c);
               st.falsified <- (c, Falsified `Unsat) :: st.falsified;
               incr fp_unsat
             end
@@ -304,21 +308,21 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
             if in_rc st c && deployable then begin
               (* deployable: c and every violated candidate are FPs *)
               let victims =
-                c.Check.cid :: res.Mutation.violated_soft
-                |> List.filter (fun cid ->
+                cid c :: res.Mutation.violated_soft
+                |> List.filter (fun id ->
                        List.exists
-                         (fun (c' : Check.t) -> String.equal c'.Check.cid cid)
+                         (fun c' -> String.equal (cid c') id)
                          st.rc)
               in
               List.iter
-                (fun cid ->
+                (fun id ->
                   match
                     List.find_opt
-                      (fun (c' : Check.t) -> String.equal c'.Check.cid cid)
+                      (fun c' -> String.equal (cid c') id)
                       st.rc
                   with
                   | Some victim ->
-                      remove_from_rc st cid;
+                      remove_from_rc st id;
                       st.falsified <-
                         (victim, Falsified `Deployable) :: st.falsified;
                       incr fp_deployable
@@ -332,13 +336,13 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
     ensure_tps ?jobs st ~provider ~limit:config.tp_limit rc1;
     let plans =
       Parallel.map ?jobs
-        (fun (c : Check.t) ->
+        (fun c ->
           match find_tps st ~provider ~limit:config.tp_limit c with
           | [] -> None
           | tp :: _ ->
               let soft =
                 List.filter
-                  (fun (c' : Check.t) -> not (String.equal c'.Check.cid c.Check.cid))
+                  (fun c' -> not (String.equal (cid c') (cid c)))
                   rc1
               in
               negative ~target:c ~hard:rv1 ~soft tp)
@@ -351,9 +355,9 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
           ~rc:rc1 ~plans
       else []
     in
-    let group_of (cid : string) =
+    let group_of id =
       List.find_opt
-        (fun g -> List.exists (fun (c : Check.t) -> String.equal c.Check.cid cid) g)
+        (fun g -> List.exists (fun c -> String.equal (cid c) id) g)
         groups
     in
     (* ---- true positive validation pass ---- *)
@@ -369,45 +373,45 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
       | [] -> assert false
     in
     List.iter2
-      (fun (c : Check.t) plan ->
+      (fun c plan ->
         match plan with
         | None -> ()
         | Some res ->
             let deployable = next_verdict () in
             if in_rc st c && not deployable then begin
               let rn =
-                c.Check.cid
+                cid c
                 :: List.filter
-                     (fun cid ->
+                     (fun id ->
                        List.exists
-                         (fun (c' : Check.t) -> String.equal c'.Check.cid cid)
+                         (fun c' -> String.equal (cid c') id)
                          st.rc)
                      res.Mutation.violated_soft
               in
               if List.length rn = 1 then begin
-                remove_from_rc st c.Check.cid;
+                remove_from_rc st (cid c);
                 st.rv <- c :: st.rv;
                 incr tp_single
               end
               else
-                match group_of c.Check.cid with
+                match group_of (cid c) with
                 | Some group
                   when List.for_all
-                         (fun cid ->
+                         (fun id ->
                            List.exists
-                             (fun (g : Check.t) -> String.equal g.Check.cid cid)
+                             (fun g -> String.equal (cid g) id)
                              group)
                          rn ->
                     (* validate every member of R_n together *)
                     List.iter
-                      (fun cid ->
+                      (fun id ->
                         match
                           List.find_opt
-                            (fun (c' : Check.t) -> String.equal c'.Check.cid cid)
+                            (fun c' -> String.equal (cid c') id)
                             st.rc
                         with
                         | Some mate ->
-                            remove_from_rc st cid;
+                            remove_from_rc st id;
                             st.rv <- mate :: st.rv;
                             incr tp_group
                         | None -> ())
@@ -433,14 +437,14 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
   done;
   (* whatever is left could not be resolved *)
   List.iter
-    (fun (c : Check.t) -> st.falsified <- (c, Falsified `Stalled) :: st.falsified)
+    (fun c -> st.falsified <- (c, Falsified `Stalled) :: st.falsified)
     st.rc;
   Telemetry.count telemetry "scheduler.iterations" (List.length !iterations);
   Telemetry.count telemetry "scheduler.deployments" st.deployments;
   Telemetry.count telemetry "scheduler.mutations" (Atomic.get mutations);
   {
-    validated = List.rev st.rv;
-    falsified = List.rev st.falsified;
+    validated = List.rev_map Eval.check st.rv;
+    falsified = List.rev_map (fun (c, verdict) -> (Eval.check c, verdict)) st.falsified;
     iterations = List.rev !iterations;
     deployments = st.deployments;
   }
@@ -451,7 +455,7 @@ let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
   (* Pure phase, fanned out per check: collect the corpus programs whose
      minimal deployable counterexample still violates the check. Only
      programs declaring every bound type can violate it. *)
-  let mdcs_of (c : Check.t) =
+  let mdcs_of c =
     Testcase.binding_entries index c
     |> Seq.filter_map (fun (entry : Testcase.entry) ->
            match Eval.violations ~defaults entry.Testcase.e_graph c with
@@ -462,7 +466,7 @@ let counterexample_pass ?jobs ~provider ~corpus ~deploy validated =
                if Eval.holds ~defaults mdc_graph c then None else Some mdc)
     |> List.of_seq
   in
-  let candidates = Parallel.map ?jobs mdcs_of validated in
+  let candidates = Parallel.map ?jobs mdcs_of (List.map Eval.compile validated) in
   (* Deploy phase, sequential with the same early exit as a fully
      sequential scan: per check, in corpus order, stop at the first
      deployable counterexample. *)

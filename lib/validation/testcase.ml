@@ -35,8 +35,8 @@ let check_types (check : Check.t) =
   List.sort_uniq String.compare
     (List.map (fun (b : Check.binding) -> b.Check.btype) check.Check.bindings)
 
-let binding_entries index check =
-  let wanted = check_types check in
+let binding_entries index compiled =
+  let wanted = check_types (Eval.check compiled) in
   List.to_seq index
   |> Seq.filter (fun entry -> List.for_all (fun ty -> List.mem ty entry.e_types) wanted)
 

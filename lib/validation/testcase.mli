@@ -13,7 +13,7 @@ val find :
   ?limit:int ->
   provider:Zodiac_provider.Provider.t ->
   corpus:(string * Zodiac_iac.Program.t) list ->
-  Zodiac_spec.Check.t ->
+  Zodiac_spec.Eval.compiled ->
   tp list
 (** Up to [limit] (default 3) positive test cases from distinct
     projects, smallest MDC first. The MDC is re-checked to still
@@ -32,7 +32,7 @@ type index
 
 val index : (string * Zodiac_iac.Program.t) list -> index
 
-val binding_entries : index -> Zodiac_spec.Check.t -> entry Seq.t
+val binding_entries : index -> Zodiac_spec.Eval.compiled -> entry Seq.t
 (** The indexed programs that declare every resource type the check
     binds, lazily, in corpus order. Any other program has no assignment
     for the check, so it can neither witness nor violate it. *)
@@ -41,5 +41,5 @@ val find_indexed :
   ?limit:int ->
   provider:Zodiac_provider.Provider.t ->
   index:index ->
-  Zodiac_spec.Check.t ->
+  Zodiac_spec.Eval.compiled ->
   tp list

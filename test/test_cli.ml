@@ -165,7 +165,11 @@ let test_serve_trace () =
                 (Json.member "spans" written = Json.Null);
               Alcotest.(check bool) "stats reports the same scan_file entry" true
                 (Json.member "scan_file" (Json.member "latency_us" stats)
-                = Json.member "scan_file" latency))))
+                = Json.member "scan_file" latency);
+              Alcotest.(check bool) "stats reports the daemon's heap" true
+                (match Json.int_value (Json.member "heap_words" (Json.member "gc" stats)) with
+                | Some words -> words > 0
+                | None -> false))))
 
 (* ------------- forked worker fleet ------------------------------------ *)
 

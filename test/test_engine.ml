@@ -139,6 +139,116 @@ let test_memo_lru () =
   Alcotest.(check int) "hits" 2 (Memo.hits cache);
   Alcotest.(check int) "misses" 1 (Memo.misses cache)
 
+(* The fold-based memo the recency list replaced, verbatim: each insert
+   past capacity scans every entry for the oldest stamp. The reference
+   for the property below. *)
+module Fold_memo = struct
+  type 'a entry = { value : 'a; mutable stamp : int }
+
+  type 'a t = {
+    table : (string, 'a entry) Hashtbl.t;
+    capacity : int;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create ?(capacity = 8192) () =
+    {
+      table = Hashtbl.create 256;
+      capacity = max 1 capacity;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+
+  let find t key =
+    t.tick <- t.tick + 1;
+    match Hashtbl.find_opt t.table key with
+    | Some entry ->
+        entry.stamp <- t.tick;
+        t.hits <- t.hits + 1;
+        Some entry.value
+    | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let evict_lru t =
+    let victim =
+      Hashtbl.fold
+        (fun key entry acc ->
+          match acc with
+          | Some (_, stamp) when stamp <= entry.stamp -> acc
+          | _ -> Some (key, entry.stamp))
+        t.table None
+    in
+    match victim with
+    | Some (key, _) ->
+        Hashtbl.remove t.table key;
+        t.evictions <- t.evictions + 1
+    | None -> ()
+
+  let add t key value =
+    t.tick <- t.tick + 1;
+    if (not (Hashtbl.mem t.table key)) && Hashtbl.length t.table >= t.capacity
+    then evict_lru t;
+    Hashtbl.replace t.table key { value; stamp = t.tick }
+
+  let mem t key = Hashtbl.mem t.table key
+  let length t = Hashtbl.length t.table
+  let clear t = Hashtbl.reset t.table
+end
+
+type memo_op = Find of string | Add of string * int | Mem of string | Clear
+
+let memo_matches_fold_reference =
+  let key = QCheck.Gen.(map (Printf.sprintf "k%d") (int_bound 6)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Find k) key);
+          (4, map2 (fun k v -> Add (k, v)) key (int_bound 99));
+          (1, map (fun k -> Mem k) key);
+          (1, return Clear);
+        ])
+  in
+  let show = function
+    | Find k -> "find " ^ k
+    | Add (k, v) -> Printf.sprintf "add %s %d" k v
+    | Mem k -> "mem " ^ k
+    | Clear -> "clear"
+  in
+  QCheck.Test.make ~name:"memo: recency list = fold reference" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) -> Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show ops)))
+       QCheck.Gen.(pair (int_range 1 5) (list_size (int_bound 60) op)))
+    (fun (capacity, ops) ->
+      let m = Memo.create ~capacity () and r = Fold_memo.create ~capacity () in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Find k -> Memo.find m k = Fold_memo.find r k
+            | Add (k, v) ->
+                Memo.add m k v;
+                Fold_memo.add r k v;
+                true
+            | Mem k -> Memo.mem m k = Fold_memo.mem r k
+            | Clear ->
+                Memo.clear m;
+                Fold_memo.clear r;
+                true
+          in
+          same
+          && Memo.length m = Fold_memo.length r
+          && Memo.hits m = r.Fold_memo.hits
+          && Memo.misses m = r.Fold_memo.misses
+          && Memo.evictions m = r.Fold_memo.evictions)
+        ops)
+
 (* ---------------- resilient client ----------------------------------- *)
 
 let always_fault : Zodiac_iac.Program.t -> Flaky.response =
@@ -325,6 +435,7 @@ let () =
           Alcotest.test_case "different wiring misses" `Quick
             test_fingerprint_distinguishes_targets;
           Alcotest.test_case "lru eviction" `Quick test_memo_lru;
+          QCheck_alcotest.to_alcotest memo_matches_fold_reference;
         ] );
       ( "client",
         [

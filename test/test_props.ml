@@ -100,7 +100,7 @@ let prop_topo_order_respects_edges =
 (* ------------- evaluator invariants ---------------------------------- *)
 
 let idx_check =
-  Parser.parse_exn "let r:A in r.idx >= 0 => r.idx <= 4"
+  Eval.compile (Parser.parse_exn "let r:A in r.idx >= 0 => r.idx <= 4")
 
 let prop_holds_iff_no_violations =
   QCheck.Test.make ~name:"holds <=> violations empty" ~count:200 program_arb

@@ -260,6 +260,11 @@ let test_server_round_trip () =
       Alcotest.(check bool) "stats counted the scan" true
         (Json.member "files_scanned" (response_field (nth 4) "result")
         = Json.Int 1);
+      let gc name = Json.int_value (Json.member name (Json.member "gc" (response_field (nth 4) "result"))) in
+      (match (gc "heap_words", gc "top_heap_words", gc "minor_collections", gc "major_collections") with
+      | Some heap, Some top, Some minor, Some major ->
+          Alcotest.(check bool) "gc figures" true (0 < heap && heap <= top && minor >= 0 && major >= 0)
+      | _ -> Alcotest.fail "stats lacks the gc figures");
       Alcotest.(check bool) "shutdown acknowledged" true
         (response_field (nth 5) "result" = Json.Obj [ ("stopping", Json.Bool true) ]);
       Alcotest.(check bool) "session stopping" true (Session.stopping session))

@@ -4,7 +4,16 @@
 module Check = Zodiac_spec.Check
 module Parser = Zodiac_spec.Spec_parser
 module Printer = Zodiac_spec.Spec_printer
-module Eval = Zodiac_spec.Eval
+(* The cases state checks as [Check.t]; these compile at each call. *)
+module Eval = struct
+  include Zodiac_spec.Eval
+
+  let stats ?defaults g c = stats ?defaults g (compile c)
+  let holds ?defaults g c = holds ?defaults g (compile c)
+  let violations ?defaults g c = violations ?defaults g (compile c)
+  let first_witness ?defaults g c = first_witness ?defaults g (compile c)
+  let first_violation ?defaults g c = first_violation ?defaults g (compile c)
+end
 module Value = Zodiac_iac.Value
 module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
@@ -319,7 +328,7 @@ let has_sub ~needle haystack =
 
 let test_diagnose_cmp () =
   let g = graph_of [ sa "Premium" "GZRS" ] in
-  match Diagnose.all g premium_check with
+  match Diagnose.all g (Eval.compile premium_check) with
   | [ d ] ->
       let text = Diagnose.to_string d in
       Alcotest.(check bool) "names the resource" true (has_sub ~needle:"SA.x" text);
@@ -335,7 +344,7 @@ let test_diagnose_locations () =
   in
   let check = parse "let r1:NIC, r2:VPC in path(r1 -> r2) => r1.location == r2.location" in
   let g = graph_of [ vpc "v"; subnet "s1" "v" "10.0.1.0/24"; nic ] in
-  match Diagnose.all g check with
+  match Diagnose.all g (Eval.compile check) with
   | [ d ] ->
       Alcotest.(check bool) "both values shown" true
         (has_sub ~needle:"westus" d.Diagnose.explanation
@@ -359,7 +368,7 @@ let test_diagnose_indexed () =
   let check =
     parse "let r:SG in r.rule[i].dir == r.rule[j].dir => r.rule[i].priority != r.rule[j].priority"
   in
-  match Diagnose.all (graph_of [ sg ]) check with
+  match Diagnose.all (graph_of [ sg ]) (Eval.compile check) with
   | d :: _ ->
       Alcotest.(check bool) "shows the clashing priority" true
         (has_sub ~needle:"100" d.Diagnose.explanation)
@@ -369,11 +378,409 @@ let test_diagnose_overlap () =
   let g =
     graph_of [ vpc "v"; subnet "s1" "v" "10.0.1.0/24"; subnet "s2" "v" "10.0.1.0/25" ]
   in
-  match Diagnose.all g overlap_check with
+  match Diagnose.all g (Eval.compile overlap_check) with
   | d :: _ ->
       Alcotest.(check bool) "mentions the ranges" true
         (has_sub ~needle:"10.0.1.0" d.Diagnose.explanation)
   | [] -> Alcotest.fail "expected a diagnosis"
+
+(* ---------------- compiled form against the reference --------------- *)
+
+(* The tree interpreter the compiled form replaced, verbatim: every term
+   re-parses its path, every variable is a [Program.find], and [holds]
+   folds every instance. The reference for the property below. *)
+module Reference = struct
+  [@@@warning "-34"] (* [defaults], kept verbatim *)
+
+  module Path = Zodiac_iac.Path
+  module Cidr = Zodiac_util.Cidr
+
+  type assignment = (string * Resource.id) list
+
+  type defaults = rtype:string -> attr:string -> Value.t option
+
+  type stats = {
+    instances : int;
+    cond_true : int;
+    stmt_true : int;
+    both_true : int;
+  }
+
+  let no_defaults ~rtype:_ ~attr:_ = None
+
+  (* --- term and expression evaluation -------------------------------- *)
+
+  let lookup_resource graph env var =
+    match List.assoc_opt var env with
+    | None -> None
+    | Some id -> Program.find (Graph.program graph) id
+
+  let term_value ?(defaults = no_defaults) graph env ienv term =
+    match term with
+    | Check.Const v -> v
+    | Check.Attr { var; attr } -> (
+        match lookup_resource graph env var with
+        | None -> Value.Null
+        | Some r -> (
+            let path = Path.of_string attr in
+            match Path.get ~env:ienv path (Value.Block r.Resource.attrs) with
+            | Value.Null ->
+                let stripped = Path.to_string (Path.strip path) in
+                Option.value ~default:Value.Null (defaults ~rtype:r.Resource.rtype ~attr:stripped)
+            | v -> v))
+    | Check.Indeg (var, ty) -> (
+        match List.assoc_opt var env with
+        | None -> Value.Null
+        | Some id -> Value.Int (Graph.indegree graph id ty))
+    | Check.Outdeg (var, ty) -> (
+        match List.assoc_opt var env with
+        | None -> Value.Null
+        | Some id -> Value.Int (Graph.outdegree graph id ty))
+
+  let cidrs_of_value v =
+    match v with
+    | Value.Str s -> ( match Cidr.of_string s with Some c -> [ c ] | None -> [])
+    | Value.List items ->
+        List.filter_map
+          (fun item ->
+            match item with Value.Str s -> Cidr.of_string s | _ -> None)
+          items
+    | _ -> []
+
+  let value_int = function Value.Int i -> Some i | _ -> None
+
+  let compare_values op v1 v2 =
+    match op with
+    | Check.Eq -> Value.equal v1 v2
+    | Check.Ne -> not (Value.equal v1 v2)
+    | Check.Le | Check.Ge | Check.Lt | Check.Gt -> (
+        match (value_int v1, value_int v2) with
+        | Some a, Some b -> (
+            match op with
+            | Check.Le -> a <= b
+            | Check.Ge -> a >= b
+            | Check.Lt -> a < b
+            | Check.Gt -> a > b
+            | Check.Eq | Check.Ne -> assert false)
+        | _ -> false)
+
+  let eval_func f v1 v2 =
+    match f with
+    | Check.Overlap ->
+        let cs1 = cidrs_of_value v1 and cs2 = cidrs_of_value v2 in
+        List.exists (fun a -> List.exists (fun b -> Cidr.overlap a b) cs2) cs1
+    | Check.Contain ->
+        let cs1 = cidrs_of_value v1 and cs2 = cidrs_of_value v2 in
+        cs1 <> [] && cs2 <> []
+        && List.for_all
+             (fun b -> List.exists (fun a -> Cidr.contains a b) cs1)
+             cs2
+    | Check.Length -> (
+        let len =
+          match v1 with
+          | Value.List items -> Some (List.length items)
+          | Value.Str s -> Some (String.length s)
+          | _ -> None
+        in
+        match (len, value_int v2) with Some a, Some b -> a = b | _ -> false)
+
+  let endpoint_conn graph env (a : Check.endpoint) (b : Check.endpoint) =
+    match (List.assoc_opt a.var env, List.assoc_opt b.var env) with
+    | Some src, Some dst ->
+        Graph.conn graph ~src ~src_attr:(Check.strip_indices a.attr) ~dst
+          ~dst_attr:(Check.strip_indices b.attr)
+    | _ -> false
+
+  let node_path graph env a b =
+    match (List.assoc_opt a env, List.assoc_opt b env) with
+    | Some x, Some y -> Graph.path graph x y
+    | _ -> false
+
+  let rec eval_expr ?(defaults = no_defaults) graph env ienv expr =
+    match expr with
+    | Check.Conn (a, b) -> endpoint_conn graph env a b
+    | Check.Path (a, b) -> node_path graph env a b
+    | Check.Coconn ((a, b), (c, d)) ->
+        endpoint_conn graph env a b && endpoint_conn graph env c d
+    | Check.Copath ((a, b), (c, d)) -> node_path graph env a b && node_path graph env c d
+    | Check.Cmp (op, t1, t2) ->
+        compare_values op
+          (term_value ~defaults graph env ienv t1)
+          (term_value ~defaults graph env ienv t2)
+    | Check.Func (f, t1, t2) ->
+        eval_func f
+          (term_value ~defaults graph env ienv t1)
+          (term_value ~defaults graph env ienv t2)
+    | Check.Not e -> not (eval_expr ~defaults graph env ienv e)
+    | Check.And es -> List.for_all (eval_expr ~defaults graph env ienv) es
+
+  (* --- instance enumeration ------------------------------------------ *)
+
+  (* All injective assignments of bindings to resources of matching type. *)
+  let assignments graph (bindings : Check.binding list) =
+    let prog = Graph.program graph in
+    let rec extend env = function
+      | [] -> [ List.rev env ]
+      | (b : Check.binding) :: rest ->
+          let candidates = Program.by_type prog b.btype in
+          List.concat_map
+            (fun r ->
+              let id = Resource.id r in
+              if List.exists (fun (_, id') -> Resource.equal_id id id') env then []
+              else extend ((b.var, id) :: env) rest)
+            candidates
+    in
+    extend [] bindings
+
+  (* Index environments for one assignment: the product of the domains of
+     each index variable, where a variable's domain is the largest
+     collection it indexes across all endpoints mentioning it. *)
+  let index_envs graph check =
+    match Check.index_vars check with
+    | [] -> fun _env -> [ [] ]
+    | ivars ->
+        (* parsed once per check, not once per assignment *)
+        let endpoints =
+          List.map
+            (fun (e : Check.endpoint) -> (e.var, Path.of_string e.attr))
+            (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
+        in
+        fun env ->
+          let domain ienv ivar =
+            List.fold_left
+              (fun acc (var, path) ->
+                match lookup_resource graph env var with
+                | None -> acc
+                | Some r -> (
+                    match Path.index_range ~env:ienv path ivar (Value.Block r.Resource.attrs) with
+                    | Some n -> max acc n
+                    | None -> acc))
+              0 endpoints
+          in
+          (* Distinct index variables range over pairwise-distinct positions:
+             [rule[i]] vs [rule[j]] never aliases the same element. *)
+          let rec expand ienvs = function
+            | [] -> ienvs
+            | ivar :: rest ->
+                let ienvs =
+                  List.concat_map
+                    (fun ienv ->
+                      let n = domain ienv ivar in
+                      if n = 0 then []
+                      else
+                        List.filter_map
+                          (fun i ->
+                            if List.exists (fun (_, j) -> j = i) ienv then None
+                            else Some (ienv @ [ (ivar, i) ]))
+                          (List.init n Fun.id))
+                    ienvs
+                in
+                expand ienvs rest
+          in
+          expand [ [] ] ivars
+
+  let fold_instances ?(defaults = no_defaults) graph check f init =
+    match assignments graph check.Check.bindings with
+    | [] -> init
+    | envs ->
+        let index_envs = index_envs graph check in
+        List.fold_left
+          (fun acc env ->
+            List.fold_left
+              (fun acc ienv ->
+                let cond = eval_expr ~defaults graph env ienv check.Check.cond in
+                let stmt = eval_expr ~defaults graph env ienv check.Check.stmt in
+                f acc env cond stmt)
+              acc (index_envs env))
+          init envs
+
+  let stats ?(defaults = no_defaults) graph check =
+    fold_instances ~defaults graph check
+      (fun acc _env cond stmt ->
+        {
+          instances = acc.instances + 1;
+          cond_true = (acc.cond_true + if cond then 1 else 0);
+          stmt_true = (acc.stmt_true + if stmt then 1 else 0);
+          both_true = (acc.both_true + if cond && stmt then 1 else 0);
+        })
+      { instances = 0; cond_true = 0; stmt_true = 0; both_true = 0 }
+
+  let holds ?(defaults = no_defaults) graph check =
+    fold_instances ~defaults graph check
+      (fun acc _env cond stmt -> acc && ((not cond) || stmt))
+      true
+
+  let occurrences ?(defaults = no_defaults) graph check =
+    (stats ~defaults graph check).cond_true
+
+  let dedup_assignments envs =
+    List.fold_left (fun acc env -> if List.mem env acc then acc else env :: acc) [] envs
+    |> List.rev
+
+  let violations ?(defaults = no_defaults) graph check =
+    fold_instances ~defaults graph check
+      (fun acc env cond stmt -> if cond && not stmt then env :: acc else acc)
+      []
+    |> dedup_assignments
+
+  let witnesses ?(defaults = no_defaults) graph check =
+    fold_instances ~defaults graph check
+      (fun acc env cond stmt -> if cond && stmt then env :: acc else acc)
+      []
+    |> dedup_assignments
+
+  exception Found of assignment
+
+  let first_matching ~defaults graph check pred =
+    match
+      fold_instances ~defaults graph check
+        (fun () env cond stmt -> if pred cond stmt then raise (Found env))
+        ()
+    with
+    | () -> None
+    | exception Found env -> Some env
+
+  let first_witness ?(defaults = no_defaults) graph check =
+    first_matching ~defaults graph check (fun cond stmt -> cond && stmt)
+
+  let first_violation ?(defaults = no_defaults) graph check =
+    first_matching ~defaults graph check (fun cond stmt -> cond && not stmt)
+
+  let violating_index_env ?(defaults = no_defaults) graph check env =
+    List.find_opt
+      (fun ienv ->
+        eval_expr ~defaults graph env ienv check.Check.cond
+        && not (eval_expr ~defaults graph env ienv check.Check.stmt))
+      (index_envs graph check env)
+end
+
+let ref_types = [ "A"; "B" ]
+
+let gen_program =
+  let open QCheck.Gen in
+  let field name g = frequency [ (1, return []); (3, map (fun v -> [ (name, v) ]) g) ] in
+  let reference earlier = map (fun (t, n) -> Value.reference t n "id") (oneofl earlier) in
+  let attrs earlier =
+    let refs, rule_to =
+      match earlier with
+      | [] -> (return [], return [])
+      | _ ->
+          ( field "refs" (map (fun l -> Value.List l) (list_size (int_range 1 2) (reference earlier))),
+            field "to" (reference earlier) )
+    in
+    let rule =
+      map3
+        (fun dir prio rest -> Value.Block ([ ("dir", Value.Str dir); ("prio", Value.Int prio) ] @ rest))
+        (oneofl [ "in"; "out" ]) (int_bound 2) rule_to
+    in
+    let rules = frequency [ (4, map (fun l -> Value.List l) (list_size (int_bound 3) rule)); (1, rule) ] in
+    map List.concat
+      (flatten_l
+         [
+           field "x" (map (fun i -> Value.Int i) (int_bound 3));
+           field "s" (oneofl [ Value.Str "a"; Value.Str "b" ]);
+           field "cidr"
+             (map (fun s -> Value.Str s) (oneofl [ "10.0.0.0/16"; "10.0.1.0/24"; "10.1.0.0/24"; "bad" ]));
+           field "rule" rules;
+           refs;
+         ])
+  in
+  int_range 1 5 >>= fun n ->
+  let rec build i earlier acc =
+    if i = n then return (Program.of_resources (List.rev acc))
+    else
+      oneofl ref_types >>= fun rtype ->
+      let rname = Printf.sprintf "r%d" i in
+      attrs earlier >>= fun attrs ->
+      build (i + 1) ((rtype, rname) :: earlier) (Resource.make rtype rname attrs :: acc)
+  in
+  build 0 [] []
+
+(* Checks over one to three bindings of two types (so two bindings often
+   share one), with index variables [i]/[j], degrees, CIDR functions,
+   connectivity, attributes only a default supplies, and now and then a
+   variable no binding declares. *)
+let gen_check =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun nb ->
+  list_repeat nb (oneofl ref_types) >>= fun types ->
+  let vars = List.mapi (fun i _ -> Printf.sprintf "v%d" i) types in
+  let bindings = List.map2 (fun var btype -> { Check.var; btype }) vars types in
+  let var = frequency [ (12, oneofl vars); (1, return "u") ] in
+  let endpoint attrs = map2 (fun var attr -> { Check.var; attr }) var (oneofl attrs) in
+  let attr =
+    endpoint
+      [ "x"; "s"; "cidr"; "rule[i].prio"; "rule[j].prio"; "rule[i].dir"; "rule[j].dir"; "rule.prio";
+        "missing"; "rule[i].missing"; "refs" ]
+  in
+  let spec = map2 (fun neg ty -> if neg then Graph.Not_type ty else Graph.Type ty) bool (oneofl ref_types) in
+  let term =
+    frequency
+      [
+        (4, map (fun e -> Check.Attr e) attr);
+        ( 3,
+          map
+            (fun v -> Check.Const v)
+            (oneofl
+               [ Value.Int 0; Value.Int 1; Value.Int 2; Value.Str "a"; Value.Str "in"; Value.Null;
+                 Value.Str "10.0.0.0/16" ]) );
+        (1, map2 (fun v s -> Check.Indeg (v, s)) var spec);
+        (1, map2 (fun v s -> Check.Outdeg (v, s)) var spec);
+      ]
+  in
+  let conn = pair (endpoint [ "refs"; "rule[i].to"; "x" ]) (endpoint [ "id" ]) in
+  let pathv = pair var var in
+  let rec expr d =
+    frequency
+      ([
+         (4, map3 (fun op a b -> Check.Cmp (op, a, b)) (oneofl Check.[ Eq; Ne; Le; Ge; Lt; Gt ]) term term);
+         (2, map3 (fun f a b -> Check.Func (f, a, b)) (oneofl Check.[ Overlap; Contain; Length ]) term term);
+         (1, map (fun (a, b) -> Check.Conn (a, b)) conn);
+         (1, map (fun (a, b) -> Check.Path (a, b)) pathv);
+         (1, map2 (fun a b -> Check.Coconn (a, b)) conn conn);
+         (1, map2 (fun a b -> Check.Copath (a, b)) pathv pathv);
+       ]
+      @
+      if d = 0 then []
+      else
+        [
+          (2, map (fun e -> Check.Not e) (expr (d - 1)));
+          (2, map (fun es -> Check.And es) (list_size (int_range 1 3) (expr (d - 1))));
+        ])
+  in
+  map2 (fun cond stmt -> Check.make bindings cond stmt) (expr 2) (expr 2)
+
+let ref_defaults ~rtype ~attr =
+  match (rtype, attr) with
+  | "A", "missing" -> Some (Value.Int 1)
+  | "B", "rule.prio" -> Some (Value.Int 2)
+  | _, "rule.missing" -> Some (Value.Str "in")
+  | _ -> None
+
+let compiled_matches_reference =
+  let module C = Zodiac_spec.Eval in
+  let module R = Reference in
+  QCheck.Test.make ~name:"compiled = reference interpreter" ~count:2000
+    (QCheck.make
+       ~print:(fun (prog, check) ->
+         Format.asprintf "%s@.%a" (Printer.to_string check) Program.pp prog)
+       (QCheck.Gen.pair gen_program gen_check))
+    (fun (prog, check) ->
+      let g = Graph.build prog and c = C.compile check and defaults = ref_defaults in
+      let s = C.stats ~defaults g c and r = R.stats ~defaults g check in
+      let violations = C.violations ~defaults g c in
+      (s.C.instances, s.C.cond_true, s.C.stmt_true, s.C.both_true)
+      = (r.R.instances, r.R.cond_true, r.R.stmt_true, r.R.both_true)
+      && C.holds ~defaults g c = R.holds ~defaults g check
+      && C.occurrences ~defaults g c = R.occurrences ~defaults g check
+      && violations = R.violations ~defaults g check
+      && C.witnesses ~defaults g c = R.witnesses ~defaults g check
+      && C.first_violation ~defaults g c = R.first_violation ~defaults g check
+      && C.first_witness ~defaults g c = R.first_witness ~defaults g check
+      && List.for_all
+           (fun a ->
+             C.violating_index_env ~defaults g c a = R.violating_index_env ~defaults g check a)
+           violations)
 
 let () =
   Alcotest.run "spec"
@@ -400,6 +807,7 @@ let () =
           Alcotest.test_case "length" `Quick test_eval_length;
           Alcotest.test_case "first witness/violation" `Quick test_eval_first_witness_agrees;
           Alcotest.test_case "injective bindings" `Quick test_eval_injective_bindings;
+          QCheck_alcotest.to_alcotest compiled_matches_reference;
         ] );
       ( "diagnose",
         [

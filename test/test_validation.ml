@@ -68,7 +68,7 @@ let test_mdc_measure () =
 let test_mdc_shrinks_corpus_programs () =
   (* on real projects, pruning to a single witness shrinks programs *)
   let check = parse "let r:SA in r.tier == 'Premium' => r.replica != 'GZRS'" in
-  let tps = Testcase.find ~provider ~corpus:(Lazy.force corpus) check in
+  let tps = Testcase.find ~provider ~corpus:(Lazy.force corpus) (Eval.compile check) in
   Alcotest.(check bool) "found tps" true (tps <> []);
   List.iter
     (fun tp ->
@@ -83,31 +83,32 @@ let test_tp_witnesses_check () =
     parse
       "let r1:SUBNET, r2:VPC in conn(r1.vpc_name -> r2.name) => contain(r2.address_space, r1.cidr)"
   in
-  match Testcase.find ~provider ~corpus:(Lazy.force corpus) check with
+  match Testcase.find ~provider ~corpus:(Lazy.force corpus) (Eval.compile check) with
   | [] -> Alcotest.fail "no positive test case"
   | tp :: _ ->
       let g = Graph.build tp.Testcase.program in
       Alcotest.(check bool) "witnesses" true
-        (Eval.first_witness ~defaults:(Arm.defaults provider) g check <> None);
-      Alcotest.(check bool) "holds" true (Eval.holds ~defaults:(Arm.defaults provider) g check);
+        (Eval.first_witness ~defaults:(Arm.defaults provider) g (Eval.compile check) <> None);
+      Alcotest.(check bool) "holds" true (Eval.holds ~defaults:(Arm.defaults provider) g (Eval.compile check));
       Alcotest.(check bool) "deploys" true (deploy tp.Testcase.program)
 
 let test_tp_none_for_alien_check () =
   let check = parse "let r:EXPRESS in r.bandwidth_in_mbps >= 50 => r.name != null" in
   Alcotest.(check (list unit)) "no instance" []
-    (List.map (fun _ -> ()) (Testcase.find ~provider ~corpus:(Lazy.force corpus) check))
+    (List.map (fun _ -> ()) (Testcase.find ~provider ~corpus:(Lazy.force corpus) (Eval.compile check)))
 
 (* ---------------- mutation ------------------------------------------- *)
 
 let mutate ?(hard = []) ?(soft = []) check =
+  let check = Eval.compile check in
   match Testcase.find ~provider ~limit:1 ~corpus:(Lazy.force corpus) check with
   | [] -> None
   | tp :: _ ->
       Mutation.negative ~provider ~kb:(Lazy.force kb) ~donors:(Lazy.force corpus) ~target:check
-        ~hard ~soft tp
+        ~hard:(List.map Eval.compile hard) ~soft:(List.map Eval.compile soft) tp
 
 let violated prog check =
-  not (Eval.holds ~defaults:(Arm.defaults provider) (Graph.build prog) check)
+  not (Eval.holds ~defaults:(Arm.defaults provider) (Graph.build prog) (Eval.compile check))
 
 let test_mutation_violates_target () =
   let check = parse "let r:SA in r.tier == 'Premium' => r.replica != 'GZRS'" in
@@ -304,7 +305,8 @@ let test_counterexample_pass () =
    corpus program, no type filter, in corpus order. *)
 let naive_counterexample_pass ~corpus checks =
   let defaults = Arm.defaults provider in
-  let exposes (c : Check.t) (_, prog) =
+  let exposes c (_, prog) =
+    let c = Eval.compile c in
     match Eval.violations ~defaults (Graph.build prog) c with
     | [] -> false
     | violation :: _ ->
