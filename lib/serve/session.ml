@@ -64,29 +64,22 @@ type t = {
   stop : bool Atomic.t;
 }
 
-(* In ground-truth mode the default provider's entries are its member
-   of [gt_checks], not a second copy. *)
-let load_checks (config : config) =
-  match config.checks_file with
-  | Some _ as file ->
-      Result.map (fun checks -> (checks, [])) (Scan.load_checks config.provider file)
-  | None ->
-      let gt_checks =
-        List.map (fun p -> (p.Provider.name, Scan.ground_truth_entries p)) Providers.all
-      in
-      let checks =
-        match List.assoc_opt config.provider.Provider.name gt_checks with
-        | Some entries -> entries
-        | None -> Scan.ground_truth_entries config.provider
-      in
-      Ok (checks, gt_checks)
-
 let create (config : config) =
-  match load_checks config with
+  match Scan.load_checks config.provider config.checks_file with
   | Error e -> Error e
-  | Ok (checks, gt_checks) ->
+  | Ok checks ->
       let cache =
         Option.map (fun dir -> Cache.create ~dir ()) config.cache_dir
+      in
+      (* Entries of one provider share its rules' compiled checks, so
+         the default provider's two lists hold one compiled set. *)
+      let gt_checks =
+        match config.checks_file with
+        | Some _ -> []
+        | None ->
+            List.map
+              (fun p -> (p.Provider.name, Scan.ground_truth_entries p))
+              Providers.all
       in
       Ok
         {
