@@ -36,11 +36,11 @@ let provider = Zodiac_azure.Azure.provider
 
 open Harness
 
+let cid c = (Eval.check c).Check.cid
+
 (* Negative test cases for the validated checks, reused by E2 and E4;
    several positive test cases per check widen the sample the way the
    paper's ~500 randomly generated cases do. *)
-let cid c = (Eval.check c).Check.cid
-
 let negative_cases :
     (Check.t * Mutation.result) list Lazy.t =
   lazy

@@ -80,16 +80,17 @@ let test_mdc_shrinks_corpus_programs () =
 
 let test_tp_witnesses_check () =
   let check =
-    parse
-      "let r1:SUBNET, r2:VPC in conn(r1.vpc_name -> r2.name) => contain(r2.address_space, r1.cidr)"
+    Eval.compile
+      (parse
+         "let r1:SUBNET, r2:VPC in conn(r1.vpc_name -> r2.name) => contain(r2.address_space, r1.cidr)")
   in
-  match Testcase.find ~provider ~corpus:(Lazy.force corpus) (Eval.compile check) with
+  match Testcase.find ~provider ~corpus:(Lazy.force corpus) check with
   | [] -> Alcotest.fail "no positive test case"
   | tp :: _ ->
       let g = Graph.build tp.Testcase.program in
       Alcotest.(check bool) "witnesses" true
-        (Eval.first_witness ~defaults:(Arm.defaults provider) g (Eval.compile check) <> None);
-      Alcotest.(check bool) "holds" true (Eval.holds ~defaults:(Arm.defaults provider) g (Eval.compile check));
+        (Eval.first_witness ~defaults:(Arm.defaults provider) g check <> None);
+      Alcotest.(check bool) "holds" true (Eval.holds ~defaults:(Arm.defaults provider) g check);
       Alcotest.(check bool) "deploys" true (deploy tp.Testcase.program)
 
 let test_tp_none_for_alien_check () =
