@@ -83,6 +83,51 @@ let test_solver =
            vars;
          ignore (Csp.solve p)))
 
+(* Shaped like [Mutation.negative]'s problems: a few prioritized target
+   slots, original-value-first costs, a hard target-violation
+   constraint, hard and soft checks over small slot scopes, and the
+   same budget and good-enough bound. *)
+let test_solver_mutation =
+  let rng = Zodiac_util.Prng.create 7 in
+  let nvars = 24 in
+  let sizes = Array.init nvars (fun _ -> 2 + Zodiac_util.Prng.int rng 5) in
+  let scope () =
+    List.init (1 + Zodiac_util.Prng.int rng 3) (fun _ -> Zodiac_util.Prng.int rng nvars)
+  in
+  (* a check holds unless its scope takes a rare combination *)
+  let check salt vars l = Hashtbl.hash (salt, List.map l vars) mod 5 <> 0 in
+  let hard = List.init 12 (fun i -> (i, scope ())) in
+  let soft = List.init 20 (fun i -> (100 + i, scope ())) in
+  Test.make ~name:"solver: mutation-shaped Max-CSP"
+    (Staged.stage (fun () ->
+         let p = Csp.create () in
+         let vars =
+           Array.mapi
+             (fun i size ->
+               let var =
+                 Csp.new_var p ~name:(string_of_int i) (List.init size (fun k -> Value.Int k))
+               in
+               Csp.set_value_cost p var (function
+                 | Value.Int 0 -> 0
+                 | Value.Int k -> 1 + min 3 k
+                 | _ -> 2);
+               if i < 3 then Csp.set_priority p var 0;
+               var)
+             sizes
+         in
+         let on scope = List.map (fun i -> vars.(i)) scope in
+         let target = on [ 0; 1; 2 ] in
+         Csp.add_hard p ~name:"target-violated" target (fun l ->
+             List.exists (fun x -> l x <> Value.Int 0) target);
+         List.iter
+           (fun (salt, sc) -> Csp.add_hard p ~name:"hard" (on sc) (check salt (on sc)))
+           hard;
+         List.iter
+           (fun (salt, sc) ->
+             Csp.add_soft p ~name:"soft" ~weight:10 (on sc) (check salt (on sc)))
+           soft;
+         ignore (Csp.solve ~node_budget:6_000 ~good_enough:6 p)))
+
 let test_mining_pass =
   let corpus = Lazy.force sample_corpus in
   let kb = Kb.build ~provider ~projects:corpus () in
@@ -119,7 +164,7 @@ let test_kb_probe =
 let benchmarks =
   [
     test_hcl_parse; test_graph_build; test_check_eval; test_deploy; test_solver;
-    test_mining_pass; test_kb_probe;
+    test_solver_mutation; test_mining_pass; test_kb_probe;
   ]
 
 let run () =

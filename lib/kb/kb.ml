@@ -423,8 +423,6 @@ let legal_targets t ~src_type ~src_attr =
 
 let cidr_attrs t rtype = (type_index t rtype).cidrs
 
-let defaults provider ~rtype ~attr = Provider.defaults provider ~rtype ~attr
-
 let types t = t.known_types
 
 let size t = Hashtbl.length t.entries

@@ -137,9 +137,6 @@ val cidr_attrs : t -> string -> string list
     entries of {!attrs_of_type}, in the same order; read from the same
     index. *)
 
-val defaults : Zodiac_provider.Provider.t -> Zodiac_spec.Eval.defaults
-(** Class 2 defaults (delegates to the provider schema). *)
-
 val types : t -> string list
 (** Types known to the KB (union of catalogue and corpus). *)
 

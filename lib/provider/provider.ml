@@ -156,13 +156,38 @@ let find_schema_exn t ty =
   | None -> invalid_arg (Printf.sprintf "%s: unknown resource type %s" t.name ty)
 
 (* Provider-side attribute defaults, derived from the schemas. *)
-let defaults t ~rtype ~attr =
+let schema_default t ~rtype ~attr =
   match t.find_schema rtype with
   | None -> None
   | Some schema -> (
       match Schema.find_attr schema (Zodiac_iac.Path.of_string attr) with
       | Some { Schema.default = Some d; _ } -> Some d
       | Some _ | None -> None)
+
+module Smap = Map.Make (String)
+
+(* Resolved defaults: provider name -> type -> attribute -> default.
+   Each pair is resolved on its first lookup and published in a new
+   immutable map, so any domain may read it and nothing is built before
+   first use. Like [fingerprint], this tells providers apart by name. *)
+let resolved : Value.t option Smap.t Smap.t Smap.t Atomic.t = Atomic.make Smap.empty
+
+let find_or_empty k m = Option.value ~default:Smap.empty (Smap.find_opt k m)
+
+let defaults t ~rtype ~attr =
+  match Smap.find_opt attr (find_or_empty rtype (find_or_empty t.name (Atomic.get resolved))) with
+  | Some d -> d
+  | None ->
+      let d = schema_default t ~rtype ~attr in
+      let rec publish () =
+        let all = Atomic.get resolved in
+        let types = find_or_empty t.name all in
+        let attrs = Smap.add attr d (find_or_empty rtype types) in
+        if not (Atomic.compare_and_set resolved all (Smap.add t.name (Smap.add rtype attrs types) all))
+        then publish ()
+      in
+      publish ();
+      d
 
 let scenario_names t = List.map (fun (_, (name, _)) -> name) t.scenarios
 

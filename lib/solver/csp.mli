@@ -10,10 +10,14 @@
     checks in [R_c] that may be collaterally violated, and per-value
     costs implement change minimization (prefer the original value).
 
-    Constraints are extensional predicates over declared variable
-    scopes; the solver performs backtracking search with
-    smallest-domain-first ordering, forward checking on unit
-    constraints, and branch-and-bound on the accumulated penalty. *)
+    Constraints are predicates over declared variable scopes. The
+    solver runs depth-first backtracking search: it assigns the
+    unassigned variable of lowest priority class (smallest domain
+    first, then lowest index), tries its values cheapest first, and
+    prunes with branch-and-bound on the accumulated penalty. A
+    predicate runs once its whole scope is assigned, and at most once
+    per distinct scope assignment in one [solve]: verdicts are cached
+    by the value indices of the scope. There is no propagation. *)
 
 type problem
 type var
@@ -23,13 +27,11 @@ val create : unit -> problem
 val new_var : problem -> name:string -> Zodiac_iac.Value.t list -> var
 (** A decision variable with a non-empty finite domain. *)
 
-val var_name : problem -> var -> string
-val domain : problem -> var -> Zodiac_iac.Value.t list
-
 val set_value_cost :
   problem -> var -> (Zodiac_iac.Value.t -> int) -> unit
 (** Cost charged when the variable takes a value (0 by default). Used
-    to prefer original attribute values and minimal mutations. *)
+    to prefer original attribute values and minimal mutations. [solve]
+    asks it once per value, so it must be pure. *)
 
 val set_priority : problem -> var -> int -> unit
 (** Variable-ordering class (default 1; lower assigned first). The
@@ -39,8 +41,11 @@ val set_priority : problem -> var -> int -> unit
 val add_hard :
   problem -> name:string -> var list -> ((var -> Zodiac_iac.Value.t) -> bool) -> unit
 (** A hard constraint over the given scope. The predicate is consulted
-    once every scope variable is assigned (and for pruning when exactly
-    one remains free). *)
+    once every scope variable is assigned, and at most once per distinct
+    assignment of the scope in one [solve], so it must be pure and read
+    only the scope's variables (reading an unassigned one raises
+    [Invalid_argument]). A scope may name a variable twice; a constraint
+    with an empty scope is consulted only at complete assignments. *)
 
 val add_soft :
   problem ->
@@ -49,7 +54,11 @@ val add_soft :
   var list ->
   ((var -> Zodiac_iac.Value.t) -> bool) ->
   unit
-(** A soft constraint: violation adds [weight] to the objective. *)
+(** A soft constraint, consulted as a hard one is: violation adds
+    [weight] to the objective, as many times as the variable whose
+    assignment decides it occurs in the scope. A violated soft
+    constraint with an empty scope is named by {!violated_soft} but its
+    weight is never charged. *)
 
 type solution
 

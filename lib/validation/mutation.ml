@@ -515,14 +515,21 @@ let slots_of_check prog (check : Check.t) =
       | None -> [])
     (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
 
-let relevant_check prog compiled =
-  let types = Program.types prog in
+(* Whether every type the check binds occurs among [types]. *)
+let relevant_check types compiled =
   List.for_all
     (fun (b : Check.binding) -> List.mem b.Check.btype types)
     (Eval.check compiled).Check.bindings
 
+(* First occurrences, in order. *)
 let dedup_slots slots =
-  List.fold_left (fun acc s -> if List.mem s acc then acc else acc @ [ s ]) [] slots
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun s ->
+      let fresh = not (Hashtbl.mem seen s) in
+      if fresh then Hashtbl.add seen s ();
+      fresh)
+    slots
 
 let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
     ~soft tp =
@@ -531,8 +538,9 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
   match plan_additions ~provider ~kb ~donors tp (Eval.check target) with
   | None -> None
   | Some { new_program = base; added } -> (
-      let hard = List.filter (relevant_check base) hard in
-      let soft = List.filter (relevant_check base) soft in
+      let types = Program.types base in
+      let hard = List.filter (relevant_check types) hard in
+      let soft = List.filter (relevant_check types) soft in
       (* Bound the soft encoding: beyond a few dozen checks the solver
          spends its budget scoring rather than searching. Checks that
          constrain the freshly-added resources come first — they are the
@@ -582,7 +590,11 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       if slots = [] then None
       else begin
         let problem = Csp.create () in
-        let target_slots = dedup_slots (slots_of_check base (Eval.check target)) in
+        let target_slots = Hashtbl.create 16 in
+        List.iter
+          (fun s -> Hashtbl.replace target_slots s ())
+          (slots_of_check base (Eval.check target));
+        let var_of_slot = Hashtbl.create 64 in
         let vars =
           List.map
             (fun slot ->
@@ -598,7 +610,8 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
                   | [] -> dom
               in
               let var = Csp.new_var problem ~name:(slot_name slot) dom in
-              if List.mem slot target_slots then Csp.set_priority problem var 0;
+              if Hashtbl.mem target_slots slot then Csp.set_priority problem var 0;
+              Hashtbl.replace var_of_slot slot var;
               (slot, var))
             slots
         in
@@ -631,36 +644,21 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
           let check_slots = dedup_slots (slots_of_check base (Eval.check check)) in
           List.filter_map
             (fun slot ->
-              Option.map (fun var -> (slot, var)) (List.assoc_opt slot vars))
+              Option.map (fun var -> (slot, var)) (Hashtbl.find_opt var_of_slot slot))
             check_slots
-        in
-        let eval_scoped scoped assignment_fn check =
-          let prog =
-            List.fold_left
-              (fun prog (slot, var) ->
-                match assignment_fn var with
-                | v -> write_slot prog slot v
-                | exception _ -> prog)
-              base scoped
-          in
-          Eval.holds ~defaults (Graph.build prog) check
         in
         let add_constraint ~hard:is_hard name check ~negate =
           let scoped = scoped_slots check in
           let scope = List.map snd scoped in
-          (* Search revisits the same scope assignments constantly;
-             memoize the verdict per value tuple. *)
-          let memo : (Value.t list, bool) Hashtbl.t = Hashtbl.create 64 in
+          (* The solver caches verdicts per scope assignment, so each
+             distinct one is evaluated here once per solve. *)
           let pred lookup =
-            let key = List.map (fun (_, var) -> lookup var) scoped in
-            let holds =
-              match Hashtbl.find_opt memo key with
-              | Some h -> h
-              | None ->
-                  let h = eval_scoped scoped lookup check in
-                  Hashtbl.replace memo key h;
-                  h
+            let prog =
+              List.fold_left
+                (fun prog (slot, var) -> write_slot prog slot (lookup var))
+                base scoped
             in
+            let holds = Eval.holds ~defaults (Graph.build prog) check in
             if negate then not holds else holds
           in
           if is_hard then Csp.add_hard problem ~name scope pred
