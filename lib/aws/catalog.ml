@@ -316,11 +316,6 @@ let schemas =
 
 let find name = List.find_opt (fun s -> String.equal s.type_name name) schemas
 
-let find_exn name =
-  match find name with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Aws.Catalog.find_exn: unknown type %s" name)
-
 let type_names = List.map (fun s -> s.type_name) schemas
 
 let terraform_names =

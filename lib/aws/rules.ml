@@ -3,18 +3,9 @@
     list order is load-bearing: the simulator reports the first
     violating rule in phase order. *)
 
-module Check = Zodiac_spec.Check
 module Provider = Zodiac_provider.Provider
 
 type phase = Provider.phase = Plugin | Pre_sync | Create | Polling | Post_sync
-
-type t = Provider.rule = {
-  rule_id : string;
-  check : Check.t;
-  compiled : Zodiac_spec.Eval.compiled;
-  phase : phase;
-  message : string;
-}
 
 let rule = Provider.rule
 
@@ -205,8 +196,3 @@ let ground_truth () =
       let rules = authored () @ instance_type_rules () @ db_class_rules () in
       all_rules := Some rules;
       rules
-
-let find rule_id =
-  List.find_opt (fun r -> String.equal r.rule_id rule_id) (ground_truth ())
-
-let count () = List.length (ground_truth ())

@@ -3,18 +3,9 @@
     deployment simulator reports the first violating rule in phase
     order, so reordering changes artifacts. *)
 
-module Check = Zodiac_spec.Check
 module Provider = Zodiac_provider.Provider
 
 type phase = Provider.phase = Plugin | Pre_sync | Create | Polling | Post_sync
-
-type t = Provider.rule = {
-  rule_id : string;
-  check : Check.t;
-  compiled : Zodiac_spec.Eval.compiled;
-  phase : phase;
-  message : string;
-}
 
 let rule = Provider.rule
 
@@ -554,16 +545,3 @@ let ground_truth () =
       in
       all_rules := Some rules;
       rules
-
-let find rule_id =
-  List.find_opt (fun r -> String.equal r.rule_id rule_id) (ground_truth ())
-
-let count () = List.length (ground_truth ())
-
-let rules_for_type rtype =
-  List.filter
-    (fun r ->
-      List.exists
-        (fun (b : Check.binding) -> String.equal b.btype rtype)
-        r.check.Check.bindings)
-    (ground_truth ())

@@ -81,5 +81,3 @@ let appgw_v2_skus = [ "Standard_v2"; "WAF_v2" ]
 let lb_sku_names = [ "Basic"; "Standard"; "Gateway" ]
 
 let ip_sku_names = [ "Basic"; "Standard" ]
-
-let redis_families = [ ("C", "Basic"); ("C", "Standard"); ("P", "Premium") ]

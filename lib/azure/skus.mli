@@ -41,5 +41,3 @@ val appgw_v2_skus : string list
 
 val lb_sku_names : string list
 val ip_sku_names : string list
-val redis_families : (string * string) list
-(** (family, required sku) pairs — family [P] requires sku [Premium]. *)

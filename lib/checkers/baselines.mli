@@ -16,7 +16,6 @@ val native : Zodiac_provider.Provider.t -> Checker.t
 val tfsec : Checker.t
 val checkov : Checker.t
 val tfcomp : Checker.t
-val regula : Checker.t
 val tflint : Checker.t
 
 val all : Zodiac_provider.Provider.t -> Checker.t list

@@ -87,8 +87,3 @@ let deploy t prog =
   end
 
 let injected t = t.injected
-
-let injected_by_kind t =
-  List.map
-    (fun kind -> (kind, Option.value ~default:0 (Hashtbl.find_opt t.tally kind)))
-    [ Throttled; Timeout; Polling_flake; Quota_race ]

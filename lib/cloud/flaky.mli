@@ -32,9 +32,6 @@ type kind =
 
 val kind_to_string : kind -> string
 
-val kind_phase : kind -> Zodiac_provider.Provider.phase
-(** Deployment phase in which each fault kind surfaces. *)
-
 type fault = {
   kind : kind;
   phase : Zodiac_provider.Provider.phase;
@@ -70,6 +67,3 @@ val deploy : t -> Zodiac_iac.Program.t -> response
 
 val injected : t -> int
 (** Total faults injected so far. *)
-
-val injected_by_kind : t -> (kind * int) list
-(** Injection tally per fault kind (all four kinds listed). *)

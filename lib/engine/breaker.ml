@@ -4,11 +4,6 @@ let default = { failure_threshold = 5; cooldown = 60.0 }
 
 type state = Closed | Open | Half_open
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
 type t = {
   config : config;
   mutable failures : int;  (** consecutive transient failures *)

@@ -25,8 +25,6 @@ val default : config
 
 type state = Closed | Open | Half_open
 
-val state_to_string : state -> string
-
 type t
 
 val create : config -> t

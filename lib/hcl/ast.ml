@@ -16,11 +16,4 @@ and body = { battrs : (string * expr) list; bblocks : block list }
 
 type file = block list
 
-let empty_body = { battrs = []; bblocks = [] }
-
 let string_lit s = E_string [ Lit s ]
-
-let plain_string = function
-  | E_string [ Lit s ] -> Some s
-  | E_string [] -> Some ""
-  | _ -> None

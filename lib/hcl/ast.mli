@@ -28,8 +28,4 @@ and body = { battrs : (string * expr) list; bblocks : block list }
 
 type file = block list
 
-val empty_body : body
 val string_lit : string -> expr
-
-val plain_string : expr -> string option
-(** [Some s] when the expression is a string with no interpolation. *)

@@ -54,16 +54,8 @@ val path : t -> Resource.id -> Resource.id -> bool
 (** Reachability following edge direction (reflexive on equal ids only
     when a cycle exists; a resource has no trivial path to itself). *)
 
-val matches_type : type_spec -> string -> bool
-
 val indegree : t -> Resource.id -> type_spec -> int
 val outdegree : t -> Resource.id -> type_spec -> int
-
-val neighbours_out : t -> Resource.id -> Resource.id list
-(** Distinct resources referenced by the given one. *)
-
-val neighbours_in : t -> Resource.id -> Resource.id list
-(** Distinct resources referencing the given one. *)
 
 val reachable_from : t -> Resource.id -> Resource.id list
 (** Transitive successors, excluding the start node unless on a cycle. *)

@@ -51,11 +51,6 @@ let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 let str = function Str s -> Some s | _ -> None
 
-let str_exn v =
-  match v with
-  | Str s -> s
-  | _ -> invalid_arg (Printf.sprintf "Value.str_exn: %s" (to_string v))
-
 let int = function Int i -> Some i | _ -> None
 
 let bool = function Bool b -> Some b | _ -> None

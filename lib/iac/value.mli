@@ -37,9 +37,6 @@ val pp : Format.formatter -> t -> unit
 val str : t -> string option
 (** [Some s] when the value is [Str s]. *)
 
-val str_exn : t -> string
-(** @raise Invalid_argument when not a string. *)
-
 val int : t -> int option
 val bool : t -> bool option
 

@@ -408,11 +408,6 @@ let conn_kinds t = t.conns
 let conn_kinds_from t src_type =
   List.filter (fun c -> String.equal c.src_type src_type) t.conns
 
-let conn_kinds_between t src_type dst_type =
-  List.filter
-    (fun c -> String.equal c.src_type src_type && String.equal c.dst_type dst_type)
-    t.conns
-
 let legal_targets t ~src_type ~src_attr =
   List.filter_map
     (fun c ->

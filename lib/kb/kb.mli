@@ -127,8 +127,6 @@ val conn_kinds : t -> conn_kind list
 val conn_kinds_from : t -> string -> conn_kind list
 (** Connection kinds whose source is the given type. *)
 
-val conn_kinds_between : t -> string -> string -> conn_kind list
-
 val legal_targets : t -> src_type:string -> src_attr:string -> (string * string) list
 (** Class 3: legal (dst type, dst attr) targets of an endpoint. *)
 

@@ -1511,13 +1511,10 @@ let count_corpus ~provider ?jobs config kb programs =
 let mine ~provider ?(config = default_config) ?jobs kb programs =
   emit_tables config kb (count_corpus ~provider ?jobs config kb programs)
 
-let mine_intra ~provider ?(config = default_config) ?jobs kb programs =
-  let t = count_corpus ~provider ?jobs config kb programs in
-  Candidate.dedup (emit_intra config kb t @ emit_indexed config t)
-
 let intra_counts_by_type ~provider ?jobs ~use_kb kb programs =
   let config = { default_config with use_kb } in
-  let candidates = mine_intra ~provider ~config ?jobs kb programs in
+  let t = count_corpus ~provider ?jobs config kb programs in
+  let candidates = Candidate.dedup (emit_intra config kb t @ emit_indexed config t) in
   let by_type = Hashtbl.create 64 in
   List.iter
     (fun (c : Candidate.t) ->

@@ -116,17 +116,6 @@ val emit_tables : config -> Zodiac_kb.Kb.t -> tables -> Candidate.t list
     kb corpus)] is exactly [mine ~config kb corpus] on a materialized
     corpus, including dedup and canonical order. *)
 
-val mine_intra :
-  provider:Zodiac_provider.Provider.t ->
-  ?config:config ->
-  ?jobs:int ->
-  Zodiac_kb.Kb.t ->
-  Zodiac_iac.Program.t list ->
-  Candidate.t list
-(** Only the intra-resource and indexed candidates of one count of the
-    corpus (used by the Figure 7a ablation, which plots per-type intra
-    candidate counts with and without the KB). *)
-
 val intra_counts_by_type :
   provider:Zodiac_provider.Provider.t ->
   ?jobs:int ->
@@ -134,5 +123,6 @@ val intra_counts_by_type :
   Zodiac_kb.Kb.t ->
   Zodiac_iac.Program.t list ->
   (string * int * int) list
-(** Per resource type: (type, attribute count, mined intra
-    candidates). *)
+(** Per resource type: (type, attribute count, intra-resource and
+    indexed candidates mined with or without the KB) — the Figure 7a
+    ablation. *)

@@ -14,9 +14,6 @@ type query = {
   quantity : string;  (** e.g. ["maximum number of NICs"] *)
 }
 
-val question : query -> string
-(** The bare natural-language question. *)
-
 val few_shot : query -> string
 (** The full prompt: instructions, worked examples, then the query. *)
 

@@ -1,13 +1,3 @@
-(** The first-class provider interface (ROADMAP item 3).
-
-    Everything the pipeline knows about a cloud lives behind one record:
-    the resource catalogue (schemas, canonical/Terraform name mapping),
-    region and sku knowledge, the hidden ground-truth rule set the
-    deployment simulator enforces, the update/quota semantics, the
-    oracle's "documentation", and the corpus scenario templates. The
-    mining, validation, serving and CLI layers consume only this record;
-    [Zodiac_azure] and [Zodiac_aws] each export one value of it. *)
-
 module Value = Zodiac_iac.Value
 module Schema = Zodiac_iac.Schema
 module Resource = Zodiac_iac.Resource
@@ -17,28 +7,16 @@ module Spec_parser = Zodiac_spec.Spec_parser
 module Eval = Zodiac_spec.Eval
 module Prng = Zodiac_util.Prng
 
-(* ---- deployment phases and rules ----------------------------------
+(* ---- deployment phases and rules ---------------------------------- *)
 
-   The five-phase deployment model (plugin validation, pre-deployment
-   state sync, creation, async polling, post-deployment sync) is shared
-   by every provider; only the rule content differs. A rule set plays
-   the role of a cloud's opaque backend requirements: the mining and
-   validation engines never read it — they only observe deployment
-   outcomes, preserving the paper's blackbox setting. *)
-
-type phase =
-  | Plugin  (** rejected by provider plugin before any API call *)
-  | Pre_sync  (** state synchronization conflict ("already exists") *)
-  | Create  (** creation request rejected by the cloud *)
-  | Polling  (** asynchronous provisioning failure on slow resources *)
-  | Post_sync  (** deployed, but cloud/IaC states are inconsistent *)
+type phase = Plugin | Pre_sync | Create | Polling | Post_sync
 
 type rule = {
   rule_id : string;
   check : Check.t;
-  compiled : Eval.compiled;  (** [check], compiled once with its rule set *)
+  compiled : Eval.compiled;
   phase : phase;
-  message : string;  (** cloud error message shown on violation *)
+  message : string;
 }
 
 let phase_to_string = function
@@ -48,37 +26,25 @@ let phase_to_string = function
   | Polling -> "polling"
   | Post_sync -> "post-sync"
 
-(* [rule id phase message spec] parses [spec]; raises [Invalid_argument]
-   on a malformed spec. *)
 let rule rule_id phase message src =
   match Spec_parser.parse src with
   | Ok check -> { rule_id; check; compiled = Eval.compile check; phase; message }
   | Error e -> invalid_arg (Printf.sprintf "Rules: bad rule %s: %s" rule_id e)
 
-(* Lookup by [rule_id]. *)
 let find rules rule_id =
   List.find_opt (fun r -> String.equal r.rule_id rule_id) rules
 
-(* ---- oracle knowledge ---------------------------------------------
-
-   The constrained quantity of a mined numeric candidate, as decomposed
-   by the LLM oracle: a degree bound towards a peer type, or a numeric
-   attribute bound. Providers answer [documented_limit] queries over
-   these. *)
+(* ---- oracle knowledge --------------------------------------------- *)
 
 type quantity = Deg of [ `In | `Out ] * string | Num of string
 
-(* ---- corpus builder context ---------------------------------------
-
-   Scenario templates are provider code, but they share one builder
-   context so the generator's PRNG discipline (one derived stream per
-   project, calls in construction order) is uniform across providers. *)
+(* ---- corpus builder context --------------------------------------- *)
 
 module Build = struct
   type ctx = {
     rng : Prng.t;
     region : string;
-    token : string;  (* per-project uniquifier, like real naming prefixes *)
+    token : string;
     mutable resources : Resource.t list;
     mutable counter : int;
   }
@@ -101,40 +67,27 @@ module Build = struct
   let str s = Value.Str s
   let int i = Value.Int i
   let bool b = Value.Bool b
-  let refv rtype rname attr = Value.reference rtype rname attr
-  let ref_to r attr = refv r.Resource.rtype r.Resource.rname attr
+  let ref_to r attr = Value.reference r.Resource.rtype r.Resource.rname attr
 end
 
 (* ---- the provider record ------------------------------------------ *)
 
 type t = {
-  name : string;  (** CLI name, e.g. ["azure"] *)
-  tf_prefix : string;  (** Terraform resource-type prefix, e.g. ["azurerm_"] *)
-  (* catalogue *)
+  name : string;
+  tf_prefix : string;
   schemas : Schema.t list;
   find_schema : string -> Schema.t option;
   type_names : string list;
   of_terraform : string -> string option;
   to_terraform : string -> string;
   reserved_names : (string * string) list;
-      (** provider-reserved subnet names and the single type allowed to
-          occupy them *)
-  (* regions *)
   regions : string list;
   is_region : string -> bool;
-  (* deployment semantics *)
   ground_truth : unit -> rule list;
-      (** the hidden ground-truth rule set the simulator enforces *)
   name_scope_attr : string -> string option;
-      (** naming scope: the attribute within which names of this type
-          must be unique (global namespace when [None]) *)
   sku_location_attr : string -> string option;
-      (** the sku-bearing attribute checked for regional availability *)
   sku_restricted_regions : (string * string list) list;
-      (** regions where a sku is NOT offered *)
   immutable_attrs : string -> string list;
-      (** attributes whose change forces resource replacement *)
-  (* oracle knowledge *)
   documented_limit :
     subject:string ->
     cond:(string * Value.t) option ->
@@ -142,18 +95,10 @@ type t = {
     op:Check.cmp_op ->
     int option;
   plausible_markers : string list;
-      (** marker constants that make a mined check "sound like" a real
-          cloud constraint *)
-  (* corpus templates *)
   scenarios : (int * (string * (Build.ctx -> unit))) list;
   injectors : (string * (Prng.t -> Program.t -> Program.t option)) list;
   add_unattended : Build.ctx -> unit;
 }
-
-let find_schema_exn t ty =
-  match t.find_schema ty with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "%s: unknown resource type %s" t.name ty)
 
 (* Provider-side attribute defaults, derived from the schemas. *)
 let schema_default t ~rtype ~attr =
@@ -191,9 +136,5 @@ let defaults t ~rtype ~attr =
 
 let scenario_names t = List.map (fun (_, (name, _)) -> name) t.scenarios
 
-(* The cache-key component: warm artifacts must never cross providers.
-   The name alone identifies the knowledge tables (they are code, so
-   they change only with the binary, which cache stages already absorb
-   through their content keys). *)
 let fingerprint t =
   Zodiac_util.Codec.fingerprint [ "provider"; t.name; t.tf_prefix ]

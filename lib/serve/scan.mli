@@ -17,11 +17,6 @@ val ground_truth_entries :
 (** The provider's simulated-cloud ground-truth rule set (the [scan]
     default), sharing the rules' compiled checks. *)
 
-val checkset_entries : Zodiac_spec.Check.t list -> check_entry list
-(** Entries for a validated check set loaded from [zodiac validate -o]
-    output; the message is the check's printed spec. Compiles every
-    check. *)
-
 val load_checks :
   Zodiac_provider.Provider.t ->
   string option ->

@@ -278,24 +278,6 @@ let read s =
   let source = source_of_code (Codec.read_byte s) in
   { cid; bindings; cond; stmt; source }
 
-let rec vars_of_expr_acc acc = function
-  | Conn (a, b) -> add a.var (add b.var acc)
-  | Path (a, b) -> add a (add b acc)
-  | Coconn ((a, b), (c, d)) -> add a.var (add b.var (add c.var (add d.var acc)))
-  | Copath ((a, b), (c, d)) -> add a (add b (add c (add d acc)))
-  | Cmp (_, t1, t2) | Func (_, t1, t2) -> term_vars (term_vars acc t1) t2
-  | Not e -> vars_of_expr_acc acc e
-  | And es -> List.fold_left vars_of_expr_acc acc es
-
-and term_vars acc = function
-  | Const _ -> acc
-  | Attr e -> add e.var acc
-  | Indeg (v, _) | Outdeg (v, _) -> add v acc
-
-and add v acc = if List.mem v acc then acc else acc @ [ v ]
-
-let vars_of_expr e = vars_of_expr_acc [] e
-
 let rec attrs_of_expr = function
   | Conn (a, b) -> [ a; b ]
   | Path _ | Copath _ -> []

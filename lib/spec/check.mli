@@ -65,9 +65,6 @@ val category : t -> category
 val binding_type : t -> string -> string option
 (** Declared type of a bound variable. *)
 
-val vars_of_expr : expr -> string list
-(** Bound variables mentioned, without duplicates. *)
-
 val attrs_of_expr : expr -> endpoint list
 (** Every attribute endpoint mentioned in the expression. *)
 

@@ -4,7 +4,6 @@
     [let r1:GW, r2:SUBNET in conn(r1.ip_config.subnet_id -> r2.id) =>
      outdegree(r2, !GW) == 0] *)
 
-val term_to_string : Check.term -> string
 val expr_to_string : Check.expr -> string
 val to_string : Check.t -> string
 val pp : Format.formatter -> Check.t -> unit

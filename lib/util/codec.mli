@@ -75,8 +75,6 @@ val write_table :
     entries are reproducible). Keys must not contain functional
     values. *)
 
-val read_table : (src -> 'k) -> (src -> 'v) -> src -> ('k, 'v) Hashtbl.t
-
 (** {1 Typed codecs}
 
     A writer and its reader as one value, so a layout is spelled once
@@ -101,7 +99,7 @@ val quint :
   'a t -> 'b t -> 'c t -> 'd t -> 'e t -> ('a * 'b * 'c * 'd * 'e) t
 
 val table : 'k t -> 'v t -> ('k, 'v) Hashtbl.t t
-(** {!write_table}/{!read_table}: rows in canonical key order. *)
+(** Rows in canonical key order, as {!write_table} writes them. *)
 
 (** {1 Sealed envelopes} *)
 

@@ -19,20 +19,16 @@
 
     Exceptions raised by worker functions are re-raised in the calling
     domain. When several chunks fail, the exception of the {e lowest-indexed}
-    failing input wins, again independent of scheduling. *)
+    failing input wins, again independent of scheduling.
+
+    Inputs shorter than 8 items run sequentially in the calling domain,
+    and no combinator spawns more domains than {!recommended_jobs}, so
+    asking for [jobs = 8] on a small input or a small machine costs
+    nothing over [jobs = 1]. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1. The
     default for every [?jobs] argument in the pipeline. *)
-
-val sequential_cutoff : int
-(** Inputs shorter than this run sequentially in the calling domain
-    regardless of [jobs]: below it, [Domain.spawn] cost dominates any
-    parallel win. Combined with the hardware clamp (never more domains
-    than [recommended_jobs ()]), this makes the combinators adaptive —
-    asking for [jobs=8] on a small input or a small machine costs
-    nothing over [jobs=1]. Purely a scheduling decision; results are
-    unchanged by the determinism contract. *)
 
 val chunks_scheduled : unit -> int
 (** Monotone count of chunks handed to workers since program start,

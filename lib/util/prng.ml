@@ -45,10 +45,6 @@ let bool t = Int64.logand (next64 t) 1L = 1L
 
 let chance t p = float t 1.0 < p
 
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
-  arr.(int t (Array.length arr))
-
 let choose_list t xs =
   match xs with
   | [] -> invalid_arg "Prng.choose_list: empty list"

@@ -53,35 +53,6 @@ let bar_chart ?(width = 50) ~title series =
     series;
   Buffer.contents buf
 
-let grouped_bars ?(width = 40) ~title ~group_names rows =
-  let max_value =
-    List.fold_left
-      (fun acc (_, values) -> List.fold_left Float.max acc values)
-      0.0 rows
-  in
-  let label_width =
-    List.fold_left (fun acc (label, _) -> max acc (String.length label)) 0 rows
-  in
-  let group_width =
-    List.fold_left (fun acc g -> max acc (String.length g)) 0 group_names
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (title ^ "\n");
-  List.iter
-    (fun (label, values) ->
-      List.iteri
-        (fun i value ->
-          let group = List.nth group_names i in
-          let row_label = if i = 0 then label else "" in
-          Buffer.add_string buf
-            (Printf.sprintf "  %s %s | %s %.1f\n" (pad row_label label_width)
-               (pad group group_width)
-               (bar ~width value max_value)
-               value))
-        values)
-    rows;
-  Buffer.contents buf
-
 let section title =
   let line = String.make (String.length title + 8) '=' in
   Printf.sprintf "\n%s\n==  %s  ==\n%s" line title line

@@ -13,15 +13,5 @@ val bar_chart :
 (** [bar_chart ~title series] renders one horizontal bar per entry,
     scaled so the largest value spans [width] (default 50) cells. *)
 
-val grouped_bars :
-  ?width:int ->
-  title:string ->
-  group_names:string list ->
-  (string * float list) list ->
-  string
-(** [grouped_bars ~title ~group_names rows] renders, for each row label,
-    one bar per group (used for the w/- and w/o-KB comparison of
-    Figure 7a). *)
-
 val section : string -> string
 (** A visually distinct section banner. *)

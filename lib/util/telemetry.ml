@@ -25,7 +25,7 @@ type open_span = {
 
 type recorder = {
   clock : (unit -> float) option;
-  mutable sinks : sink list;
+  sinks : sink list;
   mutable stack : open_span list; (* innermost first *)
   mutable closed : span list; (* reverse span-open order *)
   mutable order : int; (* next open rank, pairs with closed for ordering *)
@@ -60,9 +60,6 @@ let locked r f =
   Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
 
 let emit r event = List.iter (fun sink -> sink event) r.sinks
-
-let add_sink t sink =
-  match t with None -> () | Some r -> locked r (fun () -> r.sinks <- sink :: r.sinks)
 
 let bump assoc key value =
   match List.assoc_opt key assoc with

@@ -17,10 +17,10 @@
     be copied into pipeline artifacts or cache entries, which is what
     keeps cold ≡ warm byte-equality checkable.
 
-    {b Sinks.} Observers registered with {!add_sink} (or [~sinks])
-    receive every event as it happens. Sinks are pure observation: the
-    recorded values and the instrumented computation's results are the
-    same with zero, one or many sinks attached (a qcheck property in
+    {b Sinks.} Observers passed to {!create} as [~sinks] receive every
+    event as it happens. Sinks are pure observation: the recorded
+    values and the instrumented computation's results are the same
+    with zero, one or many sinks attached (a qcheck property in
     [test_stage.ml]).
 
     Recording is protected by a mutex, but counters should be bumped
@@ -69,8 +69,6 @@ val enabled : t -> bool
 
 val deterministic : t -> bool
 (** [true] when the recorder has no clock (or is {!null}). *)
-
-val add_sink : t -> sink -> unit
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f] inside a span. The span closes (and

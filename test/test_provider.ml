@@ -177,6 +177,32 @@ let test_aws_session () =
         "every rule id carries the AWS- prefix" true
         (List.for_all (String.starts_with ~prefix:"AWS-") ids)
 
+(* ------------- provider detection ------------------------------------ *)
+
+module Providers = Zodiac_providers.Providers
+
+let detected src =
+  Option.map (fun p -> p.Zodiac_provider.Provider.name) (Providers.detect_source src)
+
+let test_detect_edges () =
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (option string)) (Printf.sprintf "detect %S" src) expected (detected src))
+    [
+      ("", None);
+      ("aws", None);
+      ("azurerm", None);
+      ("x aws_", Some "aws");
+      ("x azurerm_", Some "azure");
+      ("aws_ azurerm_", Some "azure");
+      ("azurerm_aws_", Some "azure");
+      ("aws_aws_ azurerm_", Some "aws");
+      ("aaws_ azurerm azurerm", Some "aws");
+    ];
+  Alcotest.(check (option string)) "of_tf_type" (Some "aws")
+    (Option.map (fun p -> p.Zodiac_provider.Provider.name) (Providers.of_tf_type "aws_instance"));
+  Alcotest.(check bool) "of_tf_type bare prefix stem" true (Providers.of_tf_type "aws" = None)
+
 let () =
   Alcotest.run "provider"
     [
@@ -193,4 +219,6 @@ let () =
         [
           Alcotest.test_case "rule-id prefixes" `Quick test_sarif_rule_prefixes;
         ] );
+      ( "detect",
+        [ Alcotest.test_case "majority, ties and near-misses" `Quick test_detect_edges ] );
     ]
