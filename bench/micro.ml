@@ -14,6 +14,7 @@ module Program = Zodiac_iac.Program
 module Eval = Zodiac_spec.Eval
 module Csp = Zodiac_solver.Csp
 module Value = Zodiac_iac.Value
+module Mutation = Zodiac_validation.Mutation
 
 let provider = Zodiac_azure.Azure.provider
 
@@ -128,6 +129,49 @@ let test_solver_mutation =
            soft;
          ignore (Csp.solve ~node_budget:6_000 ~good_enough:6 p)))
 
+(* One predicate call of [Mutation.negative]'s encoding: the location
+   check over the sample project with one slot moved off its original
+   value, decided in slot form over the base graph and by writing the
+   values into a copy, rebuilding the graph and evaluating that. Both
+   sides regroup the solver's values per resource, as the predicate
+   does on every call. *)
+let test_mutation_predicate =
+  let prog = Lazy.force sample_project in
+  let check = Eval.check location_check in
+  let values =
+    List.mapi
+      (fun i s -> (s, if i = 0 then Value.Str "zodiac-elsewhere" else Mutation.read_slot prog s))
+      (Mutation.slots_of_check prog check)
+  in
+  if values = [] || not (Mutation.slot_form prog check (List.map (fun (s, v) -> (s, [ v ])) values))
+  then failwith "micro: the sample project gives the location check no slot-form scope";
+  let defaults = Arm.defaults provider and graph = Graph.build prog in
+  let grouped () =
+    List.fold_left
+      (fun groups ((s : Mutation.slot), v) ->
+        let rid = s.Mutation.rid and write = (s.Mutation.path, v) in
+        match List.partition (fun (r, _) -> r = rid) groups with
+        | [ (_, writes) ], rest -> (rid, writes @ [ write ]) :: rest
+        | _ -> (rid, [ write ]) :: groups)
+      [] values
+  in
+  Test.make_grouped ~name:"mutation: one predicate call"
+    [
+      Test.make ~name:"slot form"
+        (Staged.stage (fun () ->
+             ignore (Eval.holds_slots ~defaults graph location_check (grouped ()))));
+      Test.make ~name:"write + build + holds"
+        (Staged.stage (fun () ->
+             let written =
+               List.fold_left
+                 (fun prog (rid, writes) ->
+                   Program.update prog rid (fun r ->
+                       List.fold_left (fun r (path, v) -> Zodiac_iac.Resource.set_path r path v) r writes))
+                 prog (grouped ())
+             in
+             ignore (Eval.holds ~defaults (Graph.build written) location_check)));
+    ]
+
 let test_mining_pass =
   let corpus = Lazy.force sample_corpus in
   let kb = Kb.build ~provider ~projects:corpus () in
@@ -164,7 +208,7 @@ let test_kb_probe =
 let benchmarks =
   [
     test_hcl_parse; test_graph_build; test_check_eval; test_deploy; test_solver;
-    test_solver_mutation; test_mining_pass; test_kb_probe;
+    test_solver_mutation; test_mutation_predicate; test_mining_pass; test_kb_probe;
   ]
 
 let run () =

@@ -124,6 +124,45 @@ let rec set p x v =
   | _, Value.List (item :: items) -> Value.List (set p x item :: items)
   | _ :: rest, _ -> set rest x (Value.Block [])
 
+let equal_bound env p q =
+  List.length p = List.length q
+  && List.for_all2
+       (fun (s : segment) (t : segment) ->
+         String.equal s.field t.field
+         &&
+         match (s.index, t.index) with
+         | None, None -> true
+         | Some (Var x), Some (At i) -> List.assoc_opt x env = Some i
+         | Some (Var x), Some (Var y) -> String.equal x y && not (List.mem_assoc x env)
+         | Some (At i), Some (At j) -> i = j
+         | (None | Some _), _ -> false)
+       p q
+
+type step = Field of string | Elem of int
+
+(* Walks [get] and [set] in step: a field step needs the field exactly
+   once (or, as the last step of an unindexed segment, not at all: [set]
+   appends it), an indexed step an element, and any further step a
+   block or a non-empty list. *)
+let location p v =
+  let rec go acc p v =
+    match (p, v) with
+    | [], _ -> Some (List.rev acc)
+    | _, Value.List (item :: _) -> go (Elem 0 :: acc) p item
+    | seg :: rest, Value.Block fields -> (
+        match (List.filter (fun (k, _) -> String.equal k seg.field) fields, seg.index) with
+        | [], None when rest = [] -> Some (List.rev (Field seg.field :: acc))
+        | [ (_, inner) ], None -> go (Field seg.field :: acc) rest inner
+        | [ (_, Value.List items) ], Some (At i) when i < List.length items ->
+            go (Elem i :: Field seg.field :: acc) rest (List.nth items i)
+        | [ (_, ((Value.Block _ | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _) as inner)) ],
+          Some (At 0) ->
+            go (Field seg.field :: acc) rest inner
+        | _ -> None)
+    | _ :: _, (Value.List [] | Value.Null | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Ref _) -> None
+  in
+  go [] p v
+
 type leaf = { path : string; head : Value.t; all : Value.t list }
 
 type reading = { mutable hd : Value.t; mutable values : Value.t list; mutable leaf : bool }

@@ -64,6 +64,21 @@ val set : t -> Value.t -> Value.t -> Value.t
     [a] gives [a = {c = x}]). An indexed step updates only the element
     {!bind} selected, and nothing when there is none. *)
 
+val equal_bound : env -> t -> t -> bool
+(** [equal_bound env p q] is [bind env p = q], without building the
+    bound path. *)
+
+type step = Field of string | Elem of int
+(** A field of a block, or an element of a list. *)
+
+val location : t -> Value.t -> step list option
+(** Where [set p x v] writes, as the steps {!get} takes to read it back
+    ({!get} enters a list at its head: [Elem 0]). [Some] only when that
+    write is faithful: [get p (set p x v) = x] for every [x], and [set]
+    changes nothing outside that place. It is [None] when the write
+    would drop a segment (a missing or scalar intermediate), select no
+    element, or touch a field that occurs twice in its block. *)
+
 type leaf = { path : string; head : Value.t; all : Value.t list }
 
 val leaves : (string * Value.t) list -> leaf list

@@ -7,6 +7,8 @@ module Cidr = Zodiac_util.Cidr
 
 type assignment = (string * Resource.id) list
 
+type slots = (Resource.id * (Path.t * Value.t) list) list
+
 type defaults = rtype:string -> attr:string -> Value.t option
 
 type stats = {
@@ -139,10 +141,12 @@ and term_source = function
 
 (* One instance: a resource per slot and an index environment. The
    enumeration below rebinds one instance in place, so a search
-   allocates no record per candidate. *)
+   allocates no record per candidate. [overlay] holds the paths that
+   read a given value instead of the resource's own ([holds_slots]). *)
 type instance = {
   graph : Graph.t;
   defaults : defaults;
+  overlay : slots;
   res : Resource.t array;
   ids : Resource.id array;
   blocks : Value.t array;  (* [Value.Block res.attrs], the walker's input *)
@@ -151,11 +155,12 @@ type instance = {
 
 let no_resource = Resource.make "" "" []
 
-let empty_instance ~defaults graph f =
+let empty_instance ~defaults ~overlay graph f =
   let n = Array.length f.vars in
   {
     graph;
     defaults;
+    overlay;
     res = Array.make n no_resource;
     ids = Array.make n (Resource.id no_resource);
     blocks = Array.make n Value.Null;
@@ -167,11 +172,24 @@ let bind inst k (r : Resource.t) =
   inst.ids.(k) <- Resource.id r;
   inst.blocks.(k) <- Value.Block r.Resource.attrs
 
+let rec resource_slots id = function
+  | [] -> []
+  | (rid, paths) :: rest -> if Resource.equal_id rid id then paths else resource_slots id rest
+
+let rec read_slots env p block = function
+  | [] -> Path.get ~env p block
+  | (q, v) :: rest -> if Path.equal_bound env p q then v else read_slots env p block rest
+
 let value inst = function
   | Const v -> v
   | Attr a when a.slot < 0 -> Value.Null
   | Attr a -> (
-      match Path.get ~env:inst.ienv a.path inst.blocks.(a.slot) with
+      let block = inst.blocks.(a.slot) in
+      match
+        match inst.overlay with
+        | [] -> Path.get ~env:inst.ienv a.path block
+        | overlay -> read_slots inst.ienv a.path block (resource_slots inst.ids.(a.slot) overlay)
+      with
       | Value.Null ->
           Option.value ~default:Value.Null
             (inst.defaults ~rtype:inst.res.(a.slot).Resource.rtype ~attr:a.stripped)
@@ -310,7 +328,7 @@ let search ~defaults graph c visit =
   let f = form c in
   (* most checks bind a type the program lacks: no instance to set up *)
   if Array.for_all (fun ty -> Graph.by_type graph ty <> []) f.btypes then
-    ignore (assignments f (empty_instance ~defaults graph f) (visit f))
+    ignore (assignments f (empty_instance ~defaults ~overlay:[] graph f) (visit f))
 
 let stats ?(defaults = no_defaults) graph c =
   let instances = ref 0 and cond_true = ref 0 and stmt_true = ref 0 and both_true = ref 0 in
@@ -324,12 +342,14 @@ let stats ?(defaults = no_defaults) graph c =
           false));
   { instances = !instances; cond_true = !cond_true; stmt_true = !stmt_true; both_true = !both_true }
 
-let holds ?(defaults = no_defaults) graph c =
-  let violation = ref false in
-  search ~defaults graph c (fun f inst ->
-      violation := index_envs f inst (violated f);
-      !violation);
-  not !violation
+let holds_slots ?(defaults = no_defaults) graph c slots =
+  let f = form c in
+  not
+    (Array.for_all (fun ty -> Graph.by_type graph ty <> []) f.btypes
+    && assignments f (empty_instance ~defaults ~overlay:slots graph f) (fun inst ->
+           index_envs f inst (violated f)))
+
+let holds ?defaults graph c = holds_slots ?defaults graph c []
 
 let occurrences ?(defaults = no_defaults) graph c = (stats ~defaults graph c).cond_true
 
@@ -358,7 +378,7 @@ let first_witness ?(defaults = no_defaults) graph c = first ~defaults graph c wi
 let first_violation ?(defaults = no_defaults) graph c = first ~defaults graph c violated
 
 let bound ~defaults graph f assignment ienv =
-  let inst = empty_instance ~defaults graph f in
+  let inst = empty_instance ~defaults ~overlay:[] graph f in
   let prog = Graph.program graph in
   Array.iteri
     (fun k var ->

@@ -59,6 +59,30 @@ val holds : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> bool
 (** No violating instance exists; stops at the first violation.
     Vacuously true when the condition never fires. *)
 
+type slots = (Zodiac_iac.Resource.id * (Zodiac_iac.Path.t * Zodiac_iac.Value.t) list) list
+(** Per resource, index-bound paths (see {!Zodiac_iac.Path.bind}) with
+    the values they read in place of the resource's own. *)
+
+val holds_slots : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> slots -> bool
+(** The slot form of {!holds}: the verdict on the graph's program as if
+    each listed path of each listed resource held its listed value.
+    An attribute read of a bound resource looks the resource up in the
+    slots, then the path bound by the instance's index environment; a
+    read no slot matches falls back to the resource, then to
+    [defaults]. Index ranges, types and edges come from the graph
+    unchanged.
+
+    It equals {!holds} on the graph of the program with the values
+    written ([Path.set] on each resource) only where such writes
+    change nothing else the check reads: each write is faithful
+    ({!Zodiac_iac.Path.location}), no written place is at or under
+    another, none is at or above a collection an index variable ranges
+    over, and, for a check with a [conn], [path], [coconn], [copath] or
+    degree term, no write adds or removes a reference. Deciding that is
+    the caller's part ([Zodiac_validation.Mutation] decides it once per
+    solve). {!holds}, {!violations} and the other searches never read
+    slots. *)
+
 val occurrences : ?defaults:defaults -> Zodiac_iac.Graph.t -> compiled -> int
 
 val violations :

@@ -40,6 +40,25 @@ let read_slot prog s =
 
 let write_slot prog s v = Program.update prog s.rid (fun r -> Resource.set_path r s.path v)
 
+(* Items per resource, resources in order of first appearance, each
+   resource's items in order: the shape of [Eval.slots]. *)
+let by_resource items =
+  let rec add rid item = function
+    | [] -> [ (rid, [ item ]) ]
+    | (rid', items) :: rest when Resource.equal_id rid rid' -> (rid', item :: items) :: rest
+    | group :: rest -> group :: add rid item rest
+  in
+  List.fold_left (fun groups (s, x) -> add s.rid (s.path, x) groups) [] items
+  |> List.map (fun (rid, items) -> (rid, List.rev items))
+
+(* [write_slot] of every write, one pass over the program per resource. *)
+let write_slots prog groups =
+  List.fold_left
+    (fun prog (rid, writes) ->
+      Program.update prog rid (fun r ->
+          List.fold_left (fun r (path, v) -> Resource.set_path r path v) r writes))
+    prog groups
+
 (* ------------------------------------------------------------------ *)
 (* Domains                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -168,11 +187,11 @@ let slot_domain provider kb checks prog slot =
     | _ -> base
   in
   let with_null = if optional then base @ [ Value.Null ] else base in
-  let dedup =
-    List.fold_left
-      (fun acc v -> if List.exists (Value.equal v) acc then acc else acc @ [ v ])
-      []
-      ((original :: with_null)
+  List.rev
+    (List.fold_left
+       (fun acc v -> if List.exists (Value.equal v) acc then acc else v :: acc)
+       []
+       ((original :: with_null)
       @ (match format with
         | Schema.Enum _ | Schema.Region | Schema.Cidr_format | Schema.Name_format ->
             []
@@ -180,9 +199,7 @@ let slot_domain provider kb checks prog slot =
             (* give non-null alternatives to currently-null free slots *)
             match original with
             | Value.Null -> [ Value.Str (fresh_string "val") ]
-            | _ -> [])))
-  in
-  dedup
+            | _ -> []))))
 
 (* ------------------------------------------------------------------ *)
 (* Virtual resource additions for aggregation targets                  *)
@@ -490,7 +507,6 @@ let plan_additions ~provider ~kb ~donors (tp : Testcase.tp) (target : Check.t) =
 (* CSP assembly                                                        *)
 (* ------------------------------------------------------------------ *)
 
-
 (* Slots referenced by a check within a program: per endpoint and
    resource of the bound type, one per element position its index
    variables range over. *)
@@ -531,7 +547,91 @@ let dedup_slots slots =
       fresh)
     slots
 
-let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
+(* A [conn], [path], [coconn], [copath] or degree term: the verdict
+   reads edges as well as attributes. *)
+let reads_edges (check : Check.t) =
+  let term = function Check.Indeg _ | Check.Outdeg _ -> true | Check.Const _ | Check.Attr _ -> false in
+  let rec expr = function
+    | Check.Conn _ | Check.Path _ | Check.Coconn _ | Check.Copath _ -> true
+    | Check.Cmp (_, t1, t2) | Check.Func (_, t1, t2) -> term t1 || term t2
+    | Check.Not e -> expr e
+    | Check.And es -> List.exists expr es
+  in
+  expr check.Check.cond || expr check.Check.stmt
+
+let rec is_prefix p q =
+  match (p, q) with [], _ -> true | x :: p, y :: q -> x = y && is_prefix p q | _ :: _, [] -> false
+
+(* The fields of every collection an index variable of the check ranges
+   over: [a\[i\].b\[j\].c] gives [a] and [a.b]. *)
+let ranged_collections (check : Check.t) =
+  let rec collections prefix = function
+    | [] -> []
+    | (seg : Path.segment) :: rest ->
+        let prefix = prefix @ [ seg.Path.field ] in
+        (match seg.Path.index with Some (Path.Var _) -> [ prefix ] | Some (Path.At _) | None -> [])
+        @ collections prefix rest
+  in
+  List.concat_map
+    (fun (e : Check.endpoint) -> collections [] (Path.of_string e.Check.attr))
+    (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt)
+
+let slot_form prog check scope =
+  let fields (p : Path.t) = List.map (fun (seg : Path.segment) -> seg.Path.field) p in
+  let collections = ranged_collections check in
+  let edges = reads_edges check in
+  let located =
+    List.map
+      (fun (s, dom) ->
+        match Program.find prog s.rid with
+        | None -> None
+        | Some r ->
+            let original = Path.get s.path (Value.Block r.Resource.attrs) and at = fields s.path in
+            if
+              List.exists (is_prefix at) collections
+              || (edges && List.exists (fun v -> Value.refs v <> []) (original :: dom))
+            then None
+            else
+              Option.map
+                (fun steps -> (Resource.id_to_string s.rid, steps))
+                (Path.location s.path (Value.Block r.Resource.attrs)))
+      scope
+  in
+  List.for_all Option.is_some located
+  &&
+  (* sorted, a place at or under another comes right after some place
+     that is its prefix *)
+  let rec disjoint = function
+    | (r1, l1) :: ((r2, l2) :: _ as rest) ->
+        (not (String.equal r1 r2 && is_prefix l1 l2)) && disjoint rest
+    | [ _ ] | [] -> true
+  in
+  disjoint (List.sort compare (List.filter_map Fun.id located))
+
+(* Deterministic counts of the mutation searches, summed over calls. *)
+type counters = int Atomic.t array
+
+let counter_names =
+  [|
+    "solver.solves"; "solver.unsat"; "solver.nodes"; "solver.budget_hits";
+    "solver.calls.target"; "solver.calls.hard"; "solver.calls.soft";
+    "solver.calls.slot_form"; "solver.calls.fallback";
+  |]
+
+let solves = 0 and unsat = 1 and nodes = 2 and budget_hits = 3
+let calls_target = 4 and calls_hard = 5 and calls_soft = 6
+let calls_slot_form = 7 and calls_fallback = 8
+
+let counters () = Array.map (fun _ -> Atomic.make 0) counter_names
+
+let counter_totals counters =
+  Array.to_list (Array.mapi (fun i name -> (name, Atomic.get counters.(i))) counter_names)
+
+let node_budget = 6_000
+
+type var_slot = { slot : slot; var : Csp.var; dom : Value.t list; original : Value.t }
+
+let negative ?(options = default_options) ?counters ~provider ~kb ~donors ~target ~hard
     ~soft tp =
   let defaults = Arm.defaults provider in
   reset_fresh ();
@@ -574,9 +674,13 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       let hard = List.filteri (fun i _ -> i < 40) hard in
       (* The mutation search space always spans the attributes the known
          checks talk about; the consider_others ablation only drops the
-         corresponding constraints, leaving the solver free to wander. *)
+         corresponding constraints, leaving the solver free to wander.
+         Each check's slots are found once. *)
       let all_checks = List.map Eval.check ((target :: hard) @ soft) in
-      let slots = dedup_slots (List.concat_map (slots_of_check base) all_checks) in
+      let with_slots c = (c, slots_of_check base (Eval.check c)) in
+      let target = with_slots target in
+      let hard = List.map with_slots hard and soft = List.map with_slots soft in
+      let slots = dedup_slots (List.concat_map snd ((target :: hard) @ soft)) in
       let hard = if options.consider_others then hard else [] in
       let soft = if options.consider_others then soft else [] in
       (* never mutate resources of unattended types *)
@@ -591,9 +695,7 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
       else begin
         let problem = Csp.create () in
         let target_slots = Hashtbl.create 16 in
-        List.iter
-          (fun s -> Hashtbl.replace target_slots s ())
-          (slots_of_check base (Eval.check target));
+        List.iter (fun s -> Hashtbl.replace target_slots s ()) (snd target);
         let var_of_slot = Hashtbl.create 64 in
         let vars =
           List.map
@@ -611,15 +713,14 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
               in
               let var = Csp.new_var problem ~name:(slot_name slot) dom in
               if Hashtbl.mem target_slots slot then Csp.set_priority problem var 0;
-              Hashtbl.replace var_of_slot slot var;
-              (slot, var))
+              let vs = { slot; var; dom; original = read_slot base slot } in
+              Hashtbl.replace var_of_slot slot vs;
+              vs)
             slots
         in
-        let originals = List.map (fun slot -> (slot, read_slot base slot)) slots in
         if options.minimize_changes then
           List.iter
-            (fun (slot, var) ->
-              let original = read_slot base slot in
+            (fun { slot; var; original; _ } ->
               let is_added =
                 List.exists (Resource.equal_id slot.rid) added
               in
@@ -637,66 +738,86 @@ let negative ?(options = default_options) ~provider ~kb ~donors ~target ~hard
                         | _ -> 2)
                     | _ -> 2))
             vars;
-        (* A check only depends on the slots in its own scope, so each
-           constraint materializes just those slots over the base
-           program; unassigned slots keep their original values. *)
-        let scoped_slots check =
-          let check_slots = dedup_slots (slots_of_check base (Eval.check check)) in
-          List.filter_map
-            (fun slot ->
-              Option.map (fun var -> (slot, var)) (Hashtbl.find_opt var_of_slot slot))
-            check_slots
-        in
-        let add_constraint ~hard:is_hard name check ~negate =
-          let scoped = scoped_slots check in
-          let scope = List.map snd scoped in
+        let base_graph = Graph.build base in
+        let count = Array.make (Array.length counter_names) 0 in
+        let bump i = count.(i) <- count.(i) + 1 in
+        (* A check only depends on the slots in its own scope; unassigned
+           slots keep their original values. Once per solve, each
+           constraint decides whether its scope can take the slot form
+           ([slot_form]): its predicate then reads the solver's values
+           over the base program and graph. Otherwise it writes them
+           into a copy of the base program and rebuilds the graph. *)
+        let add_constraint ~role name (check, check_slots) ~negate =
+          let scoped = List.filter_map (Hashtbl.find_opt var_of_slot) (dedup_slots check_slots) in
+          let scope = List.map (fun vs -> vs.var) scoped in
+          let groups = by_resource (List.map (fun vs -> (vs.slot, vs.var)) scoped) in
+          let in_place =
+            slot_form base (Eval.check check) (List.map (fun vs -> (vs.slot, vs.dom)) scoped)
+          in
           (* The solver caches verdicts per scope assignment, so each
              distinct one is evaluated here once per solve. *)
           let pred lookup =
-            let prog =
-              List.fold_left
-                (fun prog (slot, var) -> write_slot prog slot (lookup var))
-                base scoped
+            bump role;
+            let values =
+              List.map (fun (rid, vars) -> (rid, List.map (fun (path, var) -> (path, lookup var)) vars)) groups
             in
-            let holds = Eval.holds ~defaults (Graph.build prog) check in
-            if negate then not holds else holds
+            let holds =
+              if in_place then (
+                bump calls_slot_form;
+                Eval.holds_slots ~defaults base_graph check values)
+              else (
+                bump calls_fallback;
+                Eval.holds ~defaults (Graph.build (write_slots base values)) check)
+            in
+            holds <> negate
           in
-          if is_hard then Csp.add_hard problem ~name scope pred
-          else Csp.add_soft problem ~name ~weight:10 scope pred
+          if role = calls_soft then Csp.add_soft problem ~name ~weight:10 scope pred
+          else Csp.add_hard problem ~name scope pred
         in
-        add_constraint ~hard:true "target-violated" target ~negate:true;
+        add_constraint ~role:calls_target "target-violated" target ~negate:true;
         List.iter
-          (fun h -> add_constraint ~hard:true ("hard:" ^ (Eval.check h).Check.cid) h ~negate:false)
+          (fun ((h, _) as hs) ->
+            add_constraint ~role:calls_hard ("hard:" ^ (Eval.check h).Check.cid) hs ~negate:false)
           hard;
         List.iter
-          (fun s -> add_constraint ~hard:false ("soft:" ^ (Eval.check s).Check.cid) s ~negate:false)
+          (fun ((s, _) as ss) ->
+            add_constraint ~role:calls_soft ("soft:" ^ (Eval.check s).Check.cid) ss ~negate:false)
           soft;
-        match Csp.solve ~node_budget:6_000 ~good_enough:6 problem with
+        let solution = Csp.solve ~node_budget ~good_enough:6 problem in
+        let explored = Csp.stats_nodes problem in
+        bump solves;
+        if Option.is_none solution then bump unsat;
+        count.(nodes) <- explored;
+        if explored >= node_budget then bump budget_hits;
+        Option.iter
+          (fun counters ->
+            Array.iteri (fun i n -> ignore (Atomic.fetch_and_add counters.(i) n)) count)
+          counters;
+        match solution with
         | None -> None
         | Some solution ->
             let final =
-              List.fold_left
-                (fun prog (slot, var) -> write_slot prog slot (Csp.value solution var))
-                base vars
+              write_slots base
+                (by_resource (List.map (fun vs -> (vs.slot, Csp.value solution vs.var)) vars))
             in
             let final_graph = Graph.build final in
             let violated_soft =
               List.filter_map
-                (fun s ->
+                (fun (s, _) ->
                   if Eval.holds ~defaults final_graph s then None
                   else Some (Eval.check s).Check.cid)
                 soft
             in
             let attr_changes =
               List.fold_left
-                (fun acc (slot, original) ->
+                (fun acc { slot; original; _ } ->
                   let is_added =
                     List.exists (Resource.equal_id slot.rid) added
                   in
                   if is_added then acc
                   else if Value.equal (read_slot final slot) original then acc
                   else acc + 1)
-                0 originals
+                0 vars
             in
             Some
               {

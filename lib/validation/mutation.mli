@@ -48,8 +48,38 @@ val slots_of_check : Zodiac_iac.Program.t -> Zodiac_spec.Check.t -> slot list
 val read_slot : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t
 val write_slot : Zodiac_iac.Program.t -> slot -> Zodiac_iac.Value.t -> Zodiac_iac.Program.t
 
+val slot_form :
+  Zodiac_iac.Program.t -> Zodiac_spec.Check.t -> (slot * Zodiac_iac.Value.t list) list -> bool
+(** [slot_form prog check scope]: whether a constraint of [check] over
+    the [scope] slots of [prog], each with the values it may take, can
+    be decided by {!Zodiac_spec.Eval.holds_slots} over [prog]'s own
+    graph, with the same verdict as writing the values ({!write_slot})
+    and rebuilding the graph. It asks that every slot's write be
+    faithful ({!Zodiac_iac.Path.location}); that no slot sit at or
+    under another slot of the same resource, or at or above a
+    collection an index variable of the check ranges over; and, when
+    the check has a [conn], [path], [coconn], [copath] or degree term,
+    that neither a slot's value in [prog] nor any value it may take
+    holds a reference. The scope must hold every slot of [check]
+    ({!slots_of_check}) on each resource it names, as {!negative}'s
+    scopes do: a read no slot matches comes from [prog]. *)
+
+type counters
+(** Counts summed over the {!negative} calls given them; domain-safe. *)
+
+val counters : unit -> counters
+
+val counter_totals : counters -> (string * int) list
+(** [solver.solves], [solver.unsat] (no solution found),
+    [solver.nodes], [solver.budget_hits] (solves that spent the node
+    budget), predicate calls by constraint ([solver.calls.target],
+    [.hard], [.soft]) and by evaluation ([solver.calls.slot_form],
+    [solver.calls.fallback]: written program and rebuilt graph). Each
+    is a pure function of the calls' inputs. *)
+
 val negative :
   ?options:options ->
+  ?counters:counters ->
   provider:Zodiac_provider.Provider.t ->
   kb:Zodiac_kb.Kb.t ->
   donors:(string * Zodiac_iac.Program.t) list ->

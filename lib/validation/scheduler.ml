@@ -222,10 +222,10 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
       index = Testcase.index corpus;
     }
   in
-  let mutations = Atomic.make 0 in
+  let mutations = Atomic.make 0 and counters = Mutation.counters () in
   let negative ~target ~hard ~soft tp =
     Atomic.incr mutations;
-    Mutation.negative ~provider ~kb ~donors ~target ~hard ~soft tp
+    Mutation.negative ~counters ~provider ~kb ~donors ~target ~hard ~soft tp
   in
   let rank = type_ranks kb in
   let order checks =
@@ -442,6 +442,7 @@ let run ?(config = default_config) ?(telemetry = Telemetry.null) ?jobs
   Telemetry.count telemetry "scheduler.iterations" (List.length !iterations);
   Telemetry.count telemetry "scheduler.deployments" st.deployments;
   Telemetry.count telemetry "scheduler.mutations" (Atomic.get mutations);
+  List.iter (fun (name, n) -> Telemetry.count telemetry name n) (Mutation.counter_totals counters);
   {
     validated = List.rev_map Eval.check st.rv;
     falsified = List.rev_map (fun (c, verdict) -> (Eval.check c, verdict)) st.falsified;

@@ -89,9 +89,10 @@ val run :
     [telemetry] (default {!Zodiac_util.Telemetry.null}) receives
     [scheduler.batches] / [scheduler.batch_programs] per deployed
     batch and [scheduler.iterations] / [scheduler.deployments] /
-    [scheduler.mutations] (calls to {!Mutation.negative}) totals; all
-    are deterministic and the same for every [jobs]. Pure observation,
-    never part of the result. *)
+    [scheduler.mutations] (calls to {!Mutation.negative}) totals, and
+    the mutation searches' [solver.*] counts ({!Mutation.counter_totals});
+    all are deterministic and the same for every [jobs]. Pure
+    observation, never part of the result. *)
 
 val counterexample_pass :
   ?jobs:int ->

@@ -78,7 +78,8 @@ let prop_map_equals_sequential =
 (* ---- end-to-end: pipeline output is independent of [jobs] ------------ *)
 
 (* The artifacts plus the run's [scheduler.mutations] total (mutants
-   planned), which must not depend on [jobs] either. *)
+   planned) and the mutation searches' [solver.*] counts, which must not
+   depend on [jobs] either. *)
 let run_pipeline jobs =
   let telemetry = Telemetry.create () in
   let a =
@@ -93,7 +94,10 @@ let run_pipeline jobs =
         }
       ~telemetry ()
   in
-  (a, List.assoc_opt "scheduler.mutations" (Telemetry.totals telemetry))
+  ( a,
+    List.filter
+      (fun (name, _) -> name = "scheduler.mutations" || String.starts_with ~prefix:"solver." name)
+      (Telemetry.totals telemetry) )
 
 let kb_summary kb =
   ( Kb.size kb,
@@ -127,9 +131,13 @@ let test_pipeline_jobs_independent () =
     = b.Pipeline.validation.Scheduler.iterations);
   Alcotest.(check bool) "identical engine stats" true
     (a.Pipeline.engine_stats = b.Pipeline.engine_stats);
-  Alcotest.(check bool) "mutants planned" true (Option.is_some a_mutations);
-  Alcotest.(check (option int)) "identical scheduler.mutations" a_mutations
-    b_mutations
+  let total name = Option.value ~default:0 (List.assoc_opt name a_mutations) in
+  Alcotest.(check bool) "mutants planned" true (total "scheduler.mutations" > 0);
+  Alcotest.(check int) "every predicate call on one path"
+    (total "solver.calls.target" + total "solver.calls.hard" + total "solver.calls.soft")
+    (total "solver.calls.slot_form" + total "solver.calls.fallback");
+  Alcotest.(check (list (pair string int))) "identical scheduler.mutations and solver counts"
+    a_mutations b_mutations
 
 let () =
   Alcotest.run "parallel"

@@ -782,6 +782,173 @@ let compiled_matches_reference =
              C.violating_index_env ~defaults g c a = R.violating_index_env ~defaults g check a)
            violations)
 
+(* --- slot form: Eval.holds_slots against write + build + holds ------- *)
+
+module Mutation = Zodiac_validation.Mutation
+module Path = Zodiac_iac.Path
+
+(* Slots [Mutation.negative] never forms but [Mutation.slot_form] must
+   judge all the same: paths through scalar ([x.deep]) or missing
+   intermediates, a whole collection, an element, an element out of
+   range, the head alias [rule.prio] of [rule\[0\].prio], and reference
+   holders. *)
+let extra_paths =
+  let at i p = Path.bind [ ("i", i) ] (Path.of_string p) in
+  [
+    Path.of_string "x.deep"; Path.of_string "s.deep"; Path.of_string "missing.deep";
+    Path.of_string "rule"; Path.of_string "rule.prio"; Path.of_string "missing";
+    Path.of_string "refs"; Path.of_string "x"; at 0 "rule[i].prio"; at 1 "rule[i].dir";
+    at 3 "rule[i].prio"; at 0 "rule[i].to"; at 0 "rule[i]"; at 1 "rule[i].deep.er";
+  ]
+
+(* Mostly values of the generated attributes' own kinds, so writes move
+   verdicts; now and then a null, a reference or a collection. *)
+let gen_slot_value =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun i -> Value.Int i) (int_bound 3));
+      (4, oneofl [ Value.Str "a"; Value.Str "b"; Value.Str "in"; Value.Str "out" ]);
+      (2, oneofl [ Value.Str "10.0.0.0/16"; Value.Str "10.1.0.0/24"; Value.Str "bad" ]);
+      (1, return Value.Null);
+      ( 1,
+        oneofl
+          [
+            Value.reference "A" "r0" "id"; Value.List [ Value.reference "B" "r1" "id" ];
+            Value.Block [ ("prio", Value.Int 1) ];
+            Value.List [ Value.Block [ ("dir", Value.Str "in"); ("prio", Value.Int 0) ] ];
+          ] );
+    ]
+
+(* [gen_program]'s [rule] is a block or a list; now and then make it a
+   scalar, so [rule.prio] and [rule\[i\].prio] step through one. *)
+let gen_scalar_rules prog =
+  let open QCheck.Gen in
+  map
+    (fun scalars ->
+      Program.of_resources
+        (List.map2
+           (fun r scalar ->
+             match (scalar, Resource.attr r "rule") with
+             | Some v, Some _ -> Resource.set r "rule" v
+             | _ -> r)
+           (Program.resources prog) scalars))
+    (list_repeat (Program.size prog)
+       (frequency [ (5, return None); (1, oneofl [ Some (Value.Int 1); Some (Value.Str "in") ]) ]))
+
+(* A scope as [Mutation.negative] forms one, and more: every slot of the
+   check on a random subset of the program's resources, plus extra
+   slots on those resources; each slot with a domain of one to three
+   values and the value the solver assigned it. Half the checks drop
+   their condition, which a random one seldom meets. *)
+let gen_slot_case =
+  let open QCheck.Gen in
+  triple gen_program gen_check bool >>= fun (prog, check, always) ->
+  gen_scalar_rules prog >>= fun prog ->
+  let check =
+    if always then Check.make check.Check.bindings (Check.And []) check.Check.stmt else check
+  in
+  let ids = List.map Resource.id (Program.resources prog) in
+  list_repeat (List.length ids) (frequency [ (3, return true); (1, return false) ]) >>= fun picks ->
+  let chosen = List.filteri (fun i _ -> List.nth picks i) ids in
+  list_size (int_bound 3) (pair (oneofl ids) (oneofl extra_paths)) >>= fun extras ->
+  let extras =
+    List.filter_map
+      (fun (rid, path) ->
+        if List.exists (Resource.equal_id rid) chosen then Some { Mutation.rid; path } else None)
+      extras
+  in
+  let own =
+    List.filter
+      (fun (s : Mutation.slot) -> List.exists (Resource.equal_id s.Mutation.rid) chosen)
+      (Mutation.slots_of_check prog check)
+  in
+  let slots = List.sort_uniq compare (own @ extras) in
+  flatten_l
+    (List.map
+       (fun slot ->
+         list_size (int_range 1 3) gen_slot_value >>= fun dom ->
+         oneofl dom >>= fun v -> return (slot, dom, v))
+       slots)
+  >>= fun scope -> return (prog, check, scope)
+
+let print_slot_case (prog, check, scope) =
+  Format.asprintf "%s@.%a@.%s" (Printer.to_string check) Program.pp prog
+    (String.concat "\n"
+       (List.map
+          (fun ((s : Mutation.slot), dom, v) ->
+            Printf.sprintf "%s.%s := %s of [%s]"
+              (Resource.id_to_string s.Mutation.rid)
+              (Path.to_string s.Mutation.path) (Value.to_string v)
+              (String.concat "; " (List.map Value.to_string dom)))
+          scope))
+
+(* The check, and a probe per endpoint and assigned value [c]
+   ([let v:T in => v.attr != c]) that a wrong read alone can flip. *)
+let probes check scope =
+  let values = List.sort_uniq compare (List.map (fun (_, _, v) -> v) scope) in
+  check
+  :: List.concat_map
+       (fun (e : Check.endpoint) ->
+         match Check.binding_type check e.Check.var with
+         | None -> []
+         | Some btype ->
+             List.map
+               (fun c ->
+                 Check.make [ { Check.var = e.Check.var; btype } ] (Check.And [])
+                   (Check.Cmp (Check.Ne, Check.Attr e, Check.Const c)))
+               values)
+       (List.sort_uniq compare
+          (Check.attrs_of_expr check.Check.cond @ Check.attrs_of_expr check.Check.stmt))
+
+(* Per probe: the verdict on the written program, the slot form's, on
+   the base program, and whether [Mutation.slot_form] admits the scope. *)
+let slot_verdicts (prog, check, scope) =
+  let defaults = ref_defaults in
+  let written = List.fold_left (fun p (s, _, v) -> Mutation.write_slot p s v) prog scope in
+  let slots =
+    List.fold_left
+      (fun groups ((s : Mutation.slot), _, v) ->
+        match List.partition (fun (rid, _) -> Resource.equal_id rid s.Mutation.rid) groups with
+        | [ (rid, paths) ], rest -> rest @ [ (rid, paths @ [ (s.Mutation.path, v) ]) ]
+        | _, _ -> groups @ [ (s.Mutation.rid, [ (s.Mutation.path, v) ]) ])
+      [] scope
+  in
+  let domains = List.map (fun (s, dom, _) -> (s, dom)) scope in
+  let base_graph = Graph.build prog and written_graph = Graph.build written in
+  List.map
+    (fun check ->
+      let c = Zodiac_spec.Eval.compile check in
+      ( Zodiac_spec.Eval.holds ~defaults written_graph c,
+        Zodiac_spec.Eval.holds_slots ~defaults base_graph c slots,
+        Zodiac_spec.Eval.holds ~defaults base_graph c,
+        Mutation.slot_form prog check domains ))
+    (probes check scope)
+
+let slot_form_matches_written =
+  QCheck.Test.make ~name:"slot form = write + build + holds where admitted" ~count:6000
+    (QCheck.make ~print:print_slot_case gen_slot_case)
+    (fun case ->
+      List.for_all
+        (fun (written, in_place, _, admitted) -> (not admitted) || in_place = written)
+        (slot_verdicts case))
+
+(* The property above would hold for a gate that admits nothing. On a
+   fixed sample the gate must admit most probes, the writes it admits
+   must change verdicts, and the probes it rejects must include some
+   where the two forms differ. *)
+let test_slot_form_coverage () =
+  let rand = Random.State.make [| 27 |] in
+  let verdicts = List.concat (List.init 1000 (fun _ -> slot_verdicts (gen_slot_case rand))) in
+  let count p = List.length (List.filter p verdicts) in
+  let total = List.length verdicts in
+  let admitted = count (fun (_, _, _, a) -> a) in
+  let flipped = count (fun (w, _, b, a) -> a && w <> b) in
+  let differ = count (fun (w, i, _, a) -> (not a) && w <> i) in
+  Alcotest.(check bool) (Printf.sprintf "admitted %d of %d" admitted total) true (3 * admitted >= total);
+  Alcotest.(check bool) (Printf.sprintf "admitted and flipped %d" flipped) true (flipped >= total / 20);
+  Alcotest.(check bool) (Printf.sprintf "rejected and differing %d" differ) true (differ >= total / 100)
+
 let () =
   Alcotest.run "spec"
     [
@@ -808,6 +975,8 @@ let () =
           Alcotest.test_case "first witness/violation" `Quick test_eval_first_witness_agrees;
           Alcotest.test_case "injective bindings" `Quick test_eval_injective_bindings;
           QCheck_alcotest.to_alcotest compiled_matches_reference;
+          QCheck_alcotest.to_alcotest slot_form_matches_written;
+          Alcotest.test_case "slot form coverage" `Quick test_slot_form_coverage;
         ] );
       ( "diagnose",
         [
