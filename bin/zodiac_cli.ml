@@ -190,9 +190,10 @@ let workers_arg =
         ~doc:
           "Spawn $(docv) worker processes per pass that mine the corpus's \
            shards in parallel into the shared --cache-dir: worker K takes \
-           every shard whose index is K mod $(docv). Requires --shard-size \
-           and the cache. The parent then merges the per-shard checkpoints \
-           and rebuilds inline any shard a dead worker left; artifacts are \
+           every shard whose index is K mod $(docv), on --jobs divided by \
+           $(docv) domains. Requires --shard-size and the cache. The \
+           parent then merges the per-shard checkpoints and rebuilds \
+           inline any shard a dead worker left; artifacts are \
            byte-identical to --workers 1 for every (workers, jobs, \
            shard-size) combination.")
 
@@ -231,7 +232,9 @@ let mine_cmd =
     if shard_size > 0 then begin
       (* Workers re-exec this binary in the hidden worker mode with the
          exact mining parameters plus their slice of the shard plan, so
-         a worker's shard bytes are the parent's by construction. *)
+         a worker's shard bytes are the parent's by construction. The
+         N workers run at once, so each gets 1/N of the parent's
+         domains; [jobs] never changes bytes. *)
       let worker_command ~pass ~slice:(k, n) =
         [|
           Sys.executable_name;
@@ -245,7 +248,7 @@ let mine_cmd =
           "--projects";
           string_of_int size;
           "--jobs";
-          string_of_int config.Zodiac.Pipeline.jobs;
+          string_of_int (max 1 (config.Zodiac.Pipeline.jobs / n));
           "--shard-size";
           string_of_int shard_size;
           "--cache-dir";

@@ -199,13 +199,10 @@ let merge_shard dst src =
    corpus shard by shard. *)
 type stats = shard
 
+(* Shards in parallel, merged strictly in chunk order. *)
 let stats_of_projects ?jobs projects =
-  match Parallel.chunks ?jobs projects with
-  | [] -> build_shard []
-  | chunks ->
-      (* Shards in parallel, merge strictly in chunk order. *)
-      List.fold_left merge_shard (build_shard [])
-        (Parallel.map ?jobs build_shard chunks)
+  List.fold_left merge_shard (build_shard [])
+    (Parallel.map_chunks ?jobs build_shard projects)
 
 let merge_stats = merge_shard
 

@@ -992,7 +992,7 @@ let count_tables ~provider ?jobs config kb programs =
     publish it t;
     t
   in
-  match Parallel.map ?jobs count (Parallel.chunks ?jobs programs) with
+  match Parallel.map_chunks ?jobs count programs with
   | [] -> create ()
   | first :: rest -> List.fold_left merge_tables first rest
 

@@ -89,8 +89,9 @@ val count_tables :
     finalized KB of the {e whole} corpus (the inter family derives its
     reserved names from it), so a stream runs its KB fold to completion
     before the first [count_tables] call. Within the shard, the programs
-    are split into chunks across up to [jobs] domains; one pass per
-    chunk counts every family. Each resource's facts (paths, values,
+    are split into one chunk per domain, up to [jobs]
+    ({!Zodiac_util.Parallel.map_chunks}); one pass per chunk counts
+    every family. Each resource's facts (paths, values,
     parsed CIDRs, null optional attributes, reachable set) are derived
     once per program. The hottest counters ([single], [pair], [cond2],
     [both2], [dstval], [srcval]) count on chunk-local interned int keys

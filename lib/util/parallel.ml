@@ -22,11 +22,12 @@ let scheduled = Atomic.make 0
 
 let chunks_scheduled () = Atomic.get scheduled
 
-(* Domains actually worth spawning for [len] items when the caller asked
+(* Domains actually worth using for [len] items when the caller asked
    for [jobs]: never more than the hardware has (oversubscribing a box
-   only adds spawn/contention overhead — the determinism contract makes
-   the clamp invisible in results), never more than [len], and none at
-   all below the small-input cutoff, where spawn cost dominates. *)
+   only adds contention — the determinism contract makes the clamp
+   invisible in results), never more than [len], and only the calling
+   domain below the small-input cutoff, where waking a helper costs
+   more than the work. *)
 let effective_jobs ~len jobs =
   if len < sequential_cutoff then 1
   else max 1 (min len (min jobs (recommended_jobs ())))
@@ -39,63 +40,138 @@ let bounds ~len ~n i =
   let hi = (i + 1) * len / n in
   (lo, hi)
 
-let chunks ?jobs xs =
-  let jobs = resolve_jobs jobs in
-  let arr = Array.of_list xs in
-  let len = Array.length arr in
-  if len = 0 then []
-  else
-    let n = effective_jobs ~len jobs in
-    ignore (Atomic.fetch_and_add scheduled n);
-    List.init n (fun i ->
-        let lo, hi = bounds ~len ~n i in
-        Array.to_list (Array.sub arr lo (hi - lo)))
+(* ---- the helper pool -----------------------------------------------
+   [recommended_jobs () - 1] helper domains, spawned by the first call
+   that wants a second domain and kept for the life of the process: a
+   domain spawned per call brings a fresh heap each time, which on a
+   streamed mine raised peak RSS by about a third. An idle helper
+   blocks in [Condition.wait]; it burns no CPU and does not hold up
+   process exit.
 
-(* Run [f_chunk i] for every [i] in [0, n) on up to [jobs] domains (the
-   calling domain participates). Exceptions are captured per chunk; after
-   all domains join, the exception of the lowest-indexed failing chunk is
-   re-raised with its backtrace. Since each chunk processes its elements in
-   order and stops at the first failure, this is the lowest-indexed failing
-   input among those evaluated — matching what a sequential run raises. *)
+   One call holds the pool at a time ([busy]). A call that finds it
+   held — a nested call from inside a chunk, on a helper or on the
+   holder, or a call from another domain — runs its chunks in the
+   calling domain, which the contract makes invisible in results. *)
+
+type batch = {
+  n : int;
+  chunk : int -> unit;  (* never raises: failures are recorded *)
+  next : int Atomic.t;  (* next unclaimed chunk *)
+  mutable seats : int;  (* helpers that may still join; under [lock] *)
+  mutable active : int;  (* helpers working on it; under [lock] *)
+}
+
+let busy = Atomic.make false
+let lock = Mutex.create ()
+let posted = Condition.create ()
+let left = Condition.create ()
+let current : batch option ref = ref None
+
+(* Read and set only while holding [busy]. *)
+let started = ref false
+let helpers = ref 0
+
+let drain b =
+  let rec loop () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.chunk i;
+      loop ()
+    end
+  in
+  loop ()
+
+let helper () =
+  Mutex.lock lock;
+  while true do
+    match !current with
+    | Some b when b.seats > 0 ->
+        b.seats <- b.seats - 1;
+        b.active <- b.active + 1;
+        Mutex.unlock lock;
+        drain b;
+        Mutex.lock lock;
+        b.active <- b.active - 1;
+        if b.active = 0 then Condition.signal left
+    | _ -> Condition.wait posted lock
+  done
+
+(* Past the runtime's domain limit (a daemon with very many client
+   domains) the pool keeps the helpers it got, possibly none. *)
+let start_helpers () =
+  if not !started then begin
+    started := true;
+    for _ = 2 to recommended_jobs () do
+      match Domain.spawn helper with
+      | _ -> incr helpers
+      | exception Failure _ -> ()
+    done
+  end
+
+(* Run [f_chunk i] for every [i] in [0, n) on the calling domain plus
+   up to [jobs - 1] helpers. Exceptions are captured per chunk; once
+   every helper has left the batch, the exception of the lowest-indexed
+   failing chunk is re-raised with its backtrace. Since each chunk
+   processes its elements in order and stops at the first failure, this
+   is the lowest-indexed failing input among those evaluated — matching
+   what a sequential run raises. *)
 let run_chunks ~jobs ~n f_chunk =
   let jobs = min jobs (recommended_jobs ()) in
-  if n <= 0 then ()
-  else begin
-  ignore (Atomic.fetch_and_add scheduled n);
-  if jobs <= 1 || n = 1 then
-    for i = 0 to n - 1 do
-      f_chunk i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let errors = Array.make n None in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (try f_chunk i
-           with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-          loop ()
-        end
+  if n > 0 then begin
+    ignore (Atomic.fetch_and_add scheduled n);
+    if jobs <= 1 || n = 1 || not (Atomic.compare_and_set busy false true)
+    then
+      for i = 0 to n - 1 do
+        f_chunk i
+      done
+    else begin
+      start_helpers ();
+      let errors = Array.make n None in
+      let chunk i =
+        try f_chunk i
+        with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ())
       in
-      loop ()
-    in
-    let spawned =
-      List.init (min jobs n - 1) (fun _ -> Domain.spawn worker)
-    in
-    worker ();
-    List.iter Domain.join spawned;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      errors
-  end
+      let b =
+        {
+          n;
+          chunk;
+          next = Atomic.make 0;
+          seats = min !helpers (min jobs n - 1);
+          active = 0;
+        }
+      in
+      Mutex.lock lock;
+      current := Some b;
+      Condition.broadcast posted;
+      Mutex.unlock lock;
+      drain b;
+      Mutex.lock lock;
+      current := None;
+      b.seats <- 0;
+      while b.active > 0 do
+        Condition.wait left lock
+      done;
+      Mutex.unlock lock;
+      Atomic.set busy false;
+      Array.iter
+        (function
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+          | None -> ())
+        errors
+    end
   end
 
-(* Finer-grained than [chunks]: a few chunks per domain so a slow element
-   does not leave the other domains idle. Output is unaffected by the
-   granularity — only load balance is. *)
+let collect out =
+  Array.to_list
+    (Array.map
+       (function
+         | Some y -> y
+         | None -> assert false (* every slot written or we raised *))
+       out)
+
+(* Finer-grained than [map_chunks]: a few chunks per domain so a slow
+   element does not leave the other domains idle. Output is unaffected
+   by the granularity — only load balance is. *)
 let chunk_count ~len ~jobs = max 1 (min len (jobs * 4))
 
 let mapi ?jobs f xs =
@@ -117,12 +193,20 @@ let mapi ?jobs f xs =
           for i = lo to hi - 1 do
             out.(i) <- Some (f i arr.(i))
           done);
-      Array.to_list
-        (Array.map
-           (function
-             | Some y -> y
-             | None -> assert false (* every slot written or we raised *))
-           out)
+      collect out
       end
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs
+
+let map_chunks ?jobs f xs =
+  let arr = Array.of_list xs in
+  let len = Array.length arr in
+  if len = 0 then []
+  else begin
+    let n = effective_jobs ~len (resolve_jobs jobs) in
+    let out = Array.make n None in
+    run_chunks ~jobs:n ~n (fun ci ->
+        let lo, hi = bounds ~len ~n ci in
+        out.(ci) <- Some (f (Array.to_list (Array.sub arr lo (hi - lo)))));
+    collect out
+  end

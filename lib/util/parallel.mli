@@ -21,10 +21,20 @@
     domain. When several chunks fail, the exception of the {e lowest-indexed}
     failing input wins, again independent of scheduling.
 
-    Inputs shorter than 8 items run sequentially in the calling domain,
-    and no combinator spawns more domains than {!recommended_jobs}, so
-    asking for [jobs = 8] on a small input or a small machine costs
-    nothing over [jobs = 1]. *)
+    Work runs on the calling domain plus persistent helper domains:
+    [recommended_jobs () - 1] of them, spawned by the first call that
+    wants a second domain and kept until the process exits (an idle
+    helper blocks on a condition variable; it uses no CPU and does not
+    delay exit). A call uses at most [jobs - 1] helpers. One call holds
+    the helpers at a time: a call made from inside a chunk (a nested
+    map), or from another domain while a call is running (two daemon
+    clients scanning at once), runs its chunks in the calling domain.
+    By the contract above that is invisible in results.
+
+    The small-input cutoff counts {e elements}: an input shorter than 8
+    items runs in the calling domain, and nothing ever uses more
+    domains than {!recommended_jobs}, so asking for [jobs = 8] on a
+    small input or a small machine costs nothing over [jobs = 1]. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1. The
@@ -47,9 +57,12 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
     {!map}. The index passed to [f] is the element's position in [xs],
     independent of chunking. *)
 
-val chunks : ?jobs:int -> 'a list -> 'a list list
-(** [chunks ~jobs xs] is the deterministic chunking {!map} uses internally:
-    contiguous slices, in order, concatenating back to [xs], with boundaries
-    that depend only on [List.length xs] and [jobs]. Exposed for shard-merge
-    callers (KB build, miner counting) that want one private accumulator per
-    chunk rather than per element. *)
+val map_chunks : ?jobs:int -> ('a list -> 'b) -> 'a list -> 'b list
+(** [map_chunks ~jobs f xs] splits [xs] into one contiguous slice per
+    domain it uses (up to [jobs], as {!map} clamps it) and returns [f]
+    of each slice, in order; the slices concatenate back to [xs], none
+    is empty, and their boundaries depend only on [List.length xs] and
+    the number of slices. For shard-merge callers (KB build, miner
+    counting) that want one private accumulator per domain rather than
+    per element: merging the results in order must give the same value
+    for any slicing. [map_chunks f []] is [[]]. *)

@@ -51,11 +51,17 @@ let fold ?cache ?(telemetry = Telemetry.null) ?on_shard ~stage ~key ~write
         let acc =
           match acc with None -> Some value | Some acc -> Some (merge acc value)
         in
-        (* The shard's projects and private tables are garbage now;
-           compacting keeps the heap at the live set so peak RSS
-           tracks one shard plus the accumulator, not fifty shards
-           of churn. A one-shard plan has no next shard to make room
-           for. Results are unaffected. *)
+        (* The shard's projects and private tables are garbage now.
+           On OCaml 5.1 [Gc.compact] is a full major collection that
+           moves nothing ([Gc.quick_stat]'s [compactions] stays 0); it
+           frees that garbage before the next shard allocates, so the
+           next shard reuses the space. What bounds peak RSS is that
+           one shard is live at a time plus the caller's GC pacing
+           ([Pipeline]'s lowered [space_overhead]): on a 2-core host,
+           mining 5000 projects in 10 shards peaked at 44-47 MB
+           without the pacing and 32-35 MB without this collection,
+           against 31-34 MB with both. A one-shard plan has no next
+           shard to make room for. Results are unaffected. *)
         if nshards > 1 then Gc.compact ();
         (match on_shard with
         | Some f ->
@@ -90,6 +96,8 @@ let fold_worker ~cache ~slice:(k, n) ~stage ~key ~write ~load ~count ~total
       else begin
         let v = count (load ~lo ~hi) in
         Cache.store cache ~stage ~key:ckey (fun b -> write b v);
+        (* A full major collection, as in [fold]: the next shard
+           reuses this one's space. *)
         Gc.compact ();
         built + 1
       end)

@@ -74,9 +74,11 @@ val fold :
     [shard.resumed], [shard.built], [shard.items] — items loaded for
     rebuilt shards) in the caller's current span, so a stage's span
     times its own counting. Without a [cache] the fold still streams
-    (bounded memory) but nothing checkpoints. The heap is compacted
-    after each shard of a multi-shard plan, keeping peak memory at one
-    shard plus the accumulator.
+    (bounded memory) but nothing checkpoints. A full major collection
+    follows each shard of a multi-shard plan (on OCaml 5.1 [Gc.compact]
+    compacts nothing), so the next shard reuses the freed space; with
+    the caller's GC pacing, peak memory stays near one shard plus the
+    accumulator.
     [on_shard] fires after each shard merges (with [built = false] for
     a checkpoint resume) — a progress hook, never part of results. *)
 

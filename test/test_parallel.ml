@@ -38,12 +38,75 @@ let test_chunks_reassemble () =
   List.iter
     (fun (len, jobs) ->
       let xs = List.init len (fun i -> i) in
-      let cs = Parallel.chunks ~jobs xs in
+      let cs = Parallel.map_chunks ~jobs Fun.id xs in
       Alcotest.(check (list int))
         (Printf.sprintf "concat of chunks len=%d jobs=%d" len jobs)
         xs (List.concat cs);
       Alcotest.(check bool) "no empty chunks" true (List.for_all (( <> ) []) cs))
     [ (0, 4); (1, 4); (3, 8); (8, 3); (100, 4); (5, 1) ]
+
+(* The pool's parallelism tests need a second core; on one core every
+   call runs in the calling domain, as it should. *)
+let require_two_cores () =
+  if Parallel.recommended_jobs () < 2 then begin
+    print_endline "one core: no second domain to observe";
+    Alcotest.skip ()
+  end
+
+(* [map_chunks ~jobs:2] over 16 items: each of the two chunks records
+   its domain, announces that it started and waits, for at most 10 s,
+   to see the other start. Both see each other only when the chunks
+   run at the same time on two domains. *)
+let rendezvous () =
+  let started = Atomic.make 0 in
+  Parallel.map_chunks ~jobs:2
+    (fun _ ->
+      Atomic.incr started;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      ((Domain.self () :> int), Atomic.get started = 2))
+    (List.init 16 Fun.id)
+
+let check_parallel what =
+  match rendezvous () with
+  | [ (d0, saw0); (d1, saw1) ] ->
+      Alcotest.(check bool) (what ^ ": two domains") true (d0 <> d1);
+      Alcotest.(check (pair bool bool)) (what ^ ": at once") (true, true) (saw0, saw1)
+  | cs -> Alcotest.failf "%s: expected 2 chunks, got %d" what (List.length cs)
+
+let test_chunks_parallel () =
+  require_two_cores ();
+  check_parallel "first call";
+  check_parallel "second call"
+
+let test_nested_map () =
+  let xss = List.init 20 (fun i -> List.init (i + 10) (fun j -> i * j)) in
+  let f x = (x * 7) + 1 in
+  Alcotest.(check (list (list int)))
+    "map inside map" (List.map (List.map f) xss)
+    (Parallel.map ~jobs:2 (Parallel.map ~jobs:2 f) xss);
+  Alcotest.(check (list (list (list int))))
+    "map_chunks inside map"
+    (List.map (fun xs -> [ List.map f xs ]) xss)
+    (Parallel.map ~jobs:2
+       (fun xs -> [ List.concat (Parallel.map_chunks ~jobs:2 (List.map f) xs) ])
+       xss)
+
+(* Two domains (the daemon's two client workers) call [map] at once:
+   one holds the helpers, the other runs inline, both are right. *)
+let test_concurrent_callers () =
+  let xs = List.init 500 Fun.id in
+  let f x = Hashtbl.hash (x * 31) in
+  let expected = List.map f xs in
+  let caller () =
+    List.for_all Fun.id (List.init 50 (fun _ -> Parallel.map ~jobs:2 f xs = expected))
+  in
+  let other = Domain.spawn caller in
+  let here = caller () in
+  Alcotest.(check bool) "calling domain" true here;
+  Alcotest.(check bool) "other domain" true (Domain.join other)
 
 exception Boom of int
 
@@ -66,6 +129,19 @@ let test_workers_survive_after_exception () =
    with Exit -> ());
   Alcotest.(check (list int)) "pool still works" [ 2; 4; 6 ]
     (Parallel.map ~jobs:4 (fun x -> 2 * x) [ 1; 2; 3 ])
+
+(* A chunk that raises on a helper must not wedge the pool: the next
+   call still gets two domains. *)
+let test_pool_survives_failing_chunk () =
+  require_two_cores ();
+  (match
+     Parallel.map_chunks ~jobs:2
+       (fun c -> if List.mem 3 c || List.mem 12 c then raise (Boom (List.hd c)))
+       (List.init 16 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected an exception"
+  | exception Boom i -> Alcotest.(check int) "lowest chunk's exception wins" 0 i);
+  check_parallel "after a failing call"
 
 (* qcheck: parallel map ≡ sequential map for arbitrary inputs and jobs *)
 let prop_map_equals_sequential =
@@ -152,6 +228,12 @@ let () =
             test_exception_propagation;
           Alcotest.test_case "pool survives exceptions" `Quick
             test_workers_survive_after_exception;
+          Alcotest.test_case "chunks run on two domains at once" `Quick
+            test_chunks_parallel;
+          Alcotest.test_case "pool survives a failing chunk" `Quick
+            test_pool_survives_failing_chunk;
+          Alcotest.test_case "nested map" `Quick test_nested_map;
+          Alcotest.test_case "concurrent callers" `Quick test_concurrent_callers;
           QCheck_alcotest.to_alcotest prop_map_equals_sequential;
         ] );
       ( "determinism",
