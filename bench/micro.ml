@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks for the core components: HCL parsing,
    graph construction, check evaluation, deployment simulation, CSP
-   solving, and a full mining pass. *)
+   solving, a full mining pass, and the daemon's request path. *)
 
 open Bechamel
 open Toolkit
@@ -205,10 +205,65 @@ let test_kb_probe =
              | None -> ())
            probes))
 
-let benchmarks =
+(* The daemon's hot request sources: 64 generated programs rendered as
+   HCL and salted with a first line, as zbench's serve streams are
+   (about 2 KB each). *)
+let serve_sources =
+  lazy
+    (Generator.generate ~provider ~violation_rate:0.2 ~seed:1 ~count:64 ()
+    |> List.mapi (fun k (p : Generator.project) ->
+           Printf.sprintf "# zbench %d\n%s" k
+             (Zodiac_hcl.Compile.program_to_hcl
+                ~type_name:provider.Zodiac_provider.Provider.to_terraform
+                p.Generator.program)))
+
+let test_detect_source =
+  let src = List.hd (Lazy.force serve_sources) in
+  Test.make ~name:"providers: detect_source on a serve source"
+    (Staged.stage (fun () -> ignore (Zodiac_providers.Providers.detect_source src)))
+
+(* A whole connection of 64 [scan_file] lines with inline sources, read
+   from a file, every one a scan-cache hit: reading, parsing, cache
+   lookup and the replies. No zbench layer metric covers the read. *)
+let test_serve_hot () =
+  let module Server = Zodiac_serve.Server in
+  let module Json = Zodiac_util.Json in
+  let session =
+    match Zodiac_serve.Session.create Zodiac_serve.Session.default_config with
+    | Ok s -> s
+    | Error e -> failwith ("micro: session: " ^ e)
+  in
+  let requests = Filename.temp_file "zodiac-micro" ".req" in
+  at_exit (fun () -> try Sys.remove requests with Sys_error _ -> ());
+  Out_channel.with_open_bin requests (fun oc ->
+      List.iteri
+        (fun k src ->
+          Printf.fprintf oc "%s\n"
+            (Json.to_string
+               (Json.Obj
+                  [
+                    ("id", Json.Int k);
+                    ("method", Json.String "scan_file");
+                    ( "params",
+                      Json.Obj
+                        [
+                          ("path", Json.String (Printf.sprintf "zbench/p%d.tf" k));
+                          ("source", Json.String src);
+                        ] );
+                  ])))
+        (Lazy.force serve_sources));
+  let null = open_out_bin Filename.null in
+  let serve () =
+    In_channel.with_open_bin requests (fun ic -> Server.serve_channels session ic null)
+  in
+  serve ();
+  Test.make ~name:"serve: 64 hot scan_file lines from a file" (Staged.stage serve)
+
+let benchmarks () =
   [
     test_hcl_parse; test_graph_build; test_check_eval; test_deploy; test_solver;
     test_solver_mutation; test_mutation_predicate; test_mining_pass; test_kb_probe;
+    test_detect_source; test_serve_hot ();
   ]
 
 let run () =
@@ -231,4 +286,4 @@ let run () =
               Printf.printf "  %-42s %12.1f ns/run\n" name est
           | _ -> Printf.printf "  %-42s (no estimate)\n" name)
         analyze)
-    benchmarks
+    (benchmarks ())

@@ -94,16 +94,21 @@ let scan_plan_source ?checkpoint ~provider ~checks ~file src =
                graph))
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic -> (
-      match
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with
+  match Sys.is_directory path with
+  | true ->
+      Error
+        (path ^ ": is a directory, not a file (the daemon's scan_directory scans a directory)")
+  | false | (exception Sys_error _) -> (
+      match open_in_bin path with
       | exception Sys_error e -> Error e
-      | src -> Ok src)
+      | ic -> (
+          match
+            Fun.protect
+              ~finally:(fun () -> close_in_noerr ic)
+              (fun () -> really_input_string ic (in_channel_length ic))
+          with
+          | exception Sys_error e -> Error e
+          | src -> Ok src))
 
 let scan_file ?checkpoint ~provider ~checks path =
   match read_file path with

@@ -57,8 +57,10 @@ val scan_file :
 (** {!scan_source} on a file's contents. *)
 
 val read_file : string -> (string, string) result
-(** Whole-file read, [Error] on I/O failure — exposed so callers that
-    cache by content fingerprint can read once and scan from source. *)
+(** Whole-file read, [Error] on I/O failure or when [path] is a
+    directory (the message names it and points to [scan_directory]) —
+    exposed so callers that cache by content fingerprint can read once
+    and scan from source. *)
 
 val hcl_files : string -> string list
 (** [.tf]/[.hcl] files under a directory, recursive, sorted by path —

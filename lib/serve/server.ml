@@ -9,34 +9,115 @@ type config = {
 let default_config =
   { max_request_bytes = 1 lsl 20; deadline_ms = None; max_clients = 4 }
 
-(* Bounded line reader: an oversized line is drained, never buffered,
+(* Bounded line reader over one connection. Each [input] takes what the
+   channel already holds or does one [read], into a chunk the reader
+   keeps; a line is cut from the chunk at its ['\n'] and what follows
+   stays there for the next call, so a complete line is never held
+   back waiting for more input. A line that spans chunks is gathered
+   in [line], at most [limit + 1] bytes: enough for [Protocol.parse]
+   to refuse it by size. Anything longer is drained, never buffered,
    so a hostile client cannot balloon the daemon's memory. *)
-let read_line_bounded ic limit =
-  let buf = Buffer.create 256 in
-  let rec drain () =
-    match input_char ic with
-    | exception End_of_file -> `Oversized
-    | '\n' -> `Oversized
-    | _ -> drain ()
-  in
-  let rec go () =
-    match input_char ic with
-    | exception End_of_file ->
-        if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
-    | '\n' -> `Line (Buffer.contents buf)
-    | c ->
-        if Buffer.length buf > limit then drain ()
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-  in
-  go ()
+type reader = {
+  ic : in_channel;
+  limit : int;
+  chunk : Bytes.t;
+  mutable pos : int; (* next unread byte of [chunk] *)
+  mutable len : int; (* bytes of [chunk] the last [input] filled *)
+  mutable line : Bytes.t; (* a spanning line, gathered so far *)
+  mutable held : int; (* bytes of [line] in use *)
+}
 
-let respond oc json =
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  flush oc
+let chunk_bytes = 65536
+
+let reader ic ~limit =
+  {
+    ic;
+    limit;
+    chunk = Bytes.create chunk_bytes;
+    pos = 0;
+    len = 0;
+    line = Bytes.empty;
+    held = 0;
+  }
+
+(* [false] at end of input. *)
+let refill r =
+  r.pos <- 0;
+  r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk);
+  r.len > 0
+
+let rec newline_from b i stop =
+  if i = stop || Bytes.unsafe_get b i = '\n' then i
+  else newline_from b (i + 1) stop
+
+let hold r n =
+  let need = r.held + n in
+  if need > Bytes.length r.line then begin
+    let grown =
+      Bytes.create (min (r.limit + 1) (max need (2 * Bytes.length r.line)))
+    in
+    Bytes.blit r.line 0 grown 0 r.held;
+    r.line <- grown
+  end;
+  Bytes.blit r.chunk r.pos r.line r.held n;
+  r.held <- need
+
+let release r =
+  let s = Bytes.sub_string r.line 0 r.held in
+  r.line <- Bytes.empty;
+  r.held <- 0;
+  s
+
+let rec drain r =
+  if r.pos = r.len && not (refill r) then `Oversized
+  else
+    let nl = newline_from r.chunk r.pos r.len in
+    if nl < r.len then begin
+      r.pos <- nl + 1;
+      `Oversized
+    end
+    else begin
+      r.pos <- r.len;
+      drain r
+    end
+
+let rec read_line r =
+  if r.pos = r.len && not (refill r) then
+    if r.held = 0 then `Eof else `Line (release r)
+  else
+    let nl = newline_from r.chunk r.pos r.len in
+    let n = nl - r.pos in
+    if r.held + n > r.limit + 1 then begin
+      r.line <- Bytes.empty;
+      r.held <- 0;
+      r.pos <- nl;
+      drain r
+    end
+    else if nl = r.len then begin
+      hold r n;
+      r.pos <- r.len;
+      read_line r
+    end
+    else
+      let line =
+        if r.held = 0 then Bytes.sub_string r.chunk r.pos n
+        else begin
+          hold r n;
+          release r
+        end
+      in
+      r.pos <- nl + 1;
+      `Line line
+
+(* [buf] is the connection's, reused from reply to reply; one that grew
+   past a chunk for a large reply goes back to its initial size. *)
+let respond buf oc json =
+  Buffer.clear buf;
+  Json.to_buffer buf json;
+  Buffer.add_char buf '\n';
+  Buffer.output_buffer oc buf;
+  flush oc;
+  if Buffer.length buf > chunk_bytes then Buffer.reset buf
 
 let handle_line ?(config = default_config) session line =
   match Protocol.parse ~max_bytes:config.max_request_bytes line with
@@ -47,13 +128,15 @@ let handle_line ?(config = default_config) session line =
       | Error e -> Protocol.error_response ~id e)
 
 let serve_channels ?(config = default_config) session ic oc =
+  let r = reader ic ~limit:config.max_request_bytes in
+  let buf = Buffer.create 4096 in
   let rec loop () =
     if Session.stopping session then ()
     else
-      match read_line_bounded ic config.max_request_bytes with
+      match read_line r with
       | `Eof -> ()
       | `Oversized ->
-          respond oc
+          respond buf oc
             (Protocol.error_response ~id:Json.Null
                {
                  Protocol.code = "request_too_large";
@@ -64,7 +147,7 @@ let serve_channels ?(config = default_config) session ic oc =
           loop ()
       | `Line line when String.trim line = "" -> loop ()
       | `Line line ->
-          respond oc (handle_line ~config session line);
+          respond buf oc (handle_line ~config session line);
           loop ()
   in
   loop ()
@@ -149,13 +232,13 @@ let close_admission adm =
 let refuse conn code message =
   let oc = Unix.out_channel_of_descr conn in
   (try
-     respond oc
+     respond (Buffer.create 256) oc
        (Protocol.error_response ~id:Json.Null { Protocol.code; message })
    with Sys_error _ | Unix.Unix_error _ -> ());
   try Unix.close conn with _ -> ()
 
 (* Connections currently being served, so shutdown can unblock worker
-   domains parked in [input_char] on an idle client. *)
+   domains parked in [input] on an idle client. *)
 type active = { alock : Mutex.t; mutable fds : Unix.file_descr list }
 
 let worker session config adm active =

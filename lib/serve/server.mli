@@ -15,10 +15,15 @@
     structured [busy] error and closed immediately — never parked in
     an invisible accept queue.
 
-    Guard rails, per request: lines longer than [max_request_bytes]
-    are answered with [request_too_large] (and drained, not buffered);
-    malformed JSON with [parse_error]; [deadline_ms] is enforced by
-    {!Session.handle} while the request runs — scan/validate handlers
+    Each connection reads in chunks: one [input] takes what the channel
+    holds or does a single read, lines are cut at ['\n'], and a complete
+    line is served without waiting for more input. Guard rails, per
+    request: lines longer than [max_request_bytes] are answered with
+    [request_too_large] (and drained, not buffered), so a connection
+    holds at most [max_request_bytes + 1] bytes of a line plus one
+    64 KiB chunk (and, between replies, a reply buffer of at most a
+    chunk); malformed JSON with [parse_error]; [deadline_ms] is
+    enforced by {!Session.handle} while the request runs — scan/validate handlers
     probe the deadline at their work boundaries and abandon the
     request with a [deadline_exceeded] error. *)
 

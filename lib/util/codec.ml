@@ -263,14 +263,26 @@ let decode ~stage data read =
     Ok (read (src_of_string payload))
   with Corrupt msg -> Error msg
 
+(* Each domain's scratch text for [fingerprint]. A part can be a whole
+   source file, and a fresh text that size would be allocated straight
+   in the major heap on every call; a text over 64 KiB is not kept. *)
+let fingerprint_scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 let fingerprint parts =
   (* length-prefix each part so the digest is injective on the list,
      then MD5 for a short stable hex key *)
-  let b = Buffer.create 128 in
-  List.iter
-    (fun p ->
-      Buffer.add_string b (string_of_int (String.length p));
-      Buffer.add_char b ':';
-      Buffer.add_string b p)
-    parts;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let pieces =
+    List.concat_map (fun p -> [ string_of_int (String.length p); ":"; p ]) parts
+  in
+  let total = List.fold_left (fun n s -> n + String.length s) 0 pieces in
+  let scratch = Domain.DLS.get fingerprint_scratch in
+  if Bytes.length !scratch < total then scratch := Bytes.create total;
+  let text = !scratch in
+  ignore
+    (List.fold_left
+       (fun pos s ->
+         Bytes.blit_string s 0 text pos (String.length s);
+         pos + String.length s)
+       0 pieces);
+  if total > 65536 then scratch := Bytes.empty;
+  Digest.to_hex (Digest.subbytes text 0 total)

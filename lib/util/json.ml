@@ -25,8 +25,7 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-let to_string ?(pretty = false) json =
-  let buf = Buffer.create 256 in
+let to_buffer ?(pretty = false) buf json =
   let indent n =
     if pretty then begin
       Buffer.add_char buf '\n';
@@ -76,7 +75,11 @@ let to_string ?(pretty = false) json =
         indent depth;
         Buffer.add_char buf '}'
   in
-  emit 0 json;
+  emit 0 json
+
+let to_string ?pretty json =
+  let buf = Buffer.create 256 in
+  to_buffer ?pretty buf json;
   Buffer.contents buf
 
 (* Recursive-descent parser over a string with a mutable cursor. *)
@@ -110,59 +113,83 @@ let parse_literal cur lit value =
   end
   else fail cur (Printf.sprintf "expected '%s'" lit)
 
+(* The first ['"'] or ['\\'] at or after [i], or the end of [s]. *)
+let rec special_from s i =
+  if i >= String.length s then i
+  else match String.unsafe_get s i with '"' | '\\' -> i | _ -> special_from s (i + 1)
+
+(* Each domain's buffer for literals with escapes: it keeps its size
+   from one literal to the next, so decoding a large one does not
+   regrow block after block, each allocated straight in the major
+   heap. A literal over 64 KiB gives the buffer back. *)
+let literal_scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+(* Runs between escapes are copied whole; a literal without escapes is
+   one [String.sub]. *)
 let parse_string_body cur =
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' ->
-        advance cur;
-        Buffer.contents buf
-    | Some '\\' ->
-        advance cur;
-        (match peek cur with
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '/' -> Buffer.add_char buf '/'
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some 'b' -> Buffer.add_char buf '\b'
-        | Some 'f' -> Buffer.add_char buf '\012'
-        | Some 'u' ->
-            (* Decode \uXXXX; non-ASCII code points are emitted as UTF-8. *)
-            if cur.pos + 4 >= String.length cur.src then fail cur "bad unicode escape";
-            let hex = String.sub cur.src (cur.pos + 1) 4 in
-            let hex_digit c =
-              match c with
-              | '0' .. '9' -> Char.code c - Char.code '0'
-              | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-              | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-              | _ -> fail cur "bad unicode escape"
-            in
-            let code =
-              String.fold_left (fun acc c -> (acc * 16) + hex_digit c) 0 hex
-            in
-            cur.pos <- cur.pos + 4;
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-        | _ -> fail cur "bad escape");
-        advance cur;
-        loop ()
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ()
+  let s = cur.src in
+  let stop = special_from s cur.pos in
+  if stop < String.length s && s.[stop] = '"' then begin
+    let literal = String.sub s cur.pos (stop - cur.pos) in
+    cur.pos <- stop + 1;
+    literal
+  end
+  else
+    let buf = Domain.DLS.get literal_scratch in
+    (* a failed parse may have left a large literal behind *)
+    if Buffer.length buf > 65536 then Buffer.reset buf else Buffer.clear buf;
+    let rec loop () =
+      let stop = special_from s cur.pos in
+      Buffer.add_substring buf s cur.pos (stop - cur.pos);
+      cur.pos <- stop;
+      match peek cur with
+      | None -> fail cur "unterminated string"
+      | Some '"' ->
+          advance cur;
+          let literal = Buffer.contents buf in
+          if Buffer.length buf > 65536 then Buffer.reset buf;
+          literal
+      | Some _ ->
+          advance cur;
+          (match peek cur with
+          | Some '"' -> Buffer.add_char buf '"'
+          | Some '\\' -> Buffer.add_char buf '\\'
+          | Some '/' -> Buffer.add_char buf '/'
+          | Some 'n' -> Buffer.add_char buf '\n'
+          | Some 't' -> Buffer.add_char buf '\t'
+          | Some 'r' -> Buffer.add_char buf '\r'
+          | Some 'b' -> Buffer.add_char buf '\b'
+          | Some 'f' -> Buffer.add_char buf '\012'
+          | Some 'u' ->
+              (* Decode \uXXXX; non-ASCII code points are emitted as UTF-8. *)
+              if cur.pos + 4 >= String.length cur.src then fail cur "bad unicode escape";
+              let hex = String.sub cur.src (cur.pos + 1) 4 in
+              let hex_digit c =
+                match c with
+                | '0' .. '9' -> Char.code c - Char.code '0'
+                | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                | _ -> fail cur "bad unicode escape"
+              in
+              let code =
+                String.fold_left (fun acc c -> (acc * 16) + hex_digit c) 0 hex
+              in
+              cur.pos <- cur.pos + 4;
+              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+              end
+          | _ -> fail cur "bad escape");
+          advance cur;
+          loop ()
+    in
+    loop ()
 
 let parse_number cur =
   let start = cur.pos in

@@ -19,6 +19,9 @@ exception Parse_error of string
 val to_string : ?pretty:bool -> t -> string
 (** Serialize. [pretty] (default false) adds newlines and 2-space indent. *)
 
+val to_buffer : ?pretty:bool -> Buffer.t -> t -> unit
+(** {!to_string}, appended to a buffer the caller can reuse. *)
+
 val of_string : string -> t
 (** Parse a JSON document. @raise Parse_error on malformed input. *)
 

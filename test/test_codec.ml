@@ -223,6 +223,18 @@ let test_tables_jobs_invariant () =
       ("aws", aws, Miner.default_config);
     ]
 
+(* ------------- fingerprint pin ---------------------------------------- *)
+
+(* Cache keys are file names on disk and [content_fingerprint]s in serve
+   replies: MD5 of the length-prefixed parts, byte for byte. *)
+let test_fingerprint_pin () =
+  Alcotest.(check string) "short parts" "aaa3b8948c2c5bcaa0ba7b016554a284"
+    (Codec.fingerprint [ "shard"; "abc"; "0"; "9" ]);
+  Alcotest.(check string) "an empty part and a long one" "c595b80246af3ffe0381858a391a96a8"
+    (Codec.fingerprint [ ""; String.make 3000 'x' ]);
+  Alcotest.(check string) "short parts after a long text" "aaa3b8948c2c5bcaa0ba7b016554a284"
+    (Codec.fingerprint [ "shard"; "abc"; "0"; "9" ])
+
 (* ------------- envelope invalidation ---------------------------------- *)
 
 let test_envelope () =
@@ -378,7 +390,10 @@ let () =
             test_tables_jobs_invariant;
         ] );
       ( "envelope",
-        [ Alcotest.test_case "seal, corrupt, stale version" `Quick test_envelope ] );
+        [
+          Alcotest.test_case "seal, corrupt, stale version" `Quick test_envelope;
+          Alcotest.test_case "fingerprint pin" `Quick test_fingerprint_pin;
+        ] );
       ( "cache",
         [ Alcotest.test_case "store/find/sizes/corrupt" `Quick test_cache_store ] );
       ( "pipeline",

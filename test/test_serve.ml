@@ -213,6 +213,11 @@ let response_field line name =
   | Error e -> Alcotest.failf "bad response line %S: %s" line e
   | Ok json -> Json.member name json
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 let test_server_round_trip () =
   let tf = write_temp ".tf" Registry.mssql_db_buggy in
   Fun.protect
@@ -299,6 +304,216 @@ let test_server_oversized_line () =
   Alcotest.(check bool) "handle_line guards too" true
     (Json.member "code" (Json.member "error" resp)
     = Json.String "request_too_large")
+
+(* ------------- the channel reader ----------------------------------- *)
+
+(* The per-byte bounded reader and channel loop the daemon used before
+   it read in chunks, kept verbatim as the reference [serve_channels]
+   must answer the same bytes as. *)
+module Reference = struct
+  let read_line_bounded ic limit =
+    let buf = Buffer.create 256 in
+    let rec drain () =
+      match input_char ic with
+      | exception End_of_file -> `Oversized
+      | '\n' -> `Oversized
+      | _ -> drain ()
+    in
+    let rec go () =
+      match input_char ic with
+      | exception End_of_file ->
+          if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+      | '\n' -> `Line (Buffer.contents buf)
+      | c ->
+          if Buffer.length buf > limit then drain ()
+          else begin
+            Buffer.add_char buf c;
+            go ()
+          end
+    in
+    go ()
+
+  let respond oc json =
+    output_string oc (Json.to_string json);
+    output_char oc '\n';
+    flush oc
+
+  let serve_channels ~(config : Server.config) session ic oc =
+    let rec loop () =
+      if Session.stopping session then ()
+      else
+        match read_line_bounded ic config.max_request_bytes with
+        | `Eof -> ()
+        | `Oversized ->
+            respond oc
+              (Protocol.error_response ~id:Json.Null
+                 {
+                   Protocol.code = "request_too_large";
+                   message =
+                     Printf.sprintf "request line exceeds the %d-byte limit"
+                       config.max_request_bytes;
+                 });
+            loop ()
+        | `Line line when String.trim line = "" -> loop ()
+        | `Line line ->
+            respond oc (Server.handle_line ~config session line);
+            loop ()
+    in
+    loop ()
+end
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* The reply bytes of one connection that sends [input], served from a
+   file by [serve] on a fresh session. *)
+let replies serve ~limit input =
+  let config = { Server.default_config with Server.max_request_bytes = limit } in
+  let req = write_temp ".req" input in
+  let resp = Filename.temp_file "zodiac-test-serve" ".resp" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove req with Sys_error _ -> ());
+      try Sys.remove resp with Sys_error _ -> ())
+    (fun () ->
+      let session = make_session () in
+      In_channel.with_open_bin req (fun ic ->
+          Out_channel.with_open_bin resp (fun oc -> serve ~config session ic oc));
+      read_all resp)
+
+let chunk = 65536
+
+(* A request of exactly [len] bytes where it can be: a [ping] padded
+   with leading blanks, or garbage of that length. *)
+let padded_ping id len =
+  let ping = Printf.sprintf {|{"id":%d,"method":"ping"}|} id in
+  String.make (max 0 (len - String.length ping)) ' ' ^ ping
+
+type piece = Ping of int | Garbage of int | Blank of string | List_checks | Shutdown
+
+let piece_gen ~limit =
+  let open QCheck.Gen in
+  let len =
+    oneof
+      [
+        map (fun d -> max 0 (limit + d)) (int_range (-2) 2);
+        int_range 0 (limit + 3);
+        int_range (chunk - 40) (chunk + 40);
+        int_range 0 (3 * chunk);
+      ]
+  in
+  frequency
+    [
+      (8, map (fun n -> Ping n) len);
+      (2, map (fun n -> Garbage n) len);
+      (3, map (fun b -> Blank b) (oneofl [ ""; "   "; "\t"; "\r" ]));
+      (1, return List_checks);
+      (1, return Shutdown);
+    ]
+
+let connection_gen =
+  let open QCheck.Gen in
+  let* limit =
+    frequency [ (3, int_range 16 300); (1, int_range (chunk - 200) (chunk + 200)) ]
+  in
+  let* pieces = list_size (int_range 1 24) (piece_gen ~limit) in
+  let* final_newline = frequency [ (2, return true); (1, return false) ] in
+  let lines =
+    List.mapi
+      (fun id -> function
+        | Ping n -> padded_ping id n
+        | Garbage n -> String.make n 'x'
+        | Blank b -> b
+        | List_checks -> Printf.sprintf {|{"id":%d,"method":"list_checks"}|} id
+        | Shutdown -> {|{"id":0,"method":"shutdown"}|})
+      pieces
+  in
+  return
+    (limit, String.concat "\n" lines ^ if final_newline then "\n" else "")
+
+let prop_reader_matches_reference =
+  QCheck.Test.make ~name:"serve_channels ≡ per-byte reference reader" ~count:150
+    (QCheck.make
+       ~print:(fun (limit, input) ->
+         Printf.sprintf "limit %d, %d bytes, line lengths [%s]" limit
+           (String.length input)
+           (String.concat "; "
+              (List.map
+                 (fun l -> string_of_int (String.length l))
+                 (String.split_on_char '\n' input))))
+       connection_gen)
+    (fun (limit, input) ->
+      String.equal
+        (replies (fun ~config -> Server.serve_channels ~config) ~limit input)
+        (replies Reference.serve_channels ~limit input))
+
+(* A complete line is answered while its writer keeps the pipe open:
+   the reader must not wait to fill a chunk. *)
+let test_reader_answers_open_pipe () =
+  let session = make_session () in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let server =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr req_r in
+        let oc = Unix.out_channel_of_descr resp_w in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic; close_out_noerr oc)
+          (fun () -> Server.serve_channels session ic oc))
+  in
+  let ping = {|{"id":1,"method":"ping"}|} ^ "\n" in
+  ignore (Unix.write_substring req_w ping 0 (String.length ping));
+  let answered =
+    match Unix.select [ resp_r ] [] [] 10.0 with
+    | [], _, _ -> None
+    | _ ->
+        let buf = Bytes.create 4096 in
+        Some (Bytes.sub_string buf 0 (Unix.read resp_r buf 0 4096))
+  in
+  (* closing the writer ends the connection whether or not it answered *)
+  Unix.close req_w;
+  Domain.join server;
+  Unix.close resp_r;
+  match answered with
+  | None -> Alcotest.fail "no reply within 10 s while the writer held the pipe open"
+  | Some reply ->
+      Alcotest.(check bool) "ping answered" true
+        (String.starts_with ~prefix:{|{"id":1,"ok":true|} reply)
+
+(* A multi-megabyte line past a 64-byte limit is drained, not gathered:
+   the read allocates far less than the line, and the next request is
+   served. *)
+let test_reader_drains_huge_line () =
+  let session = make_session () in
+  let config = { Server.default_config with Server.max_request_bytes = 64 } in
+  let huge = 4 lsl 20 in
+  let req =
+    write_temp ".req"
+      (String.make huge 'x' ^ "\n" ^ {|{"id":2,"method":"ping"}|} ^ "\n")
+  in
+  let resp = Filename.temp_file "zodiac-test-serve" ".resp" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove req with Sys_error _ -> ());
+      try Sys.remove resp with Sys_error _ -> ())
+    (fun () ->
+      let allocated =
+        In_channel.with_open_bin req (fun ic ->
+            Out_channel.with_open_bin resp (fun oc ->
+                let before = Gc.allocated_bytes () in
+                Server.serve_channels ~config session ic oc;
+                Gc.allocated_bytes () -. before))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "allocated %.0f bytes for a %d-byte line" allocated huge)
+        true
+        (allocated < float_of_int (huge / 16));
+      match String.split_on_char '\n' (String.trim (read_all resp)) with
+      | [ refused; served ] ->
+          Alcotest.(check bool) "request_too_large" true
+            (Json.member "code" (response_field refused "error")
+            = Json.String "request_too_large");
+          Alcotest.(check bool) "next request served" true
+            (response_field served "ok" = Json.Bool true)
+      | lines -> Alcotest.failf "expected two replies, got %d" (List.length lines))
 
 let test_validate_verbs () =
   let good = write_temp ".tf" Registry.mssql_db_fixed in
@@ -444,6 +659,33 @@ let test_scan_directory () =
           Alcotest.(check int) "one unparsable file" 1 (List.length errors);
           Alcotest.(check bool) "error names the file" true
             (String.length (fst (List.hd errors)) > 0))
+
+(* A directory given where one file is expected: the one-shot scan and
+   the daemon's scan_file both name it as a directory and point to
+   scan_directory, rather than surfacing the read's EOVERFLOW. *)
+let test_scan_file_on_directory () =
+  let dir = Filename.temp_file "zodiac-test-serve" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let names_directory what message =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names the directory: %s" what message)
+          true
+          (List.for_all (contains message) [ dir; "is a directory"; "scan_directory" ])
+      in
+      let checks = Scan.ground_truth_entries Zodiac_azure.Azure.provider in
+      (match Scan.scan_file ~provider:Zodiac_azure.Azure.provider ~checks dir with
+      | Error e -> names_directory "Scan.scan_file" e
+      | Ok _ -> Alcotest.fail "a directory scanned as a file");
+      let resp = Server.handle_line (make_session ()) (scan_request dir) in
+      Alcotest.(check bool) "daemon answers not-ok" true
+        (Json.member "ok" resp = Json.Bool false);
+      match Json.member "message" (Json.member "error" resp) with
+      | Json.String message -> names_directory "daemon scan_file" message
+      | _ -> Alcotest.fail "error reply without a message")
 
 (* ------------- concurrency ------------------------------------------- *)
 
@@ -640,11 +882,6 @@ let test_scan_cache () =
   (* same bytes under another path: cache hit, but the response must
      carry the new path, not the first requester's *)
   let third = scan ~path:"b.tf" Registry.mssql_db_buggy in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "hit reattaches the caller's path" true
     (contains third "b.tf" && not (contains third "a.tf"))
 
@@ -941,6 +1178,11 @@ let () =
           Alcotest.test_case "deadline" `Quick test_server_deadline;
           Alcotest.test_case "oversized line" `Quick test_server_oversized_line;
           Alcotest.test_case "validate" `Quick test_validate_verbs;
+          QCheck_alcotest.to_alcotest prop_reader_matches_reference;
+          Alcotest.test_case "line answered on an open pipe" `Quick
+            test_reader_answers_open_pipe;
+          Alcotest.test_case "multi-MB line drained" `Quick
+            test_reader_drains_huge_line;
         ] );
       ( "sarif",
         [
@@ -948,6 +1190,8 @@ let () =
             test_sarif_deterministic;
           Alcotest.test_case "line index" `Quick test_line_index;
           Alcotest.test_case "directory scan" `Quick test_scan_directory;
+          Alcotest.test_case "scan_file on a directory" `Quick
+            test_scan_file_on_directory;
         ] );
       ( "concurrency",
         [
