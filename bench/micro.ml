@@ -222,6 +222,24 @@ let test_detect_source =
   Test.make ~name:"providers: detect_source on a serve source"
     (Staged.stage (fun () -> ignore (Zodiac_providers.Providers.detect_source src)))
 
+let test_compile_serve_source =
+  let src = List.hd (Lazy.force serve_sources) in
+  let type_map = provider.Zodiac_provider.Provider.of_terraform in
+  Test.make ~name:"hcl: lex+parse+compile a serve source"
+    (Staged.stage (fun () -> ignore (Zodiac_hcl.Compile.compile_string ~type_map src)))
+
+(* What a cold [scan_file] pays below the protocol: compile, line
+   index, check evaluation and diagnosis, for 64 different sources. *)
+let test_scan_cold =
+  let sources = Lazy.force serve_sources in
+  let checks = Zodiac_serve.Scan.ground_truth_entries provider in
+  Test.make ~name:"scan: scan_source on 64 cold serve sources"
+    (Staged.stage (fun () ->
+         List.iter
+           (fun src ->
+             ignore (Zodiac_serve.Scan.scan_source ~provider ~checks ~file:"p.tf" src))
+           sources))
+
 (* A whole connection of 64 [scan_file] lines with inline sources, read
    from a file, every one a scan-cache hit: reading, parsing, cache
    lookup and the replies. No zbench layer metric covers the read. *)
@@ -263,7 +281,7 @@ let benchmarks () =
   [
     test_hcl_parse; test_graph_build; test_check_eval; test_deploy; test_solver;
     test_solver_mutation; test_mutation_predicate; test_mining_pass; test_kb_probe;
-    test_detect_source; test_serve_hot ();
+    test_detect_source; test_compile_serve_source; test_scan_cold; test_serve_hot ();
   ]
 
 let run () =

@@ -130,10 +130,11 @@ let compile_file ~type_map file =
   in
   (Program.of_resources resources, List.rev env.diags)
 
+let compile_tokens ~type_map tokens =
+  Result.map (compile_file ~type_map) (Parser.parse_tokens_result tokens)
+
 let compile_string ~type_map src =
-  match Parser.parse_result src with
-  | Error e -> Error e
-  | Ok file -> Ok (compile_file ~type_map file)
+  Result.bind (Lexer.tokenize_result src) (compile_tokens ~type_map)
 
 let rec value_to_expr ~type_name v =
   match v with

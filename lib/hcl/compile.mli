@@ -17,11 +17,19 @@ val compile_file :
     reported as diagnostics; unresolvable variables become literal
     ["${var.x}"] strings. *)
 
+val compile_tokens :
+  type_map:(string -> string option) ->
+  Lexer.spanned list ->
+  (Zodiac_iac.Program.t * diagnostic list, string) result
+(** Parse a lexed document, then compile it. A caller that also needs
+    the tokens (the scanner's line index) lexes once and passes them
+    here. *)
+
 val compile_string :
   type_map:(string -> string option) ->
   string ->
   (Zodiac_iac.Program.t * diagnostic list, string) result
-(** Parse then compile. *)
+(** {!Lexer.tokenize_result}, then {!compile_tokens}. *)
 
 val decompile :
   type_name:(string -> string) ->

@@ -34,16 +34,24 @@ let token_to_string = function
   | Newline -> "newline"
   | Eof -> "end of input"
 
-type state = { src : string; mutable pos : int; mutable line : int }
+(* Bytes are read without an option: [at_end] is the only test for the
+   end of input, because a source may itself contain NUL bytes, and
+   [peek] is called only when it is false. The shared [buf] collects
+   string literals, so a literal grows no buffer of its own. *)
+type state = { src : string; mutable pos : int; mutable line : int; buf : Buffer.t }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let peek st = st.src.[st.pos]
+
+let peek_is st c = (not (at_end st)) && Char.equal (peek st) c
+
+let has_next st = st.pos + 1 < String.length st.src
+
+let next_is st c = has_next st && Char.equal st.src.[st.pos + 1] c
 
 let advance st =
-  (if st.pos < String.length st.src && st.src.[st.pos] = '\n' then
-     st.line <- st.line + 1);
+  if peek_is st '\n' then st.line <- st.line + 1;
   st.pos <- st.pos + 1
 
 let is_ident_start c =
@@ -54,11 +62,11 @@ let is_ident_char c =
 
 let is_digit c = match c with '0' .. '9' -> true | _ -> false
 
+let next_is_digit st = has_next st && is_digit st.src.[st.pos + 1]
+
 let read_ident st =
   let start = st.pos in
-  while
-    match peek st with Some c when is_ident_char c -> true | Some _ | None -> false
-  do
+  while (not (at_end st)) && is_ident_char (peek st) do
     advance st
   done;
   String.sub st.src start (st.pos - start)
@@ -67,12 +75,14 @@ let read_number st =
   let start = st.pos in
   let seen_dot = ref false in
   while
+    (not (at_end st))
+    &&
     match peek st with
-    | Some c when is_digit c -> true
-    | Some '.' when not !seen_dot && (match peek2 st with Some d -> is_digit d | None -> false) ->
+    | '0' .. '9' -> true
+    | '.' when (not !seen_dot) && next_is_digit st ->
         seen_dot := true;
         true
-    | Some _ | None -> false
+    | _ -> false
   do
     advance st
   done;
@@ -89,72 +99,68 @@ let read_number st =
 let read_interp_traversal st =
   let segments = ref [] in
   let read_segment () =
-    match peek st with
-    | Some c when is_ident_start c -> segments := read_ident st :: !segments
-    | Some c when is_digit c -> (
-        match read_number st with
-        | Int_lit i -> segments := string_of_int i :: !segments
-        | Float_lit _ | _ -> raise (Lex_error ("bad index in interpolation", st.line)))
-    | _ -> raise (Lex_error ("bad interpolation", st.line))
+    if (not (at_end st)) && is_ident_start (peek st) then
+      segments := read_ident st :: !segments
+    else if (not (at_end st)) && is_digit (peek st) then (
+      match read_number st with
+      | Int_lit i -> segments := string_of_int i :: !segments
+      | _ -> raise (Lex_error ("bad index in interpolation", st.line)))
+    else raise (Lex_error ("bad interpolation", st.line))
   in
   read_segment ();
   let continue = ref true in
   while !continue do
-    match peek st with
-    | Some '.' ->
-        advance st;
-        read_segment ()
-    | Some '[' ->
-        advance st;
-        read_segment ();
-        (match peek st with
-        | Some ']' -> advance st
-        | _ -> raise (Lex_error ("expected ']' in interpolation", st.line)))
-    | _ -> continue := false
+    if peek_is st '.' then begin
+      advance st;
+      read_segment ()
+    end
+    else if peek_is st '[' then begin
+      advance st;
+      read_segment ();
+      if peek_is st ']' then advance st
+      else raise (Lex_error ("expected ']' in interpolation", st.line))
+    end
+    else continue := false
   done;
-  (match peek st with
-  | Some '}' -> advance st
-  | _ -> raise (Lex_error ("expected '}' closing interpolation", st.line)));
+  if peek_is st '}' then advance st
+  else raise (Lex_error ("expected '}' closing interpolation", st.line));
   List.rev !segments
 
+(* [buf] is empty on entry: every literal that was started was flushed,
+   or its [Lex_error] ended the lex. *)
 let read_string st =
   let line0 = st.line in
   advance st;
   (* opening quote *)
   let parts = ref [] in
-  let buf = Buffer.create 16 in
+  let buf = st.buf in
   let flush_lit () =
     if Buffer.length buf > 0 then begin
       parts := Ast.Lit (Buffer.contents buf) :: !parts;
       Buffer.clear buf
     end
   in
+  let unterminated () = raise (Lex_error ("unterminated string", line0)) in
   let rec loop () =
+    if at_end st then unterminated ();
     match peek st with
-    | None -> raise (Lex_error ("unterminated string", line0))
-    | Some '"' ->
+    | '"' ->
         advance st;
         flush_lit ()
-    | Some '\\' ->
+    | '\\' ->
         advance st;
-        (match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '$' -> Buffer.add_char buf '$'
-        | Some c -> Buffer.add_char buf c
-        | None -> raise (Lex_error ("unterminated string", line0)));
+        if at_end st then unterminated ();
+        Buffer.add_char buf (match peek st with 'n' -> '\n' | 't' -> '\t' | c -> c);
         advance st;
         loop ()
-    | Some '$' when peek2 st = Some '{' ->
+    | '$' when next_is st '{' ->
         advance st;
         advance st;
         flush_lit ();
         let traversal = read_interp_traversal st in
         parts := Ast.Interp traversal :: !parts;
         loop ()
-    | Some c ->
+    | c ->
         advance st;
         Buffer.add_char buf c;
         loop ()
@@ -163,101 +169,89 @@ let read_string st =
   Str (List.rev !parts)
 
 let skip_line_comment st =
-  while match peek st with Some c when c <> '\n' -> true | Some _ | None -> false do
+  while (not (at_end st)) && not (Char.equal (peek st) '\n') do
     advance st
   done
 
 let skip_block_comment st =
   let line0 = st.line in
   let rec loop () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-        advance st;
-        advance st
-    | Some _, _ ->
-        advance st;
-        loop ()
-    | None, _ -> raise (Lex_error ("unterminated comment", line0))
+    if at_end st then raise (Lex_error ("unterminated comment", line0))
+    else if Char.equal (peek st) '*' && next_is st '/' then begin
+      advance st;
+      advance st
+    end
+    else begin
+      advance st;
+      loop ()
+    end
   in
   advance st;
   advance st;
   loop ()
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1 } in
+  let st = { src; pos = 0; line = 1; buf = Buffer.create 64 } in
   let out = ref [] in
   let emit tok = out := { tok; line = st.line } :: !out in
   let last_is_newline () =
     match !out with { tok = Newline; _ } :: _ | [] -> true | _ -> false
   in
   let rec loop () =
-    match peek st with
-    | None -> emit Eof
-    | Some (' ' | '\t' | '\r') ->
-        advance st;
-        loop ()
-    | Some '\n' ->
-        if not (last_is_newline ()) then emit Newline;
-        advance st;
-        loop ()
-    | Some '#' ->
-        skip_line_comment st;
-        loop ()
-    | Some '/' when peek2 st = Some '/' ->
-        skip_line_comment st;
-        loop ()
-    | Some '/' when peek2 st = Some '*' ->
-        skip_block_comment st;
-        loop ()
-    | Some '"' ->
-        emit (read_string st);
-        loop ()
-    | Some '{' ->
-        advance st;
-        emit Lbrace;
-        loop ()
-    | Some '}' ->
-        advance st;
-        emit Rbrace;
-        loop ()
-    | Some '[' ->
-        advance st;
-        emit Lbrack;
-        loop ()
-    | Some ']' ->
-        advance st;
-        emit Rbrack;
-        loop ()
-    | Some '=' ->
-        advance st;
-        emit Equal;
-        loop ()
-    | Some ',' ->
-        advance st;
-        emit Comma;
-        loop ()
-    | Some ':' ->
-        advance st;
-        emit Colon;
-        loop ()
-    | Some '.' ->
-        advance st;
-        emit Dot;
-        loop ()
-    | Some '-' when (match peek2 st with Some d -> is_digit d | None -> false) ->
-        advance st;
-        (match read_number st with
-        | Int_lit i -> emit (Int_lit (-i))
-        | Float_lit f -> emit (Float_lit (-.f))
-        | _ -> assert false);
-        loop ()
-    | Some c when is_digit c ->
-        emit (read_number st);
-        loop ()
-    | Some c when is_ident_start c ->
-        emit (Ident (read_ident st));
-        loop ()
-    | Some c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, st.line))
+    if at_end st then emit Eof
+    else
+      match peek st with
+      | ' ' | '\t' | '\r' ->
+          advance st;
+          loop ()
+      | '\n' ->
+          if not (last_is_newline ()) then emit Newline;
+          advance st;
+          loop ()
+      | '#' ->
+          skip_line_comment st;
+          loop ()
+      | '/' when next_is st '/' ->
+          skip_line_comment st;
+          loop ()
+      | '/' when next_is st '*' ->
+          skip_block_comment st;
+          loop ()
+      | '"' ->
+          emit (read_string st);
+          loop ()
+      | '{' -> punct Lbrace
+      | '}' -> punct Rbrace
+      | '[' -> punct Lbrack
+      | ']' -> punct Rbrack
+      | '=' -> punct Equal
+      | ',' -> punct Comma
+      | ':' -> punct Colon
+      | '.' -> punct Dot
+      | '-' when next_is_digit st ->
+          advance st;
+          (match read_number st with
+          | Int_lit i -> emit (Int_lit (-i))
+          | Float_lit f -> emit (Float_lit (-.f))
+          | _ -> assert false);
+          loop ()
+      | c when is_digit c ->
+          emit (read_number st);
+          loop ()
+      | c when is_ident_start c ->
+          emit (Ident (read_ident st));
+          loop ()
+      | c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, st.line))
+  and punct tok =
+    advance st;
+    emit tok;
+    loop ()
   in
   loop ();
   List.rev !out
+
+let tokenize_result src =
+  match tokenize src with
+  | tokens -> Ok tokens
+  | exception Lex_error (msg, line) ->
+      Error (Printf.sprintf "lex error: %s (line %d)" msg line)

@@ -1,10 +1,18 @@
 exception Parse_error of string * int
 
-type state = { toks : Lexer.spanned array; mutable idx : int }
+(* The parser walks the lexer's list itself: [cur] is the token under
+   the cursor, [rest] the ones after it. Advancing stops on the last
+   token, the [Eof] that ends every lexed list. *)
+type state = { mutable cur : Lexer.spanned; mutable rest : Lexer.spanned list }
 
-let current st = st.toks.(st.idx)
+let current st = st.cur
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+let advance st =
+  match st.rest with
+  | next :: rest ->
+      st.cur <- next;
+      st.rest <- rest
+  | [] -> ()
 
 let fail st msg =
   let { Lexer.tok; line } = current st in
@@ -12,13 +20,12 @@ let fail st msg =
     (Parse_error
        (Printf.sprintf "%s, found %s" msg (Lexer.token_to_string tok), line))
 
-let skip_newlines st =
-  while (current st).Lexer.tok = Lexer.Newline do
-    advance st
-  done
-
-let expect st tok msg =
-  if (current st).Lexer.tok = tok then advance st else fail st msg
+let rec skip_newlines st =
+  match (current st).Lexer.tok with
+  | Lexer.Newline ->
+      advance st;
+      skip_newlines st
+  | _ -> ()
 
 (* A dotted traversal starting from an already-consumed identifier. *)
 let parse_traversal st first =
@@ -179,33 +186,38 @@ and parse_block_after_type st btype =
     | _ -> ()
   in
   read_labels ();
-  expect st Lexer.Lbrace "expected '{' opening block body";
+  (match (current st).Lexer.tok with
+  | Lexer.Lbrace -> advance st
+  | _ -> fail st "expected '{' opening block body");
   let body = parse_body st in
-  expect st Lexer.Rbrace "expected '}' closing block body";
+  (match (current st).Lexer.tok with
+  | Lexer.Rbrace -> advance st
+  | _ -> fail st "expected '}' closing block body");
   { Ast.btype; labels = List.rev !labels; body }
 
-let parse src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; idx = 0 } in
-  let blocks = ref [] in
-  skip_newlines st;
-  let rec loop () =
-    match (current st).Lexer.tok with
-    | Lexer.Eof -> ()
-    | Lexer.Ident btype ->
-        advance st;
-        blocks := parse_block_after_type st btype :: !blocks;
-        skip_newlines st;
-        loop ()
-    | _ -> fail st "expected top-level block"
-  in
-  loop ();
-  List.rev !blocks
+let parse_tokens = function
+  | [] -> []
+  | cur :: rest ->
+      let st = { cur; rest } in
+      let blocks = ref [] in
+      skip_newlines st;
+      let rec loop () =
+        match (current st).Lexer.tok with
+        | Lexer.Eof -> ()
+        | Lexer.Ident btype ->
+            advance st;
+            blocks := parse_block_after_type st btype :: !blocks;
+            skip_newlines st;
+            loop ()
+        | _ -> fail st "expected top-level block"
+      in
+      loop ();
+      List.rev !blocks
 
-let parse_result src =
-  match parse src with
+let parse_tokens_result tokens =
+  match parse_tokens tokens with
   | file -> Ok file
   | exception Parse_error (msg, line) ->
       Error (Printf.sprintf "parse error: %s (line %d)" msg line)
-  | exception Lexer.Lex_error (msg, line) ->
-      Error (Printf.sprintf "lex error: %s (line %d)" msg line)
+
+let parse_result src = Result.bind (Lexer.tokenize_result src) parse_tokens_result

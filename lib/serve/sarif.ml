@@ -21,43 +21,39 @@ let plain_label = function
 
 (* Top-level [resource "type" "name"] headers only: nested blocks never
    define resources, so brace depth gates the match. *)
-let index_source src =
+let index_tokens tokens =
   let idx : line_index = Hashtbl.create 16 in
-  (match Lexer.tokenize src with
-  | exception Lexer.Lex_error _ -> ()
-  | tokens ->
-      let depth = ref 0 in
-      let rec scan = function
-        | [] -> ()
-        | { Lexer.tok = Lexer.Lbrace; _ } :: rest ->
-            incr depth;
+  let depth = ref 0 in
+  let rec scan = function
+    | [] -> ()
+    | { Lexer.tok = Lexer.Lbrace; _ } :: rest ->
+        incr depth;
+        scan rest
+    | { Lexer.tok = Lexer.Rbrace; _ } :: rest ->
+        decr depth;
+        scan rest
+    | { Lexer.tok = Lexer.Ident "resource"; line }
+      :: ({ Lexer.tok = t1; _ } as s1)
+      :: ({ Lexer.tok = t2; _ } as s2)
+      :: rest
+      when !depth = 0 -> (
+        match (plain_label t1, plain_label t2) with
+        | Some rtype, Some rname ->
+            if not (Hashtbl.mem idx (rtype, rname)) then
+              Hashtbl.replace idx (rtype, rname) line;
+            (match
+               Option.bind (Zodiac_providers.Providers.of_tf_type rtype)
+                 (fun p -> p.Zodiac_provider.Provider.of_terraform rtype)
+             with
+            | Some canonical ->
+                if not (Hashtbl.mem idx (canonical, rname)) then
+                  Hashtbl.replace idx (canonical, rname) line
+            | None -> ());
             scan rest
-        | { Lexer.tok = Lexer.Rbrace; _ } :: rest ->
-            decr depth;
-            scan rest
-        | { Lexer.tok = Lexer.Ident "resource"; line }
-          :: ({ Lexer.tok = t1; _ } as s1)
-          :: ({ Lexer.tok = t2; _ } as s2)
-          :: rest
-          when !depth = 0 -> (
-            match (plain_label t1, plain_label t2) with
-            | Some rtype, Some rname ->
-                if not (Hashtbl.mem idx (rtype, rname)) then
-                  Hashtbl.replace idx (rtype, rname) line;
-                (match
-                   Option.bind (Zodiac_providers.Providers.of_tf_type rtype)
-                     (fun p ->
-                       p.Zodiac_provider.Provider.of_terraform rtype)
-                 with
-                | Some canonical ->
-                    if not (Hashtbl.mem idx (canonical, rname)) then
-                      Hashtbl.replace idx (canonical, rname) line
-                | None -> ());
-                scan rest
-            | _ -> scan (s1 :: s2 :: rest))
-        | _ :: rest -> scan rest
-      in
-      scan tokens);
+        | _ -> scan (s1 :: s2 :: rest))
+    | _ :: rest -> scan rest
+  in
+  scan tokens;
   idx
 
 let resource_line idx (id : Zodiac_iac.Resource.id) =

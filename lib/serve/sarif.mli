@@ -23,12 +23,13 @@ type line_index
 (** Maps resources of one HCL source to the line of their defining
     [resource] block. *)
 
-val index_source : string -> line_index
-(** Scan an HCL document's token stream for top-level
-    [resource "type" "name"] headers. Unlexable sources yield an empty
-    index (every lookup falls back to line 1). Type labels are recorded
-    both raw ([azurerm_subnet] / [aws_subnet]) and canonicalized
-    through the matching provider's type mapping ([SUBNET]). *)
+val index_tokens : Zodiac_hcl.Lexer.spanned list -> line_index
+(** Walk an HCL document's tokens for top-level
+    [resource "type" "name"] headers, so the scanner reuses the tokens
+    it compiled instead of lexing the source again. Type labels are
+    recorded both raw ([azurerm_subnet] / [aws_subnet]) and
+    canonicalized through the matching provider's type mapping
+    ([SUBNET]); when a header repeats, the first one wins. *)
 
 val resource_line : line_index -> Zodiac_iac.Resource.id -> int
 (** Line of the resource's block header, or 1 when absent. *)

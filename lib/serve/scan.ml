@@ -60,15 +60,20 @@ let findings_of_graph ?checkpoint ~provider ~checks ~file ~line_of graph =
         (Eval.violations ~defaults graph entry.compiled))
     checks
 
+(* The source is lexed once: its tokens feed the compiler and then the
+   line index, and are dropped before the graph is built. *)
 let scan_source ?checkpoint ~provider ~checks ~file src =
-  match
-    Zodiac_hcl.Compile.compile_string
-      ~type_map:provider.Provider.of_terraform src
-  with
+  let compiled =
+    Result.bind (Zodiac_hcl.Lexer.tokenize_result src) (fun tokens ->
+        Result.map
+          (fun (prog, _diags) -> (prog, Sarif.index_tokens tokens))
+          (Zodiac_hcl.Compile.compile_tokens
+             ~type_map:provider.Provider.of_terraform tokens))
+  in
+  match compiled with
   | Error e -> Error (Printf.sprintf "%s: %s" file e)
-  | Ok (prog, _diags) ->
+  | Ok (prog, index) ->
       let graph = Graph.build prog in
-      let index = Sarif.index_source src in
       let line_of = function
         | [] -> 1
         | (_, rid) :: _ -> Sarif.resource_line index rid

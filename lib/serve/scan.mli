@@ -32,7 +32,8 @@ val scan_source :
   string ->
   (Sarif.finding list, string) result
 (** Compile HCL source and evaluate every check, diagnosing each
-    violating assignment. [file] is only metadata (the SARIF artifact
+    violating assignment. The source is lexed once; the same tokens
+    give the findings' lines ({!Sarif.index_tokens}). [file] is only metadata (the SARIF artifact
     URI and line-index scope). Compile failures come back as [Error].
     [checkpoint] is called between check evaluations; it may raise to
     abandon the scan (the cooperative deadline probe). *)

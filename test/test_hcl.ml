@@ -60,6 +60,564 @@ let test_lex_negative_number () =
   | [ _; _; { Lexer.tok = Lexer.Int_lit (-5); _ }; _ ] -> ()
   | _ -> Alcotest.fail "expected -5"
 
+(* ---------------- reference lexer and parser ------------------------ *)
+
+(* The lexer that peeked through [Some c] and the parser that copied
+   the token list into an array, kept verbatim (the token type is
+   shared) as the reference the lexer and parser must agree with:
+   same tokens, same AST, or the same error message and line. *)
+module Reference = struct
+  module Lexer = struct
+    type token = Lexer.token =
+      | Ident of string
+      | Str of Ast.string_part list
+      | Int_lit of int
+      | Float_lit of float
+      | Lbrace
+      | Rbrace
+      | Lbrack
+      | Rbrack
+      | Equal
+      | Comma
+      | Colon
+      | Dot
+      | Newline
+      | Eof
+
+    type spanned = Lexer.spanned = { tok : token; line : int }
+
+    exception Lex_error of string * int
+
+    let token_to_string = function
+      | Ident s -> Printf.sprintf "identifier %S" s
+      | Str _ -> "string"
+      | Int_lit i -> string_of_int i
+      | Float_lit f -> string_of_float f
+      | Lbrace -> "'{'"
+      | Rbrace -> "'}'"
+      | Lbrack -> "'['"
+      | Rbrack -> "']'"
+      | Equal -> "'='"
+      | Comma -> "','"
+      | Colon -> "':'"
+      | Dot -> "'.'"
+      | Newline -> "newline"
+      | Eof -> "end of input"
+
+    type state = { src : string; mutable pos : int; mutable line : int }
+
+    let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+
+    let peek2 st =
+      if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+
+    let advance st =
+      (if st.pos < String.length st.src && st.src.[st.pos] = '\n' then
+         st.line <- st.line + 1);
+      st.pos <- st.pos + 1
+
+    let is_ident_start c =
+      match c with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
+
+    let is_ident_char c =
+      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true | _ -> false
+
+    let is_digit c = match c with '0' .. '9' -> true | _ -> false
+
+    let read_ident st =
+      let start = st.pos in
+      while
+        match peek st with Some c when is_ident_char c -> true | Some _ | None -> false
+      do
+        advance st
+      done;
+      String.sub st.src start (st.pos - start)
+
+    let read_number st =
+      let start = st.pos in
+      let seen_dot = ref false in
+      while
+        match peek st with
+        | Some c when is_digit c -> true
+        | Some '.' when not !seen_dot && (match peek2 st with Some d -> is_digit d | None -> false) ->
+            seen_dot := true;
+            true
+        | Some _ | None -> false
+      do
+        advance st
+      done;
+      let text = String.sub st.src start (st.pos - start) in
+      if !seen_dot then Float_lit (float_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> Int_lit i
+        | None -> raise (Lex_error (Printf.sprintf "bad number %S" text, st.line))
+
+    (* Read the traversal inside ${...}: dotted identifiers, allowing
+       numeric segments for list indexing (azurerm_x.a.ids.0). Index
+       brackets [0] are normalized into numeric segments. *)
+    let read_interp_traversal st =
+      let segments = ref [] in
+      let read_segment () =
+        match peek st with
+        | Some c when is_ident_start c -> segments := read_ident st :: !segments
+        | Some c when is_digit c -> (
+            match read_number st with
+            | Int_lit i -> segments := string_of_int i :: !segments
+            | Float_lit _ | _ -> raise (Lex_error ("bad index in interpolation", st.line)))
+        | _ -> raise (Lex_error ("bad interpolation", st.line))
+      in
+      read_segment ();
+      let continue = ref true in
+      while !continue do
+        match peek st with
+        | Some '.' ->
+            advance st;
+            read_segment ()
+        | Some '[' ->
+            advance st;
+            read_segment ();
+            (match peek st with
+            | Some ']' -> advance st
+            | _ -> raise (Lex_error ("expected ']' in interpolation", st.line)))
+        | _ -> continue := false
+      done;
+      (match peek st with
+      | Some '}' -> advance st
+      | _ -> raise (Lex_error ("expected '}' closing interpolation", st.line)));
+      List.rev !segments
+
+    let read_string st =
+      let line0 = st.line in
+      advance st;
+      (* opening quote *)
+      let parts = ref [] in
+      let buf = Buffer.create 16 in
+      let flush_lit () =
+        if Buffer.length buf > 0 then begin
+          parts := Ast.Lit (Buffer.contents buf) :: !parts;
+          Buffer.clear buf
+        end
+      in
+      let rec loop () =
+        match peek st with
+        | None -> raise (Lex_error ("unterminated string", line0))
+        | Some '"' ->
+            advance st;
+            flush_lit ()
+        | Some '\\' ->
+            advance st;
+            (match peek st with
+            | Some 'n' -> Buffer.add_char buf '\n'
+            | Some 't' -> Buffer.add_char buf '\t'
+            | Some '"' -> Buffer.add_char buf '"'
+            | Some '\\' -> Buffer.add_char buf '\\'
+            | Some '$' -> Buffer.add_char buf '$'
+            | Some c -> Buffer.add_char buf c
+            | None -> raise (Lex_error ("unterminated string", line0)));
+            advance st;
+            loop ()
+        | Some '$' when peek2 st = Some '{' ->
+            advance st;
+            advance st;
+            flush_lit ();
+            let traversal = read_interp_traversal st in
+            parts := Ast.Interp traversal :: !parts;
+            loop ()
+        | Some c ->
+            advance st;
+            Buffer.add_char buf c;
+            loop ()
+      in
+      loop ();
+      Str (List.rev !parts)
+
+    let skip_line_comment st =
+      while match peek st with Some c when c <> '\n' -> true | Some _ | None -> false do
+        advance st
+      done
+
+    let skip_block_comment st =
+      let line0 = st.line in
+      let rec loop () =
+        match (peek st, peek2 st) with
+        | Some '*', Some '/' ->
+            advance st;
+            advance st
+        | Some _, _ ->
+            advance st;
+            loop ()
+        | None, _ -> raise (Lex_error ("unterminated comment", line0))
+      in
+      advance st;
+      advance st;
+      loop ()
+
+    let tokenize src =
+      let st = { src; pos = 0; line = 1 } in
+      let out = ref [] in
+      let emit tok = out := { tok; line = st.line } :: !out in
+      let last_is_newline () =
+        match !out with { tok = Newline; _ } :: _ | [] -> true | _ -> false
+      in
+      let rec loop () =
+        match peek st with
+        | None -> emit Eof
+        | Some (' ' | '\t' | '\r') ->
+            advance st;
+            loop ()
+        | Some '\n' ->
+            if not (last_is_newline ()) then emit Newline;
+            advance st;
+            loop ()
+        | Some '#' ->
+            skip_line_comment st;
+            loop ()
+        | Some '/' when peek2 st = Some '/' ->
+            skip_line_comment st;
+            loop ()
+        | Some '/' when peek2 st = Some '*' ->
+            skip_block_comment st;
+            loop ()
+        | Some '"' ->
+            emit (read_string st);
+            loop ()
+        | Some '{' ->
+            advance st;
+            emit Lbrace;
+            loop ()
+        | Some '}' ->
+            advance st;
+            emit Rbrace;
+            loop ()
+        | Some '[' ->
+            advance st;
+            emit Lbrack;
+            loop ()
+        | Some ']' ->
+            advance st;
+            emit Rbrack;
+            loop ()
+        | Some '=' ->
+            advance st;
+            emit Equal;
+            loop ()
+        | Some ',' ->
+            advance st;
+            emit Comma;
+            loop ()
+        | Some ':' ->
+            advance st;
+            emit Colon;
+            loop ()
+        | Some '.' ->
+            advance st;
+            emit Dot;
+            loop ()
+        | Some '-' when (match peek2 st with Some d -> is_digit d | None -> false) ->
+            advance st;
+            (match read_number st with
+            | Int_lit i -> emit (Int_lit (-i))
+            | Float_lit f -> emit (Float_lit (-.f))
+            | _ -> assert false);
+            loop ()
+        | Some c when is_digit c ->
+            emit (read_number st);
+            loop ()
+        | Some c when is_ident_start c ->
+            emit (Ident (read_ident st));
+            loop ()
+        | Some c -> raise (Lex_error (Printf.sprintf "illegal character %C" c, st.line))
+      in
+      loop ();
+      List.rev !out
+  end
+
+  module Parser = struct
+    exception Parse_error of string * int
+
+    type state = { toks : Lexer.spanned array; mutable idx : int }
+
+    let current st = st.toks.(st.idx)
+
+    let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
+
+    let fail st msg =
+      let { Lexer.tok; line } = current st in
+      raise
+        (Parse_error
+           (Printf.sprintf "%s, found %s" msg (Lexer.token_to_string tok), line))
+
+    let skip_newlines st =
+      while (current st).Lexer.tok = Lexer.Newline do
+        advance st
+      done
+
+    let expect st tok msg =
+      if (current st).Lexer.tok = tok then advance st else fail st msg
+
+    (* A dotted traversal starting from an already-consumed identifier. *)
+    let parse_traversal st first =
+      let segments = ref [ first ] in
+      let continue = ref true in
+      while !continue do
+        match (current st).Lexer.tok with
+        | Lexer.Dot -> (
+            advance st;
+            match (current st).Lexer.tok with
+            | Lexer.Ident s ->
+                advance st;
+                segments := s :: !segments
+            | Lexer.Int_lit i ->
+                advance st;
+                segments := string_of_int i :: !segments
+            | _ -> fail st "expected attribute name after '.'")
+        | Lexer.Lbrack -> (
+            advance st;
+            (match (current st).Lexer.tok with
+            | Lexer.Int_lit i ->
+                advance st;
+                segments := string_of_int i :: !segments
+            | _ -> fail st "expected index after '['");
+            match (current st).Lexer.tok with
+            | Lexer.Rbrack -> advance st
+            | _ -> fail st "expected ']'")
+        | _ -> continue := false
+      done;
+      Ast.E_traversal (List.rev !segments)
+
+    let rec parse_expr st =
+      skip_newlines st;
+      match (current st).Lexer.tok with
+      | Lexer.Ident "null" ->
+          advance st;
+          Ast.E_null
+      | Lexer.Ident "true" ->
+          advance st;
+          Ast.E_bool true
+      | Lexer.Ident "false" ->
+          advance st;
+          Ast.E_bool false
+      | Lexer.Ident s ->
+          advance st;
+          parse_traversal st s
+      | Lexer.Int_lit i ->
+          advance st;
+          Ast.E_int i
+      | Lexer.Float_lit f ->
+          advance st;
+          Ast.E_float f
+      | Lexer.Str parts ->
+          advance st;
+          Ast.E_string parts
+      | Lexer.Lbrack ->
+          advance st;
+          parse_list st
+      | Lexer.Lbrace ->
+          advance st;
+          parse_map st
+      | _ -> fail st "expected expression"
+
+    and parse_list st =
+      let items = ref [] in
+      skip_newlines st;
+      let rec loop () =
+        match (current st).Lexer.tok with
+        | Lexer.Rbrack -> advance st
+        | _ ->
+            items := parse_expr st :: !items;
+            skip_newlines st;
+            (match (current st).Lexer.tok with
+            | Lexer.Comma ->
+                advance st;
+                skip_newlines st
+            | _ -> ());
+            loop ()
+      in
+      loop ();
+      Ast.E_list (List.rev !items)
+
+    and parse_map st =
+      let fields = ref [] in
+      skip_newlines st;
+      let rec loop () =
+        match (current st).Lexer.tok with
+        | Lexer.Rbrace -> advance st
+        | Lexer.Ident key | Lexer.Str [ Ast.Lit key ] ->
+            advance st;
+            (match (current st).Lexer.tok with
+            | Lexer.Equal | Lexer.Colon -> advance st
+            | _ -> fail st "expected '=' or ':' in map");
+            let v = parse_expr st in
+            fields := (key, v) :: !fields;
+            skip_newlines st;
+            (match (current st).Lexer.tok with
+            | Lexer.Comma ->
+                advance st;
+                skip_newlines st
+            | _ -> ());
+            loop ()
+        | _ -> fail st "expected map key or '}'"
+      in
+      loop ();
+      Ast.E_map (List.rev !fields)
+
+    (* Body items: `ident = expr` attributes or `ident ("label")* { ... }`
+       nested blocks. *)
+    let rec parse_body st =
+      let battrs = ref [] in
+      let bblocks = ref [] in
+      skip_newlines st;
+      let rec loop () =
+        match (current st).Lexer.tok with
+        | Lexer.Rbrace | Lexer.Eof -> ()
+        | Lexer.Ident name -> (
+            advance st;
+            match (current st).Lexer.tok with
+            | Lexer.Equal ->
+                advance st;
+                let v = parse_expr st in
+                battrs := (name, v) :: !battrs;
+                end_of_item st;
+                loop ()
+            | Lexer.Lbrace | Lexer.Str _ | Lexer.Ident _ ->
+                let block = parse_block_after_type st name in
+                bblocks := block :: !bblocks;
+                end_of_item st;
+                loop ()
+            | _ -> fail st "expected '=' or block after identifier")
+        | Lexer.Newline ->
+            skip_newlines st;
+            loop ()
+        | _ -> fail st "expected attribute or block"
+      in
+      loop ();
+      { Ast.battrs = List.rev !battrs; bblocks = List.rev !bblocks }
+
+    and end_of_item st =
+      match (current st).Lexer.tok with
+      | Lexer.Newline -> skip_newlines st
+      | Lexer.Rbrace | Lexer.Eof -> ()
+      | _ -> fail st "expected newline after item"
+
+    and parse_block_after_type st btype =
+      let labels = ref [] in
+      let rec read_labels () =
+        match (current st).Lexer.tok with
+        | Lexer.Str [ Ast.Lit label ] ->
+            advance st;
+            labels := label :: !labels;
+            read_labels ()
+        | Lexer.Ident label ->
+            advance st;
+            labels := label :: !labels;
+            read_labels ()
+        | _ -> ()
+      in
+      read_labels ();
+      expect st Lexer.Lbrace "expected '{' opening block body";
+      let body = parse_body st in
+      expect st Lexer.Rbrace "expected '}' closing block body";
+      { Ast.btype; labels = List.rev !labels; body }
+
+    let parse src =
+      let toks = Array.of_list (Lexer.tokenize src) in
+      let st = { toks; idx = 0 } in
+      let blocks = ref [] in
+      skip_newlines st;
+      let rec loop () =
+        match (current st).Lexer.tok with
+        | Lexer.Eof -> ()
+        | Lexer.Ident btype ->
+            advance st;
+            blocks := parse_block_after_type st btype :: !blocks;
+            skip_newlines st;
+            loop ()
+        | _ -> fail st "expected top-level block"
+      in
+      loop ();
+      List.rev !blocks
+  end
+end
+
+type 'a outcome = Done of 'a | Lex_failed of string * int | Parse_failed of string * int
+
+(* Only the two syntax errors are outcomes: any other exception escapes
+   and fails the property. *)
+let reference_outcome f =
+  match f () with
+  | v -> Done v
+  | exception Reference.Lexer.Lex_error (msg, line) -> Lex_failed (msg, line)
+  | exception Reference.Parser.Parse_error (msg, line) -> Parse_failed (msg, line)
+
+let outcome f =
+  match f () with
+  | v -> Done v
+  | exception Lexer.Lex_error (msg, line) -> Lex_failed (msg, line)
+  | exception Parser.Parse_error (msg, line) -> Parse_failed (msg, line)
+
+let agrees_with_reference src =
+  reference_outcome (fun () -> Reference.Lexer.tokenize src)
+  = outcome (fun () -> Lexer.tokenize src)
+  && reference_outcome (fun () -> Reference.Parser.parse src)
+     = outcome (fun () -> Parser.parse_tokens (Lexer.tokenize src))
+
+(* Pieces biased toward the lexer's edge cases: quotes, escapes,
+   interpolation and comment openers, signs, dots and digits, NUL,
+   carriage returns and newlines, next to enough HCL to parse. *)
+let hcl_pieces =
+  [|
+    "\""; "\\"; "${"; "}"; "{"; "/*"; "*/"; "//"; "#"; "-"; "."; "0"; "7"; "42";
+    "\000"; "\r"; "\n"; "\n"; " "; "\t"; "["; "]"; "="; ","; ":"; "$"; "*"; "/";
+    "a"; "x_1"; "resource"; "true"; "null"; "\\n"; "\\t"; "\\\""; "\\$"; "@";
+  |]
+
+let hcl_soup =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_bound 60)
+           (map (Array.get hcl_pieces) (int_bound (Array.length hcl_pieces - 1)))))
+
+(* Rendered corpus programs, each with a few random byte edits: a
+   deletion, an insertion of a piece, or a byte overwritten. *)
+let rendered_programs =
+  lazy
+    (Zodiac_corpus.Generator.generate ~provider:Zodiac_azure.Azure.provider
+       ~violation_rate:0.2 ~seed:5 ~count:24 ()
+    |> List.map (fun (p : Zodiac_corpus.Generator.project) ->
+           Compile.program_to_hcl ~type_name:Zodiac_azure.Catalog.to_terraform
+             p.Zodiac_corpus.Generator.program)
+    |> Array.of_list)
+
+let edit src (kind, at, piece) =
+  let n = String.length src in
+  let at = if n = 0 then 0 else at mod n in
+  let before = String.sub src 0 at and after = String.sub src at (n - at) in
+  let drop s = if s = "" then s else String.sub s 1 (String.length s - 1) in
+  let piece = hcl_pieces.(piece mod Array.length hcl_pieces) in
+  match kind with
+  | 0 -> before ^ drop after
+  | 1 -> before ^ piece ^ after
+  | _ -> before ^ String.make 1 piece.[0] ^ drop after
+
+let edited_program =
+  let programs = Lazy.force rendered_programs in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map2
+        (fun k edits -> List.fold_left edit programs.(k mod Array.length programs) edits)
+        nat
+        (list_size (int_range 0 4) (triple (int_bound 2) nat nat)))
+
+let reference_on_soup =
+  QCheck.Test.make ~name:"lexer and parser = reference on HCL soup" ~count:3000 hcl_soup
+    agrees_with_reference
+
+let reference_on_edited_programs =
+  QCheck.Test.make ~name:"lexer and parser = reference on edited programs" ~count:400
+    edited_program agrees_with_reference
+
 (* ---------------- parser -------------------------------------------- *)
 
 let test_parse_resource_block () =
@@ -464,6 +1022,9 @@ let () =
           Alcotest.test_case "errors" `Quick test_lex_errors;
           Alcotest.test_case "negative numbers" `Quick test_lex_negative_number;
         ] );
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest
+          [ reference_on_soup; reference_on_edited_programs ] );
       ( "parser",
         [
           Alcotest.test_case "resource block" `Quick test_parse_resource_block;

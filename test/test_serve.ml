@@ -604,7 +604,9 @@ let test_sarif_deterministic () =
     <> Json.Null)
 
 let test_line_index () =
-  let idx = Sarif.index_source Registry.mssql_db_buggy in
+  let idx =
+    Sarif.index_tokens (Zodiac_hcl.Lexer.tokenize Registry.mssql_db_buggy)
+  in
   let server_line =
     Sarif.resource_line idx
       { Zodiac_iac.Resource.rtype = "SQLSERVER"; rname = "s" }
@@ -617,6 +619,91 @@ let test_line_index () =
   Alcotest.(check int) "unknown resource falls back to 1" 1
     (Sarif.resource_line idx
        { Zodiac_iac.Resource.rtype = "NOPE"; rname = "x" })
+
+(* Finding lines come from the tokens the scan compiled; they must stay
+   what lexing the source a second time gave. The source puts comments
+   and blank lines before the first resource, an attribute and a
+   nested block named [resource] inside it, and declares the database
+   twice: the program keeps the later block, the line index the first
+   header. *)
+let decorated_mssql =
+  {|# Leading comment.
+
+// another comment
+/* a block
+   comment */
+
+
+resource "azurerm_mssql_server" "s" {
+  name                   = "example-sqlserver"
+  location               = "westeurope"
+  version                = "12.0"
+  administrator_login    = "sqladmin"
+  administrator_password = "Sup3rSecret!"
+  resource = "an attribute named resource"
+  resource "azurerm_mssql_database" "d" {
+    note = "a nested block named resource"
+  }
+}
+
+resource "azurerm_mssql_database" "d" {
+  name        = "example-db"
+  server_id   = azurerm_mssql_server.s.id
+  sku         = "Basic"
+  max_size_gb = 250
+}
+
+resource "azurerm_mssql_database" "d" {
+  name        = "duplicate-db"
+  server_id   = azurerm_mssql_server.s.id
+  sku         = "Basic"
+  max_size_gb = 300
+}
+|}
+
+let test_finding_lines () =
+  let provider = Zodiac_azure.Azure.provider in
+  let checks = Scan.ground_truth_entries provider in
+  let lines_of = function
+    | Ok findings -> List.sort_uniq compare (List.map (fun f -> f.Sarif.line) findings)
+    | Error e -> Alcotest.failf "scan: %s" e
+  in
+  Alcotest.(check (list int)) "db findings at the first db header" [ 20 ]
+    (lines_of (Scan.scan_source ~provider ~checks ~file:"p.tf" decorated_mssql));
+  let idx = Sarif.index_tokens (Zodiac_hcl.Lexer.tokenize decorated_mssql) in
+  let line rtype rname = Sarif.resource_line idx { Zodiac_iac.Resource.rtype; rname } in
+  Alcotest.(check (list int)) "raw and canonical headers" [ 8; 8; 20; 20 ]
+    [
+      line "azurerm_mssql_server" "s"; line "SQLSERVER" "s";
+      line "azurerm_mssql_database" "d"; line "SQLDB" "d";
+    ];
+  (* An interpolated label is not plain: the header is skipped and the
+     walk resumes at its labels, so the next header is still found. The
+     scan itself refuses such a block. *)
+  let interpolated =
+    "\n\nresource \"${var.kind}\" \"x\" {\n}\nresource \"azurerm_mssql_server\" \"a${var.n}\" {\n}\n\nresource \"azurerm_mssql_server\" \"t\" {\n}\n"
+  in
+  let idx = Sarif.index_tokens (Zodiac_hcl.Lexer.tokenize interpolated) in
+  Alcotest.(check (list int)) "interpolated labels skipped" [ 1; 1; 8 ]
+    [
+      Sarif.resource_line idx { Zodiac_iac.Resource.rtype = "${var.kind}"; rname = "x" };
+      Sarif.resource_line idx { Zodiac_iac.Resource.rtype = "SQLSERVER"; rname = "a" };
+      Sarif.resource_line idx { Zodiac_iac.Resource.rtype = "SQLSERVER"; rname = "t" };
+    ];
+  Alcotest.(check (result (list int) string)) "interpolated label refused"
+    (Error "p.tf: parse error: expected '{' opening block body, found string (line 3)")
+    (Result.map
+       (List.map (fun f -> f.Sarif.line))
+       (Scan.scan_source ~provider ~checks ~file:"p.tf" interpolated));
+  (* Plan JSON carries no positions: every finding stays at line 1. *)
+  let prog =
+    match Zodiac_hcl.Compile.compile_string ~type_map:provider.Zodiac_provider.Provider.of_terraform decorated_mssql with
+    | Ok (prog, _) -> prog
+    | Error e -> Alcotest.failf "compile: %s" e
+  in
+  let plan = Zodiac_hcl.Plan.to_string ~type_name:provider.Zodiac_provider.Provider.to_terraform prog in
+  Alcotest.(check (list int)) "plan findings at line 1" [ 1 ]
+    (lines_of (Scan.scan_plan_source ~provider ~checks ~file:"plan.json" plan))
 
 let test_scan_directory () =
   let dir = Filename.temp_file "zodiac-test-serve" ".d" in
@@ -1189,6 +1276,7 @@ let () =
           Alcotest.test_case "deterministic document" `Quick
             test_sarif_deterministic;
           Alcotest.test_case "line index" `Quick test_line_index;
+          Alcotest.test_case "finding lines from the scan's tokens" `Quick test_finding_lines;
           Alcotest.test_case "directory scan" `Quick test_scan_directory;
           Alcotest.test_case "scan_file on a directory" `Quick
             test_scan_file_on_directory;
