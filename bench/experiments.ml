@@ -21,8 +21,8 @@ module Mutation = Zodiac_validation.Mutation
 module Mdc = Zodiac_validation.Mdc
 module Provider = Zodiac_provider.Provider
 module Arm = Zodiac_cloud.Arm
-module Checker = Zodiac_checkers.Checker
-module Baselines = Zodiac_checkers.Baselines
+module Checker = Zodiac_eval.Checker
+module Baselines = Zodiac_eval.Baselines
 module Check = Zodiac_spec.Check
 module Spec_printer = Zodiac_spec.Spec_printer
 module Eval = Zodiac_spec.Eval
@@ -686,7 +686,7 @@ let e12 () =
     (section "E12  Extensions: live updates, quotas, regional skus (§1/§6)");
   (* live updates: disruption caused by in-place vs replace changes *)
   let current = Registry.compile_exn Registry.quickstart_vm in
-  let module Update = Zodiac_cloud.Update in
+  let module Update = Zodiac_eval.Update in
   let in_place =
     Program.update current
       { Resource.rtype = "NIC"; rname = "nic" }
@@ -863,20 +863,8 @@ let e13 () =
 (* Shared helpers for the beyond-the-paper experiments (E18, E20, E21) *)
 (* ------------------------------------------------------------------ *)
 
-module Parallel = Zodiac_util.Parallel
 module Json = Zodiac_util.Json
-module Cache = Zodiac_util.Cache
 module Codec = Zodiac_util.Codec
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    (try
-       Array.iter
-         (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-         (Sys.readdir dir)
-     with Sys_error _ -> ());
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
 
 (* Byte-exact export of everything the mining phase produced: the full
    corpus (programs included), the mined candidates with their IEEE-754
@@ -893,8 +881,10 @@ let mine_artifact_bytes (a : Pipeline.artifacts) =
       Codec.write_int b (List.length (Kb.conn_kinds a.Pipeline.kb));
       Codec.write_list Codec.write_string b (Kb.types a.Pipeline.kb))
 
-(* The real CLI binary, when we can find it (cwd is the workspace root
-   under `dune exec`). *)
+(* E18 and E20 read peak RSS, which is a process-lifetime high-water
+   mark (VmHWM): each reading needs a fresh CLI process, so both spawn
+   the real binary (cwd is the workspace root under `dune exec`) and
+   print a skip note when it is not on disk. *)
 let zodiac_bin () =
   let candidates =
     (match Sys.getenv_opt "ZODIAC_BIN" with Some p -> [ p ] | None -> [])
@@ -902,512 +892,152 @@ let zodiac_bin () =
   in
   List.find_opt Sys.file_exists candidates
 
-(* ------------------------------------------------------------------ *)
-(* E18 — beyond the paper: streaming shard pipeline                     *)
-(* ------------------------------------------------------------------ *)
-
-module Shard_stream = Zodiac_util.Shard_stream
-module Rss = Zodiac_util.Rss
-
-(* Byte-exact export of the funnel a streamed run shares with an
-   in-memory one: mined candidates, deduplicated checks and the KB
-   shape — but not the projects, which the streamed path never holds
-   whole (that being the point). *)
-let funnel_bytes ~kb ~mined ~candidates =
-  Codec.encode ~stage:"bench-funnel" (fun b ->
-      Codec.write_list Candidate.write b mined;
-      Codec.write_list Check.write b candidates;
-      Codec.write_int b (Kb.size kb);
-      Codec.write_int b (List.length (Kb.conn_kinds kb));
-      Codec.write_list Codec.write_string b (Kb.types kb))
-
-let streamed_funnel_bytes (s : Pipeline.streamed) =
-  funnel_bytes ~kb:s.Pipeline.s_kb ~mined:s.Pipeline.s_mined
-    ~candidates:s.Pipeline.s_candidates
-
-let rss_mb () =
-  Option.map (fun kb -> float_of_int kb /. 1024.) (Rss.peak_rss_kb ())
-
-(* The streaming pipeline's three claims, asserted in one experiment:
-
-   (a) equivalence — sharded mining is byte-identical to the in-memory
-       one-shard plan for every (jobs, shard-size), checked on the full
-       funnel at n=400;
-   (b) bounded memory — peak RSS grows ≤ 1.3x when the corpus grows
-       10x (10k → 100k projects, shard 1000); each corpus is mined in a
-       freshly spawned CLI process so one run's VmHWM high-water mark
-       (a process-lifetime maximum) cannot pollute the next reading;
-       the 100k run doubles as the headline: a corpus ~80x the
-       in-memory default, mined flat;
-   (c) checkpointed resume — killing a run loses only the unfinished
-       shards: deleting the finals plus a subset of shard checkpoints
-       and rerunning re-counts exactly the deleted shards, and a warm
-       rerun folds nothing at all. *)
-let e18 () =
-  print_endline
-    (section "E18  Streaming shard pipeline: 100k projects in bounded memory");
-  (* (a) sharded ≡ one shard *)
-  let n_small = 400 in
-  let base = { Pipeline.default_config with Pipeline.corpus_size = n_small } in
-  let one_shard = Pipeline.mine_only ~config:{ base with Pipeline.jobs = 1 } () in
-  let one_shard_bytes =
-    funnel_bytes ~kb:one_shard.Pipeline.kb ~mined:one_shard.Pipeline.mined
-      ~candidates:one_shard.Pipeline.candidates
-  in
-  let grid = [ (1, 50); (1, 170); (1, 400); (4, 64); (4, 170) ] in
-  let grid_results =
-    List.map
-      (fun (jobs, shard) ->
-        let s =
-          Pipeline.mine_streamed
-            ~config:{ base with Pipeline.jobs = jobs }
-            ~shard_size:shard ()
-        in
-        (jobs, shard, s.Pipeline.s_kb_fold.Shard_stream.shards,
-         String.equal one_shard_bytes (streamed_funnel_bytes s)))
-      grid
-  in
-  let ok_grid = List.for_all (fun (_, _, _, ok) -> ok) grid_results in
-  print_table
-    ~header:[ "jobs"; "shard size"; "shards"; "vs one shard" ]
-    (List.map
-       (fun (jobs, shard, shards, ok) ->
-         [
-           string_of_int jobs; string_of_int shard; string_of_int shards;
-           (if ok then "identical" else "DIVERGED");
-         ])
-       grid_results);
-  (* (b) bounded memory: a fresh CLI process per corpus size. VmHWM is
-     a process-lifetime high-water mark, so measuring both runs here
-     would let the equivalence phase above (and the 10k run itself)
-     inflate the 100k reading; spawning also measures exactly what a
-     user of `--shard-size` gets. Falls back to in-process probing
-     with a reset between runs when the binary isn't on disk. *)
-  let first_token s =
-    match String.index_opt s ' ' with
-    | Some i -> String.sub s 0 i
-    | None -> s
-  in
-  let field lines prefix conv =
-    List.fold_left
-      (fun acc l ->
-        let l = String.trim l in
-        if acc = None && String.starts_with ~prefix l then
-          conv
-            (String.trim
-               (String.sub l (String.length prefix)
-                  (String.length l - String.length prefix)))
-        else acc)
-      None lines
-  in
-  let int_field lines prefix =
-    field lines prefix (fun s -> int_of_string_opt (first_token s))
-  in
-  let float_field lines prefix =
-    field lines prefix (fun s -> float_of_string_opt (first_token s))
-  in
-  let measure n =
-    match zodiac_bin () with
-    | Some bin ->
-        let cmd =
-          Printf.sprintf
-            "%s mine --projects %d --jobs 1 --shard-size 1000 --no-cache \
-             --limit 0 2>/dev/null"
-            (Filename.quote bin) n
-        in
-        let t0 = Unix.gettimeofday () in
-        let ic = Unix.open_process_in cmd in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        let status = Unix.close_process_in ic in
-        let dt = Unix.gettimeofday () -. t0 in
-        if status <> Unix.WEXITED 0 then
-          failwith (Printf.sprintf "e18: spawned mine of %d projects failed" n);
-        let lines = List.rev !lines in
-        let req name = function
-          | Some v -> v
-          | None ->
-              failwith
-                (Printf.sprintf "e18: missing %S in the spawned mine report"
-                   name)
-        in
-        ( n,
-          req "kb pass" (int_field lines "kb pass:"),
-          dt,
-          float_field lines "peak RSS:",
-          req "hypothesized checks" (int_field lines "hypothesized checks:"),
-          req "candidates entering validation"
-            (int_field lines "candidates entering validation:") )
-    | None ->
-        Gc.compact ();
-        ignore (Rss.reset_peak ());
-        let config =
-          { Pipeline.default_config with Pipeline.corpus_size = n; jobs = 1 }
-        in
-        let s, dt =
-          timed "e18.mine" (fun () ->
-              Pipeline.mine_streamed ~config ~shard_size:1000 ())
-        in
-        ( n,
-          s.Pipeline.s_kb_fold.Shard_stream.shards,
-          dt,
-          rss_mb (),
-          List.length s.Pipeline.s_mined,
-          List.length s.Pipeline.s_candidates )
-  in
-  let rss_threshold = 1.3 in
-  let run_small = measure 10_000 in
-  let run_large = measure 100_000 in
-  let rss_of (_, _, _, rss, _, _) = rss in
-  let rss_ratio =
-    match (rss_of run_small, rss_of run_large) with
-    | Some a, Some b when a > 0. -> Some (b /. a)
-    | _ -> None
-  in
-  let rss_unavailable = rss_ratio = None in
-  let ok_rss =
-    match rss_ratio with None -> true | Some r -> r <= rss_threshold
-  in
-  let mb = function Some v -> Printf.sprintf "%.1f MB" v | None -> "n/a" in
-  print_table
-    ~header:[ "corpus"; "shards"; "wall (s)"; "peak RSS"; "mined"; "validated q" ]
-    (List.map
-       (fun (n, shards, dt, rss, mined, cands) ->
-         [
-           string_of_int n; string_of_int shards; f2 dt; mb rss;
-           string_of_int mined; string_of_int cands;
-         ])
-       [ run_small; run_large ]);
-  (match rss_ratio with
-  | Some r ->
-      Printf.printf
-        "peak RSS grew %.2fx across a 10x corpus growth (threshold %.1fx; %s)\n"
-        r rss_threshold
-        (if zodiac_bin () <> None then "fresh process per corpus"
-         else "in-process fallback")
-  | None ->
-      print_endline
-        "NOTE: no /proc VmHWM on this host — RSS ratio not asserted");
-  (* (c) checkpointed resume *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "zodiac-e18-cache" in
-  rm_rf dir;
-  let rconfig =
-    {
-      Pipeline.default_config with
-      Pipeline.corpus_size = 2000;
-      jobs = 1;
-      cache_dir = Some dir;
-    }
-  in
-  let cold = Pipeline.mine_streamed ~config:rconfig ~shard_size:500 () in
-  let cold_bytes = streamed_funnel_bytes cold in
-  let ok_cold =
-    cold.Pipeline.s_kb_fold.Shard_stream.built = 4
-    && cold.Pipeline.s_mine_fold.Shard_stream.built = 4
-  in
-  (* Simulate a killed run: the finals are gone, and so are one kb shard
-     and two mine shards. Only those three may be re-counted. *)
-  let delete_prefixed prefixes keep =
-    let doomed =
-      List.filter
-        (fun f -> List.exists (fun p -> String.starts_with ~prefix:p f) prefixes)
-        (List.sort String.compare (Array.to_list (Sys.readdir dir)))
-    in
-    List.iteri
-      (fun i f -> if i >= keep then Sys.remove (Filename.concat dir f))
-      doomed
-  in
-  delete_prefixed [ "kb-"; "mine-" ] 0;
-  delete_prefixed [ "shard-kb-" ] 3;
-  delete_prefixed [ "shard-mine-" ] 2;
-  let resumed = Pipeline.mine_streamed ~config:rconfig ~shard_size:500 () in
-  let ok_resume =
-    String.equal cold_bytes (streamed_funnel_bytes resumed)
-    && resumed.Pipeline.s_kb_fold.Shard_stream.resumed = 3
-    && resumed.Pipeline.s_kb_fold.Shard_stream.built = 1
-    && resumed.Pipeline.s_mine_fold.Shard_stream.resumed = 2
-    && resumed.Pipeline.s_mine_fold.Shard_stream.built = 2
-  in
-  (* A warm rerun loads the finals and folds no shards at all. *)
-  let warm = Pipeline.mine_streamed ~config:rconfig ~shard_size:500 () in
-  let ok_warm =
-    String.equal cold_bytes (streamed_funnel_bytes warm)
-    && warm.Pipeline.s_kb_fold.Shard_stream.shards = 0
-    && warm.Pipeline.s_mine_fold.Shard_stream.shards = 0
-    && warm.Pipeline.s_cache_stats.Cache.hits > 0
-  in
-  rm_rf dir;
+let skip_without_bin name =
   Printf.printf
-    "resume after kill: kb %d resumed / %d rebuilt, mine %d resumed / %d \
-     rebuilt, artifacts identical: %b; warm rerun folds nothing: %b\n"
-    resumed.Pipeline.s_kb_fold.Shard_stream.resumed
-    resumed.Pipeline.s_kb_fold.Shard_stream.built
-    resumed.Pipeline.s_mine_fold.Shard_stream.resumed
-    resumed.Pipeline.s_mine_fold.Shard_stream.built
-    (String.equal cold_bytes (streamed_funnel_bytes resumed))
-    ok_warm;
-  let ok = ok_grid && ok_rss && ok_cold && ok_resume && ok_warm in
-  let fold_json (o : Shard_stream.outcome) =
-    Json.Obj
-      [
-        ("shards", Json.Int o.Shard_stream.shards);
-        ("resumed", Json.Int o.Shard_stream.resumed);
-        ("built", Json.Int o.Shard_stream.built);
-      ]
-  in
-  let json =
-    Json.Obj
-      [
-        ("experiment", Json.String "e18-streaming-shard-pipeline");
-        ( "equivalence",
-          Json.Obj
-            [
-              ("corpus_size", Json.Int n_small);
-              ( "runs",
-                Json.List
-                  (List.map
-                     (fun (jobs, shard, shards, ok) ->
-                       Json.Obj
-                         [
-                           ("jobs", Json.Int jobs);
-                           ("shard_size", Json.Int shard);
-                           ("shards", Json.Int shards);
-                           ("identical_to_one_shard", Json.Bool ok);
-                         ])
-                     grid_results) );
-            ] );
-        ( "bounded_memory",
-          Json.Obj
-            [
-              ("shard_size", Json.Int 1000);
-              ("rss_unavailable", Json.Bool rss_unavailable);
-              ("fresh_process_per_run", Json.Bool (zodiac_bin () <> None));
-              ( "runs",
-                Json.List
-                  (List.map
-                     (fun (n, shards, dt, rss, mined, cands) ->
-                       Json.Obj
-                         [
-                           ("corpus_size", Json.Int n);
-                           ("shards", Json.Int shards);
-                           ("wall_seconds", Json.Float dt);
-                           ( "peak_rss_mb",
-                             match rss with
-                             | Some v -> Json.Float v
-                             | None -> Json.Null );
-                           ("mined_candidates", Json.Int mined);
-                           ("validation_candidates", Json.Int cands);
-                         ])
-                     [ run_small; run_large ]) );
-              ( "rss_ratio_10x",
-                match rss_ratio with Some r -> Json.Float r | None -> Json.Null );
-              ("rss_ratio_threshold", Json.Float rss_threshold);
-            ] );
-        ( "resume",
-          Json.Obj
-            [
-              ("corpus_size", Json.Int 2000);
-              ("shard_size", Json.Int 500);
-              ("kb_fold", fold_json resumed.Pipeline.s_kb_fold);
-              ("mine_fold", fold_json resumed.Pipeline.s_mine_fold);
-              ( "artifacts_identical",
-                Json.Bool (String.equal cold_bytes (streamed_funnel_bytes resumed)) );
-              ("warm_rerun_folds_nothing", Json.Bool ok_warm);
-            ] );
-      ]
-  in
-  let oc = open_out "BENCH_stream.json" in
-  output_string oc (Json.to_string ~pretty:true json);
-  output_string oc "\n";
-  close_out oc;
-  print_endline "wrote BENCH_stream.json";
-  if not ok then begin
-    Printf.printf
-      "E18: FAIL — grid identical: %b; RSS ratio ok: %b; resume ok: %b/%b/%b\n"
-      ok_grid ok_rss ok_cold ok_resume ok_warm;
-    exit 1
-  end
+    "NOTE: zodiac CLI binary not found (build bin/ or set ZODIAC_BIN) — %s \
+     skipped\n"
+    name
 
-(* ------------------------------------------------------------------ *)
-(* E20 — multi-process sharded mining: fixed-slice worker fleet        *)
-(* ------------------------------------------------------------------ *)
+type cli_run = { wall : float; status : Unix.process_status; lines : string list }
 
-let e20_fresh_dir tag =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) ("zodiac-e20-" ^ tag)
-  in
-  rm_rf dir;
-  dir
-
-(* Spawn one CLI invocation, swallow stderr, return (wall, ok, lines). *)
-let e20_cli bin args =
+(* Spawn one CLI invocation, stderr discarded. *)
+let spawn_cli bin args =
   let cmd =
     String.concat " " (List.map Filename.quote (bin :: args)) ^ " 2>/dev/null"
   in
   let t0 = Unix.gettimeofday () in
   let ic = Unix.open_process_in cmd in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
+  let lines = In_channel.input_lines ic in
   let status = Unix.close_process_in ic in
-  (Unix.gettimeofday () -. t0, status = Unix.WEXITED 0, List.rev !lines)
+  { wall = Unix.gettimeofday () -. t0; status; lines }
 
-let e20_mine_args ~n ~jobs ~shard ~workers ~dir =
-  [
-    "mine"; "--projects"; string_of_int n; "--jobs"; string_of_int jobs;
-    "--cache-dir"; dir; "--limit"; "0"; "--shard-size"; string_of_int shard;
-  ]
-  @ if workers > 1 then [ "--workers"; string_of_int workers ] else []
+(* The first word after [prefix] on the report line that starts with
+   it, e.g. "31.2" from "peak RSS: 31.2 MB". *)
+let report_word lines prefix =
+  List.find_map
+    (fun l ->
+      let l = String.trim l in
+      if String.starts_with ~prefix l then
+        let n = String.length prefix in
+        List.find_opt (( <> ) "")
+          (String.split_on_char ' ' (String.sub l n (String.length l - n)))
+      else None)
+    lines
 
-(* The hidden worker verb for one slice of the kb pass (default seed). *)
-let e20_worker_args ~n ~shard ~slice:(k, w) ~dir =
-  [
-    "mine-worker"; "--pass"; "kb"; "--projects"; string_of_int n; "--jobs";
-    "1"; "--shard-size"; string_of_int shard; "--cache-dir"; dir; "--slice";
-    Printf.sprintf "%d/%d" k w;
-  ]
+let peak_rss_mb run = Option.bind (report_word run.lines "peak RSS:") float_of_string_opt
 
-(* KB shard checkpoints present in a cache dir. *)
-let e20_kb_checkpoints dir =
-  List.filter
-    (fun f ->
-      String.starts_with ~prefix:"shard-kb-" f && Filename.check_suffix f ".bin")
-    (Array.to_list (Sys.readdir dir))
+let mb = function Some v -> Printf.sprintf "%.1f MB" v | None -> "n/a"
 
+let fail fmt = Printf.ksprintf (fun msg -> print_endline msg; exit 1) fmt
+
+(* A `mine --limit 0` of [n] projects in shards of 1000, in its own
+   process. *)
+let spawn_mine bin ~n ~jobs extra =
+  let run =
+    spawn_cli bin
+      ([ "mine"; "--projects"; string_of_int n; "--jobs"; string_of_int jobs;
+         "--shard-size"; "1000"; "--limit"; "0" ]
+      @ extra)
+  in
+  if run.status <> Unix.WEXITED 0 then
+    fail "FAIL — spawned mine of %d projects (%s) failed" n (String.concat " " extra);
+  run
+
+(* ------------------------------------------------------------------ *)
+(* E18 — beyond the paper: streaming shard pipeline                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Bounded memory: peak RSS grows ≤ 1.3x when the corpus grows 10x
+   (10k → 100k projects, shard 1000), each corpus mined in a fresh
+   process. The 100k run doubles as the headline: a corpus ~80x the
+   in-memory default, mined flat. That a sharded mine is byte-identical
+   to one shard, and that a killed run resumes to the same finals, are
+   asserted by `dune runtest` (test_stream, test_mproc, test_cli). *)
+let e18 () =
+  print_endline
+    (section "E18  Streaming shard pipeline: 100k projects in bounded memory");
+  match zodiac_bin () with
+  | None -> skip_without_bin "E18"
+  | Some bin ->
+      let rss_threshold = 1.3 in
+      let measure n =
+        let run = spawn_mine bin ~n ~jobs:1 [ "--no-cache" ] in
+        let count prefix =
+          match Option.bind (report_word run.lines prefix) int_of_string_opt with
+          | Some v -> v
+          | None -> fail "E18: FAIL — no %S in the mine report of %d projects" prefix n
+        in
+        ( n, count "kb pass:", run.wall, peak_rss_mb run,
+          count "hypothesized checks:", count "candidates entering validation:" )
+      in
+      let runs = [ measure 10_000; measure 100_000 ] in
+      print_table
+        ~header:[ "corpus"; "shards"; "wall (s)"; "peak RSS"; "mined"; "validated q" ]
+        (List.map
+           (fun (n, shards, wall, rss, mined, cands) ->
+             [
+               string_of_int n; string_of_int shards; f2 wall; mb rss;
+               string_of_int mined; string_of_int cands;
+             ])
+           runs);
+      (match runs with
+      | [ (_, _, _, Some small, _, _); (_, _, _, Some large, _, _) ] when small > 0. ->
+          let ratio = large /. small in
+          Printf.printf
+            "peak RSS grew %.2fx across a 10x corpus growth (threshold %.1fx; \
+             fresh process per corpus)\n"
+            ratio rss_threshold;
+          if ratio > rss_threshold then
+            fail "E18: FAIL — peak RSS grew %.2fx (> %.1fx)" ratio rss_threshold
+      | _ -> print_endline "NOTE: no /proc VmHWM on this host — RSS ratio not asserted")
+
+(* ------------------------------------------------------------------ *)
+(* E20 — multi-process sharded mining: fixed-slice worker fleet        *)
+(* ------------------------------------------------------------------ *)
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+(* Scale: wall clock and parent peak RSS of a 100k-project mine at
+   workers = 1/2/4 (one domain each) and at workers = 1 with the
+   default job count (the domain pool alone), a fresh process and
+   cache per level (VmHWM is process-lifetime, and warm hits would
+   void the comparison). Every level must leave the finals of
+   workers = 1. Speedup is recorded, not asserted: it depends on the
+   host's core count, printed alongside. Fleet ≡ single process at toy
+   size, and resume after a killed fleet, are asserted by `dune
+   runtest` (test_mproc, test_cli). *)
 let e20 () =
   print_endline
-    (section "E20  Multi-process sharded mining: fixed-slice fleet, merge, crash");
+    (section "E20  Multi-process sharded mining: a 100k-project fleet");
   match zodiac_bin () with
-  | None ->
-      (* Workers re-exec the real binary; without one on disk there is
-         nothing multi-process to measure. *)
-      print_endline
-        "NOTE: zodiac CLI binary not found (build bin/ or set ZODIAC_BIN) — \
-         E20 skipped"
+  | None -> skip_without_bin "E20"
   | Some bin ->
-      (* (a) byte-equality grid: every (workers, jobs, shard) combination
-         must leave the same final kb-/mine- artifacts as the monolithic
-         run. With a fleet, the workers build every shard: the parent's
-         merge fold only resumes. *)
-      let n_small = 400 in
-      let mono_dir = e20_fresh_dir "mono" in
-      let _, mono_ok, _ =
-        e20_cli bin
-          [
-            "mine"; "--projects"; string_of_int n_small; "--jobs"; "1";
-            "--cache-dir"; mono_dir; "--limit"; "0";
-          ]
-      in
-      let mono = Pipeline.final_entries mono_dir in
-      if (not mono_ok) || mono = [] then begin
-        print_endline "E20: FAIL — monolithic reference run failed";
-        exit 1
-      end;
-      let grid = [ (1, 1, 100); (2, 1, 100); (4, 1, 100); (2, 2, 100);
-                   (2, 1, 170); (4, 2, 64) ]
-      in
-      let grid_results =
-        List.map
-          (fun (workers, jobs, shard) ->
-            let dir =
-              e20_fresh_dir (Printf.sprintf "w%d-j%d-s%d" workers jobs shard)
-            in
-            let wall, ok_run, lines =
-              e20_cli bin (e20_mine_args ~n:n_small ~jobs ~shard ~workers ~dir)
-            in
-            let shards = (n_small + shard - 1) / shard in
-            let fleet_ok =
-              workers = 1
-              || List.for_all
-                   (fun pass ->
-                     Report.fleet_counts lines pass = Some (workers, 0)
-                     && Report.fold_counts lines pass = Some (shards, shards, 0))
-                   [ "kb"; "mine" ]
-            in
-            let ok = ok_run && fleet_ok && Pipeline.final_entries dir = mono in
-            rm_rf dir;
-            (workers, jobs, shard, wall, ok))
-          grid
-      in
-      let ok_grid = List.for_all (fun (_, _, _, _, ok) -> ok) grid_results in
-      print_table
-        ~header:[ "workers"; "jobs"; "shard size"; "wall (s)"; "vs monolithic" ]
-        (List.map
-           (fun (w, j, s, wall, ok) ->
-             [
-               string_of_int w; string_of_int j; string_of_int s; f2 wall;
-               (if ok then "identical" else "DIVERGED");
-             ])
-           grid_results);
-      rm_rf mono_dir;
-      (* (b) scale: wall clock and parent peak RSS at workers = 1/2/4
-         (one domain each) and at workers = 1 with the default job count
-         (the domain pool alone), on a 100k-project corpus, a fresh
-         process and cache per level (VmHWM is process-lifetime, and
-         warm hits would void the comparison). Speedup is recorded, not
-         asserted — it depends on the host's core count, which is
-         recorded alongside. *)
-      let n_large = 100_000 in
       let nproc = Zodiac_util.Parallel.recommended_jobs () in
-      let first_token s =
-        match String.index_opt s ' ' with
-        | Some i -> String.sub s 0 i
-        | None -> s
-      in
-      let rss_of lines =
-        List.find_map
-          (fun l ->
-            let l = String.trim l in
-            if String.starts_with ~prefix:"peak RSS:" l then
-              float_of_string_opt
-                (first_token
-                   (String.trim
-                      (String.sub l 9 (String.length l - 9))))
-            else None)
-          lines
-      in
-      let scale_levels = [ (1, 1); (2, 1); (4, 1); (1, nproc) ] in
-      let scale_results =
+      let results =
         List.map
           (fun (workers, jobs) ->
             let dir =
-              e20_fresh_dir (Printf.sprintf "scale-w%d-j%d" workers jobs)
+              Filename.concat (Filename.get_temp_dir_name ())
+                (Printf.sprintf "zodiac-e20-w%d-j%d" workers jobs)
             in
-            let wall, ok_run, lines =
-              e20_cli bin
-                (e20_mine_args ~n:n_large ~jobs ~shard:1000 ~workers ~dir)
+            rm_rf dir;
+            let run =
+              spawn_mine bin ~n:100_000 ~jobs
+                ([ "--cache-dir"; dir ]
+                @ if workers > 1 then [ "--workers"; string_of_int workers ] else [])
             in
-            if not ok_run then begin
-              Printf.printf
-                "E20: FAIL — 100k run with --workers %d --jobs %d failed\n"
-                workers jobs;
-              exit 1
-            end;
             let finals = Pipeline.final_entries dir in
             rm_rf dir;
-            (workers, jobs, wall, rss_of lines, finals))
-          scale_levels
+            (workers, jobs, run.wall, peak_rss_mb run, finals))
+          [ (1, 1); (2, 1); (4, 1); (1, nproc) ]
       in
-      let scale_reference =
-        match scale_results with (_, _, _, _, f) :: _ -> f | [] -> []
+      let reference, base_wall =
+        match results with (_, _, wall, _, f) :: _ -> (f, wall) | [] -> ([], nan)
       in
-      let ok_scale =
-        scale_reference <> []
-        && List.for_all
-             (fun (_, _, _, _, f) -> f = scale_reference)
-             scale_results
-      in
-      let base_wall =
-        match scale_results with (_, _, w, _, _) :: _ -> w | [] -> nan
-      in
-      let mb = function Some v -> Printf.sprintf "%.1f MB" v | None -> "n/a" in
       print_table
         ~header:
           [ "workers"; "jobs"; "wall (s)"; "speedup"; "parent peak RSS";
@@ -1417,166 +1047,12 @@ let e20 () =
              [
                string_of_int w; string_of_int j; f2 wall;
                Printf.sprintf "%.2fx" (base_wall /. wall); mb rss;
-               (if f = scale_reference then "identical" else "DIVERGED");
+               (if f = reference then "identical" else "DIVERGED");
              ])
-           scale_results);
+           results);
       Printf.printf "host: %d recommended domains (nproc)\n" nproc;
-      (* (c) kill -9 / resume: a two-worker kb fleet is killed mid-corpus;
-         its checkpoints survive, and a single-process resume mines
-         exactly the unfinished shards to byte-identical finals. *)
-      let n_kill = 3000 and shard_kill = 250 in
-      let shards_kill = (n_kill + shard_kill - 1) / shard_kill in
-      let dir = e20_fresh_dir "kill" in
-      ignore (Cache.create ~dir ());
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pids =
-        List.map
-          (fun k ->
-            let argv =
-              bin :: e20_worker_args ~n:n_kill ~shard:shard_kill ~slice:(k, 2)
-                       ~dir
-            in
-            Unix.create_process bin (Array.of_list argv) Unix.stdin devnull
-              Unix.stderr)
-          [ 0; 1 ]
-      in
-      Unix.close devnull;
-      (* Wait for at least two checkpoints, then kill -9 both. *)
-      let deadline = Unix.gettimeofday () +. 60. in
-      let rec wait_for_progress () =
-        if List.length (e20_kb_checkpoints dir) >= 2 then true
-        else if Unix.gettimeofday () > deadline then false
-        else begin
-          Unix.sleepf 0.005;
-          wait_for_progress ()
-        end
-      in
-      let made_progress = wait_for_progress () in
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        pids;
-      if not made_progress then begin
-        print_endline "E20: FAIL — killed workers checkpointed nothing in 60s";
-        exit 1
-      end;
-      (* If the workers raced to completion, re-open some work so the
-         resume still has shards to mine. *)
-      let reopened =
-        let done_now = e20_kb_checkpoints dir in
-        if List.length done_now >= shards_kill then begin
-          List.iteri
-            (fun i f ->
-              if i < shards_kill / 2 then Sys.remove (Filename.concat dir f))
-            (List.sort String.compare done_now);
-          true
-        end
-        else false
-      in
-      let survivors = List.length (e20_kb_checkpoints dir) in
-      let _, resume_ok, resume_lines =
-        e20_cli bin
-          (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:1 ~dir)
-      in
-      let resume_kb = Report.fold_counts resume_lines "kb" in
-      let ref_dir = e20_fresh_dir "kill-ref" in
-      let _, ref_ok, _ =
-        e20_cli bin
-          (e20_mine_args ~n:n_kill ~jobs:1 ~shard:shard_kill ~workers:1
-             ~dir:ref_dir)
-      in
-      let ok_kill =
-        resume_ok && ref_ok
-        && resume_kb = Some (shards_kill, survivors, shards_kill - survivors)
-        && Pipeline.final_entries dir = Pipeline.final_entries ref_dir
-      in
-      Printf.printf
-        "kill -9 mid-mine: %d/%d shards survived (work reopened: %b); resume \
-         built %s, finals identical: %b\n"
-        survivors shards_kill reopened
-        (match resume_kb with
-        | Some (_, _, b) -> string_of_int b
-        | None -> "?")
-        ok_kill;
-      rm_rf dir;
-      rm_rf ref_dir;
-      let ok = ok_grid && ok_scale && ok_kill in
-      let json =
-        Json.Obj
-          [
-            ("experiment", Json.String "e20-multiprocess-sharded-mining");
-            ("nproc", Json.Int nproc);
-            ( "equivalence",
-              Json.Obj
-                [
-                  ("corpus_size", Json.Int n_small);
-                  ( "runs",
-                    Json.List
-                      (List.map
-                         (fun (w, j, s, wall, ok) ->
-                           Json.Obj
-                             [
-                               ("workers", Json.Int w);
-                               ("jobs", Json.Int j);
-                               ("shard_size", Json.Int s);
-                               ("wall_seconds", Json.Float wall);
-                               ("identical_to_monolithic", Json.Bool ok);
-                             ])
-                         grid_results) );
-                ] );
-            ( "scale",
-              Json.Obj
-                [
-                  ("corpus_size", Json.Int n_large);
-                  ("shard_size", Json.Int 1000);
-                  ("fresh_process_per_run", Json.Bool true);
-                  ( "runs",
-                    Json.List
-                      (List.map
-                         (fun (w, j, wall, rss, f) ->
-                           Json.Obj
-                             [
-                               ("workers", Json.Int w);
-                               ("jobs", Json.Int j);
-                               ("wall_seconds", Json.Float wall);
-                               ( "parent_peak_rss_mb",
-                                 match rss with
-                                 | Some v -> Json.Float v
-                                 | None -> Json.Null );
-                               ( "identical_to_workers_1",
-                                 Json.Bool (f = scale_reference) );
-                             ])
-                         scale_results) );
-                ] );
-            ( "kill_resume",
-              Json.Obj
-                [
-                  ("corpus_size", Json.Int n_kill);
-                  ("shards", Json.Int shards_kill);
-                  ("checkpoints_survived", Json.Int survivors);
-                  ("work_reopened", Json.Bool reopened);
-                  ( "resume_built",
-                    match resume_kb with
-                    | Some (_, _, b) -> Json.Int b
-                    | None -> Json.Null );
-                  ("finals_identical", Json.Bool ok_kill);
-                ] );
-          ]
-      in
-      let oc = open_out "BENCH_mproc.json" in
-      output_string oc (Json.to_string ~pretty:true json);
-      output_string oc "\n";
-      close_out oc;
-      print_endline "wrote BENCH_mproc.json";
-      if not ok then begin
-        Printf.printf
-          "E20: FAIL — grid identical: %b; 100k scale identical: %b; \
-           kill/resume ok: %b\n"
-          ok_grid ok_scale ok_kill;
-        exit 1
-      end
-
+      if reference = [] || List.exists (fun (_, _, _, _, f) -> f <> reference) results
+      then fail "E20: FAIL — the 100k finals differ from workers=1"
 
 (* ------------------------------------------------------------------ *)
 (* E21 — provider abstraction: Azure vs AWS mining distributions      *)

@@ -5,10 +5,14 @@
      dune exec bench/main.exe -- micro           # micro-benchmarks only
 
    Experiments e1-e13 regenerate the tables and figures of the paper's
-   evaluation section; e18, e20 and e21 are the scale and provider
-   experiments beyond it (see DESIGN.md for the index). Correctness is
-   checked by `dune runtest`, wall time by the zbench benchmark
-   (benchmark/). *)
+   evaluation section, E4 and E12 through the evaluation library
+   zodiac_eval (baseline checkers, live-update planner), which the CLI
+   does not link. e18 and e20 take the peak-RSS and wall-clock readings
+   of 100k-project mines, each in a spawned CLI process (skipped when
+   the binary is not built); e21 compares the providers. See DESIGN.md
+   for the index. Correctness, including the byte-identity of sharded,
+   multi-process and resumed mines, is checked by `dune runtest`; wall
+   time by the zbench benchmark (benchmark/). *)
 
 let usage () =
   Printf.printf "usage: main.exe [%s|micro|all]...\n"

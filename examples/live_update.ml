@@ -8,7 +8,7 @@
 
      dune exec examples/live_update.exe *)
 
-module Update = Zodiac_cloud.Update
+module Update = Zodiac_eval.Update
 module Arm = Zodiac_cloud.Arm
 module Program = Zodiac_iac.Program
 module Resource = Zodiac_iac.Resource

@@ -34,10 +34,8 @@ type config = { seed : int; fault_rate : float; max_consecutive : int }
 let default_config = { seed = 7; fault_rate = 0.15; max_consecutive = 3 }
 
 type t = {
-  provider : Zodiac_provider.Provider.t;
+  genuine : Program.t -> Arm.outcome;  (** the pass-through simulator call *)
   config : config;
-  rules : Provider.rule list;
-  quota : Quota.t;
   prng : Prng.t;
   mutable last : Program.t option;  (** program of the latest faulted call *)
   mutable consecutive : int;
@@ -45,17 +43,11 @@ type t = {
   tally : (kind, int) Hashtbl.t;
 }
 
-let create ~provider ?rules ?(quota = Quota.unlimited) config =
-  let rules =
-    match rules with
-    | Some r -> r
-    | None -> provider.Zodiac_provider.Provider.ground_truth ()
-  in
+let create ~provider config =
+  let rules = provider.Provider.ground_truth () in
   {
-    provider;
+    genuine = (fun prog -> Arm.deploy ~provider ~rules prog);
     config = { config with max_consecutive = max 1 config.max_consecutive };
-    rules;
-    quota;
     prng = Prng.create config.seed;
     last = None;
     consecutive = 0;
@@ -83,7 +75,7 @@ let deploy t prog =
   else begin
     t.consecutive <- 0;
     t.last <- None;
-    Outcome (Arm.deploy ~provider:t.provider ~rules:t.rules ~quota:t.quota prog)
+    Outcome (t.genuine prog)
   end
 
 let injected t = t.injected

@@ -57,11 +57,10 @@ type t
 
 val create :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Zodiac_provider.Provider.rule list ->
-  ?quota:Quota.t ->
   config ->
   t
-(** [provider]/[rules]/[quota] are forwarded to {!Arm.deploy}. *)
+(** Calls that pass through go to {!Arm.deploy} with [provider]'s
+    ground-truth rules, resolved once here, and no quota. *)
 
 val deploy : t -> Zodiac_iac.Program.t -> response
 

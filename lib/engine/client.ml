@@ -50,15 +50,9 @@ let create ?(config = default_config) ~stats backend =
     clock = 0.0;
   }
 
-let of_arm ~provider ?rules ?quota ?config ~stats () =
-  let rules =
-    match rules with
-    | Some r -> r
-    | None -> provider.Zodiac_provider.Provider.ground_truth ()
-  in
-  let quota = match quota with Some q -> q | None -> Zodiac_cloud.Quota.unlimited in
-  create ?config ~stats (fun prog ->
-      Flaky.Outcome (Arm.deploy ~provider ~rules ~quota prog))
+let of_arm ~provider ?config ~stats () =
+  let rules = provider.Provider.ground_truth () in
+  create ?config ~stats (fun prog -> Flaky.Outcome (Arm.deploy ~provider ~rules prog))
 
 let advance t dt =
   t.clock <- t.clock +. dt;

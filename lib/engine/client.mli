@@ -49,14 +49,13 @@ val create :
 
 val of_arm :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Zodiac_provider.Provider.rule list ->
-  ?quota:Zodiac_cloud.Quota.t ->
   ?config:config ->
   stats:Stats.t ->
   unit ->
   t
-(** A client over the fault-free simulator (every call passes through
-    to {!Zodiac_cloud.Arm.deploy}). *)
+(** A client over the fault-free simulator: every call passes through
+    to {!Zodiac_cloud.Arm.deploy} with [provider]'s ground-truth rules,
+    resolved once here, and no quota. *)
 
 val deploy : t -> Zodiac_iac.Program.t -> (Zodiac_cloud.Arm.outcome, error) result
 

@@ -1,7 +1,6 @@
 module Arm = Zodiac_cloud.Arm
 module Flaky = Zodiac_cloud.Flaky
 module Provider = Zodiac_provider.Provider
-module Quota = Zodiac_cloud.Quota
 module Program = Zodiac_iac.Program
 module Parallel = Zodiac_util.Parallel
 
@@ -35,13 +34,13 @@ type t = {
   cache : Arm.outcome Memo.t option;
 }
 
-let create ~provider ?rules ?quota ?(config = default_config) () =
+let create ~provider ?(config = default_config) () =
   let stats = Stats.create () in
   let client =
     match config.backend with
-    | Pure -> Client.of_arm ~provider ?rules ?quota ~config:config.client ~stats ()
+    | Pure -> Client.of_arm ~provider ~config:config.client ~stats ()
     | Faulty fault_config ->
-        let flaky = Flaky.create ~provider ?rules ?quota fault_config in
+        let flaky = Flaky.create ~provider fault_config in
         Client.create ~config:config.client ~stats (Flaky.deploy flaky)
   in
   let cache =

@@ -40,12 +40,11 @@ type t
 
 val create :
   provider:Zodiac_provider.Provider.t ->
-  ?rules:Zodiac_provider.Provider.rule list ->
-  ?quota:Zodiac_cloud.Quota.t ->
   ?config:config ->
   unit ->
   t
-(** [rules]/[quota] configure the underlying simulator. *)
+(** The simulator behind the engine deploys against [provider]'s
+    ground-truth rules, resolved once here, with no quota. *)
 
 val config : t -> config
 

@@ -2,6 +2,7 @@ module Value = Zodiac_iac.Value
 module Resource = Zodiac_iac.Resource
 module Program = Zodiac_iac.Program
 module Graph = Zodiac_iac.Graph
+module Arm = Zodiac_cloud.Arm
 
 type action =
   | Create of Resource.id
@@ -95,11 +96,6 @@ let apply ~provider ?rules ~current ~desired () =
   (* The recreated and created resources must pass the full deployment
      validation; in-place updates and noops are re-validated as part of
      the same program (the cloud re-checks the whole configuration). *)
-  let outcome =
-    match rules with
-    | Some rules -> Arm.deploy ~provider ~rules desired
-    | None -> Arm.deploy ~provider desired
-  in
-  { actions; recreated; outcome }
+  { actions; recreated; outcome = Arm.deploy ~provider ?rules desired }
 
 let disruption result = List.length result.recreated

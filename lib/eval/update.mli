@@ -35,7 +35,7 @@ type result = {
   actions : action list;
   recreated : Zodiac_iac.Resource.id list;
       (** resources destroyed and recreated (service disruption) *)
-  outcome : Arm.outcome;  (** of deploying the desired program *)
+  outcome : Zodiac_cloud.Arm.outcome;  (** of deploying the desired program *)
 }
 
 val apply :

@@ -1,7 +1,7 @@
 (* Tests for the baseline checkers of Table 4. *)
 
-module Checker = Zodiac_checkers.Checker
-module Baselines = Zodiac_checkers.Baselines
+module Checker = Zodiac_eval.Checker
+module Baselines = Zodiac_eval.Baselines
 module Value = Zodiac_iac.Value
 module Resource = Zodiac_iac.Resource
 let provider = Zodiac_azure.Azure.provider

@@ -1,9 +1,10 @@
 (* Tests through the real CLI binary, spawned as a user runs it: the
    `zodiac serve` daemon's SARIF against `zodiac scan --format sarif`,
-   a forked `mine --workers 2` fleet and a partial-slice resume against
-   a single-process mine, and the `--provider` flag. The binary is a
-   declared dependency of this suite (see dune); when it is missing the
-   suite fails rather than falling back to an in-process path. *)
+   a forked `mine --workers 2` fleet, a partial-slice resume and a
+   resume after `kill -9` against a single-process mine, and the
+   `--provider` flag. The binary is a declared dependency of this suite
+   (see dune); when it is missing the suite fails rather than falling
+   back to an in-process path. *)
 
 module Json = Zodiac_util.Json
 module Sarif = Zodiac_serve.Sarif
@@ -239,6 +240,91 @@ let test_partial_slice_resume () =
         Alcotest.(check (list string)) "no claim files" [] (claim_files partial)
     | _ -> assert false)
 
+(* Two kb workers are sent SIGKILL as soon as the first shard
+   checkpoint lands; a plain mine then resumes exactly the checkpoints
+   that survived and builds the rest. 600 projects in shards of 10 is
+   60 shards, so the kill usually lands mid-run; when both workers have
+   already finished, every shard survives and the same assertions hold.
+   A complete checkpoint of a shard that did not survive is planted
+   under its [.tmp] name, what a kill between the write and the rename
+   leaves: the resume must build that shard, not read it. *)
+let kill_shards = 60
+
+let kill_args dir =
+  [ "--projects"; "600"; "--jobs"; "1"; "--shard-size"; "10"; "--cache-dir"; dir ]
+
+let kb_checkpoints dir =
+  List.filter
+    (fun f -> String.starts_with ~prefix:"shard-kb-" f && Filename.check_suffix f ".bin")
+    (Array.to_list (Sys.readdir dir))
+
+let copy_file src dst =
+  Out_channel.with_open_bin dst (fun oc ->
+      Out_channel.output_string oc (In_channel.with_open_bin src In_channel.input_all))
+
+let test_kill_resume () =
+  with_dirs [ "kill-ref"; "killed" ] (function
+    | [ reference; killed ] ->
+        let mine_kill dir = run ("mine" :: "--limit" :: "0" :: kill_args dir) in
+        check_exit "reference mine" (fst (mine_kill reference));
+        Unix.mkdir killed 0o755;
+        let worker k =
+          Array.of_list
+            (zodiac :: "mine-worker" :: "--pass" :: "kb" :: "--slice"
+            :: Printf.sprintf "%d/2" k :: kill_args killed)
+        in
+        let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+        let pids =
+          Fun.protect ~finally:(fun () -> Unix.close devnull) (fun () ->
+              List.map
+                (fun k -> Unix.create_process zodiac (worker k) devnull devnull devnull)
+                [ 0; 1 ])
+        in
+        let kill_and_reap () =
+          List.map
+            (fun pid ->
+              (* not reaped yet, so the pid is still ours to signal *)
+              Unix.kill pid Sys.sigkill;
+              snd (Unix.waitpid [] pid))
+            pids
+        in
+        let deadline = Unix.gettimeofday () +. 60. in
+        let rec await_checkpoint () =
+          if kb_checkpoints killed = [] && Unix.gettimeofday () < deadline then begin
+            Unix.sleepf 0.001;
+            await_checkpoint ()
+          end
+        in
+        let statuses =
+          match await_checkpoint () with
+          | () -> kill_and_reap ()
+          | exception e ->
+              ignore (kill_and_reap ());
+              raise e
+        in
+        let survived = kb_checkpoints killed in
+        let survivors = List.length survived in
+        if survivors = 0 then Alcotest.fail "the workers checkpointed nothing in 60 s";
+        (match
+           List.filter (fun f -> not (List.mem f survived)) (kb_checkpoints reference)
+         with
+        | lost :: _ ->
+            copy_file (Filename.concat reference lost)
+              (Filename.concat killed (lost ^ ".tmp"))
+        | [] -> ());
+        Printf.printf "kill -9 landed mid-run for %d of 2 workers; %d of %d shards survived\n"
+          (List.length (List.filter (( = ) (Unix.WSIGNALED Sys.sigkill)) statuses))
+          survivors kill_shards;
+        let code, out = mine_kill killed in
+        check_exit "mine after kill -9" code;
+        Alcotest.check shards "kb pass resumes exactly the surviving checkpoints"
+          (Some (kill_shards, survivors, kill_shards - survivors))
+          (Report.fold_counts (lines out) "kb");
+        Alcotest.(check bool) "finals after kill -9 ≡ reference" true
+          (Pipeline.final_entries killed = Pipeline.final_entries reference);
+        Alcotest.(check (list string)) "no claim files" [] (claim_files killed)
+    | _ -> assert false)
+
 (* ------------- --provider ---------------------------------------------- *)
 
 (* An aws scan through the CLI prints what the in-process aws scan
@@ -272,6 +358,8 @@ let () =
             test_fleet_equals_single;
           Alcotest.test_case "slice 0/2 partial resume" `Quick
             test_partial_slice_resume;
+          Alcotest.test_case "kill -9 of a fleet, then resume" `Quick
+            test_kill_resume;
         ] );
       ( "provider",
         [ Alcotest.test_case "--provider aws / unknown" `Quick test_provider_flag ]

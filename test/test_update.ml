@@ -1,6 +1,6 @@
 (* Tests for the live-update planner/simulator. *)
 
-module Update = Zodiac_cloud.Update
+module Update = Zodiac_eval.Update
 module Arm = Zodiac_cloud.Arm
 module Value = Zodiac_iac.Value
 module Resource = Zodiac_iac.Resource
